@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -150,23 +149,6 @@ def _emit(sections: list[Section], out: str | None, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed command-line settings shared by the experiment commands."""
-
-    channel: str
-    prior0: float
-    level: int
-    orders: tuple[Order, ...]
-    bands: tuple[float, ...]
-    out: str | None
-    fmt: str
-    seed: int
-    atom_cap: int
-    merge_tol: float | None
-    sort_shannon: bool
-
-
 def _parse_orders(text: str) -> tuple[Order, ...]:
     return tuple(as_order(tok) for tok in text.split(",") if tok.strip())
 
@@ -188,51 +170,34 @@ def resolve_channel(spec: str, prior0: float) -> JointDistribution:
     )
 
 
-def _config_from_args(ns) -> RunConfig:
-    return RunConfig(
-        channel=ns.channel,
-        prior0=ns.prior0,
-        level=ns.n,
-        orders=_parse_orders(ns.alpha),
-        bands=_parse_floats(ns.delta),
-        out=ns.out,
-        fmt=ns.format,
-        seed=ns.seed,
-        atom_cap=ns.atom_cap,
-        merge_tol=ns.merge_tol,
-        sort_shannon=ns.sort_shannon,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
 def cmd_polarize(ns) -> int:
-    cfg = _config_from_args(ns)
-    root = resolve_channel(cfg.channel, cfg.prior0)
-    profile = level_profile(
-        root, cfg.level, cfg.orders, atom_cap=cfg.atom_cap, merge_tol=cfg.merge_tol
-    )
+    orders = _parse_orders(ns.alpha)
+    bands = _parse_floats(ns.delta)
+    root = resolve_channel(ns.channel, ns.prior0)
+    profile = level_profile(root, ns.n, orders, atom_cap=ns.atom_cap)
     columns = ["n", "index", "alpha", "entropy"]
     ranks = None
-    if cfg.sort_shannon:
+    if ns.sort_shannon:
         perm = profile.presentation_permutation()
         ranks = np.empty(perm.shape[0], dtype=np.int64)
         ranks[perm] = np.arange(perm.shape[0])
         columns.append("shannon_rank")
     rows = []
-    for i in range(1 << cfg.level):
+    for i in range(1 << ns.n):
         for k, order in enumerate(profile.orders):
-            row = [cfg.level, i + 1, order, float(profile.entries[k, i])]
+            row = [ns.n, i + 1, order, float(profile.entries[k, i])]
             if ranks is not None:
                 row.append(int(ranks[i]))
             rows.append(row)
     entries = make_section("entries", columns, rows)
 
     summary_rows = []
-    for band in cfg.bands:
+    for band in bands:
         for k, frac in enumerate(extremal_fractions(profile, band)):
             summary_rows.append(
                 [
@@ -260,7 +225,7 @@ def cmd_polarize(ns) -> int:
         ],
         summary_rows,
     )
-    _emit([entries, summary], cfg.out, cfg.fmt)
+    _emit([entries, summary], ns.out, ns.format)
     return EXIT_OK
 
 
@@ -493,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="0.1,0.5,1,2,10,100", help="comma list; 0 and inf allowed")
     p.add_argument("--delta", default="0.1,0.01", help="extremal band widths")
     p.add_argument("--atom-cap", type=int, default=DEFAULT_ATOM_CAP)
-    p.add_argument("--merge-tol", type=float, default=None)
     p.add_argument("--sort-shannon", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_polarize)

@@ -79,10 +79,6 @@ class JointDistribution:
         for a, b, w in zip(self.p0, self.p1, self.weight):
             yield JointAtom(float(a), float(b), float(w))
 
-    def as_array(self) -> np.ndarray:
-        """Atoms as an (n_atoms, 3) array of columns (p0, p1, weight)."""
-        return np.column_stack([self.p0, self.p1, self.weight])
-
     def to_json_dict(self) -> dict:
         return {"atoms": [[a.p0, a.p1, a.weight] for a in self.atoms()]}
 
@@ -243,54 +239,18 @@ def _sort_and_group(p0: np.ndarray, p1: np.ndarray, weight: np.ndarray):
     return p0[starts], p1[starts], np.add.reduceat(weight, starts)
 
 
-def _merge_close(p0: np.ndarray, p1: np.ndarray, weight: np.ndarray, tol: float):
-    """Greedy single pass over sorted atoms merging near-duplicates.
-
-    Atoms whose coordinates agree within relative ``tol`` collapse onto
-    their weighted mean.  This is a documented approximation; it exists to
-    push past depths where bitwise dedup no longer contains growth.
-    """
-    groups = np.empty(p0.shape[0], dtype=np.int64)
-    gid = 0
-    groups[0] = 0
-    for k in range(1, p0.shape[0]):
-        same0 = abs(p0[k] - p0[k - 1]) <= tol * max(p0[k], p0[k - 1])
-        same1 = abs(p1[k] - p1[k - 1]) <= tol * max(p1[k], p1[k - 1], p0[k])
-        if not (same0 and same1):
-            gid += 1
-        groups[k] = gid
-    wsum = np.bincount(groups, weights=weight)
-    m0 = np.bincount(groups, weights=weight * p0) / wsum
-    m1 = np.bincount(groups, weights=weight * p1) / wsum
-    return m0, m1, wsum
-
-
-def dedup(d: JointDistribution, merge_tol: float | None = None) -> JointDistribution:
+def dedup(d: JointDistribution) -> JointDistribution:
     """Merge bitwise-identical atoms by summing their weights.
 
     The result is sorted by (p0, p1), which also makes downstream output
     deterministic.  Every weighted sum over atoms, and hence every entropy
     computed from them, is preserved exactly up to float summation order.
-
-    Parameters
-    ----------
-    d : JointDistribution
-    merge_tol : float, optional
-        When given, a second approximate pass merges atoms whose
-        coordinates agree within this relative tolerance (weighted-mean
-        representative).  Off by default.
     """
     p0, p1, w = _sort_and_group(d.p0, d.p1, d.weight)
-    if merge_tol is not None:
-        if not 0.0 < merge_tol < 1e-3:
-            raise ValueError("merge_tol must lie in (0, 1e-3)")
-        p0, p1, w = _merge_close(p0, p1, w, merge_tol)
     return JointDistribution(_freeze(p0), _freeze(p1), _freeze(w))
 
 
-def canonicalize_orientation(
-    d: JointDistribution, merge_tol: float | None = None
-) -> JointDistribution:
+def canonicalize_orientation(d: JointDistribution) -> JointDistribution:
     """Reorient every atom so p0 >= p1, then dedup.
 
     Flipping the input label per output symbol changes the joint law of
@@ -302,10 +262,6 @@ def canonicalize_orientation(
     hi = np.maximum(d.p0, d.p1)
     lo = np.minimum(d.p0, d.p1)
     p0, p1, w = _sort_and_group(hi, lo, d.weight)
-    if merge_tol is not None:
-        if not 0.0 < merge_tol < 1e-3:
-            raise ValueError("merge_tol must lie in (0, 1e-3)")
-        p0, p1, w = _merge_close(p0, p1, w, merge_tol)
     return JointDistribution(_freeze(p0), _freeze(p1), _freeze(w))
 
 

@@ -116,6 +116,15 @@ def log2_power_sum(values: np.ndarray, alpha: float, weights=None) -> float:
     return m + math.log2(float(np.sum(np.exp2(terms - m))))
 
 
+def power_sums(d: JointDistribution, alpha: float) -> tuple[float, float]:
+    """(log2 num, log2 den): num = sum w (p0^a + p1^a), den = sum w (p0 + p1)^a."""
+    num = log2_power_sum(
+        np.concatenate([d.p0, d.p1]), alpha, np.concatenate([d.weight, d.weight])
+    )
+    den = log2_power_sum(d.symbol_mass, alpha, d.weight)
+    return num, den
+
+
 def _shannon_bits(values: np.ndarray, weights: np.ndarray) -> float:
     """-sum w * v * log2(v) over positive entries, in bits."""
     mask = values > 0.0
@@ -209,10 +218,7 @@ def conditional_renyi(d: JointDistribution, order, *, support_eps: float = 0.0) 
         value = math.log2(float(s.max())) - math.log2(top)
     else:
         a = o.alpha
-        lognum = log2_power_sum(
-            np.concatenate([d.p0, d.p1]), a, np.concatenate([d.weight, d.weight])
-        )
-        logden = log2_power_sum(s, a, d.weight)
+        lognum, logden = power_sums(d, a)
         value = (lognum - logden) / (1.0 - a)
     return snap_to_unit(value)
 

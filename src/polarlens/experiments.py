@@ -9,6 +9,7 @@ can be driven equally from tests, scripts, or the command line.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -262,8 +263,36 @@ def perturbation_distribution(spec: PerturbationSpec) -> JointDistribution:
     return make_from_atoms(np.column_stack([p0, p1, np.ones_like(q)]))
 
 
-def _is_integral_order(o: Order) -> bool:
-    return o.kind == "finite" and float(o.alpha).is_integer() and o.alpha >= 2.0
+def _perturbation_deviations(spec: PerturbationSpec) -> tuple[float, float]:
+    """(exact, approx) deviations of the spec, from one pass over its symbols.
+
+    The number type carries the arithmetic policy perturbation_exact
+    states: Fraction for integral orders, 50-digit mpf for all others.
+    """
+    if spec.order.is_integer:
+        num_t, a, precision = Fraction, int(spec.order.alpha), nullcontext()
+    else:
+        num_t, a, precision = mpmath.mpf, mpmath.mpf(spec.order.alpha), mpmath.workdps(50)
+    with precision:
+        num = den = acc = num_t(0)
+        for qf, df in zip(spec.base_weights, spec.deltas):
+            q = num_t(qf)
+            dv = num_t(df)
+            den += q**a
+            if spec.mode == "uniform":
+                num += (q / 2 + dv) ** a + (q / 2 - dv) ** a
+                acc += dv * dv * q ** (a - 2)
+            else:
+                # 0**a is exactly 0 for every order a > 0, rational or mpf
+                dv_a = dv**a
+                num += dv_a + (q - dv) ** a
+                acc += dv_a - a * dv * q ** (a - 1)
+        if spec.mode == "uniform":
+            return (
+                float(num / (den * num_t(2) ** (1 - a)) - 1),
+                float(2 * a * (a - 1) * acc / den),
+            )
+        return float(num / den - 1), float(acc / den)
 
 
 def perturbation_exact(spec: PerturbationSpec) -> float:
@@ -276,38 +305,7 @@ def perturbation_exact(spec: PerturbationSpec) -> float:
     inputs are exact rationals), everything else at 50 digits, so the
     small-delta cancellation in the trailing "- 1" costs no precision.
     """
-    a_ord = spec.order
-    if _is_integral_order(a_ord):
-        a = int(a_ord.alpha)
-        num = Fraction(0)
-        den = Fraction(0)
-        for qf, df in zip(spec.base_weights, spec.deltas):
-            q = Fraction(qf)
-            dv = Fraction(df)
-            if spec.mode == "uniform":
-                num += (q / 2 + dv) ** a + (q / 2 - dv) ** a
-                den += q**a
-            else:
-                num += dv**a + (q - dv) ** a
-                den += q**a
-        if spec.mode == "uniform":
-            den = den * Fraction(2) ** (1 - a)
-        return float(num / den - 1)
-    a = mpmath.mpf(a_ord.alpha)
-    with mpmath.workdps(50):
-        num = mpmath.mpf(0)
-        den = mpmath.mpf(0)
-        for qf, df in zip(spec.base_weights, spec.deltas):
-            q = mpmath.mpf(qf)
-            dv = mpmath.mpf(df)
-            if spec.mode == "uniform":
-                num += (q / 2 + dv) ** a + (q / 2 - dv) ** a
-            else:
-                num += (dv**a if dv > 0 else mpmath.mpf(0)) + (q - dv) ** a
-            den += q**a
-        if spec.mode == "uniform":
-            den = den * mpmath.mpf(2) ** (1 - a)
-        return float(num / den - 1)
+    return _perturbation_deviations(spec)[0]
 
 
 def perturbation_approx(spec: PerturbationSpec) -> float:
@@ -320,37 +318,7 @@ def perturbation_approx(spec: PerturbationSpec) -> float:
     Arithmetic policy matches perturbation_exact, so comparisons between
     the two measure the approximation, not the evaluator.
     """
-    a_ord = spec.order
-    if _is_integral_order(a_ord):
-        a = int(a_ord.alpha)
-        den = Fraction(0)
-        acc = Fraction(0)
-        for qf, df in zip(spec.base_weights, spec.deltas):
-            q = Fraction(qf)
-            dv = Fraction(df)
-            den += q**a
-            if spec.mode == "uniform":
-                acc += dv * dv * q ** (a - 2)
-            else:
-                acc += dv**a - a * dv * q ** (a - 1)
-        if spec.mode == "uniform":
-            acc = 2 * a * (a - 1) * acc
-        return float(acc / den)
-    a = mpmath.mpf(a_ord.alpha)
-    with mpmath.workdps(50):
-        den = mpmath.mpf(0)
-        acc = mpmath.mpf(0)
-        for qf, df in zip(spec.base_weights, spec.deltas):
-            q = mpmath.mpf(qf)
-            dv = mpmath.mpf(df)
-            den += q**a
-            if spec.mode == "uniform":
-                acc += dv * dv * q ** (a - 2)
-            else:
-                acc += (dv**a if dv > 0 else mpmath.mpf(0)) - a * dv * q ** (a - 1)
-        if spec.mode == "uniform":
-            acc = 2 * a * (a - 1) * acc
-        return float(acc / den)
+    return _perturbation_deviations(spec)[1]
 
 
 class PerturbationRow(NamedTuple):
@@ -369,9 +337,7 @@ def perturbation_sweep(spec: PerturbationSpec, halvings: int = 5) -> list[Pertur
     rows = []
     for k in range(halvings + 1):
         scale = 0.5**k
-        scaled = spec.scaled(scale)
-        exact = perturbation_exact(scaled)
-        approx = perturbation_approx(scaled)
+        exact, approx = _perturbation_deviations(spec.scaled(scale))
         if exact == 0.0:
             rel = 0.0 if approx == 0.0 else math.inf
         else:

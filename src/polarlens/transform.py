@@ -40,6 +40,7 @@ import numpy as np
 
 from .distributions import (
     CapacityError,
+    DistributionError,
     JointDistribution,
     canonicalize_orientation,
     dedup,
@@ -50,7 +51,8 @@ from .entropy import (
     Order,
     as_order,
     conditional_renyi,
-    log2_power_sum,
+    log2_power_sum,  # noqa: F401  perfbench/tracing.py patches this attribute
+    power_sums,
     snap_to_unit,
 )
 
@@ -99,7 +101,6 @@ def transform_pair(
     b: JointDistribution | None = None,
     *,
     atom_cap: int = DEFAULT_ATOM_CAP,
-    merge_tol: float | None = None,
     canonical: bool = True,
 ) -> TransformPair:
     """Apply one polar step to two independent parents (b defaults to a).
@@ -119,7 +120,7 @@ def transform_pair(
     if 2 * na * nb > atom_cap:
         raise CapacityError(
             f"transform would create {2 * na * nb} raw atoms (cap {atom_cap}); "
-            "raise atom_cap or pass merge_tol to contain growth"
+            "raise atom_cap to allow it"
         )
     rows = max(1, _PAIR_CHUNK // max(1, nb))
     starts = list(range(0, na, rows))
@@ -151,7 +152,7 @@ def transform_pair(
     plus = JointDistribution(_freeze(pp0[live]), _freeze(pp1[live]), _freeze(pw[live]))
 
     post = canonicalize_orientation if canonical else dedup
-    return TransformPair(post(minus, merge_tol), post(plus, merge_tol))
+    return TransformPair(post(minus), post(plus))
 
 
 @dataclass(frozen=True)
@@ -194,7 +195,6 @@ def synthesize(
     index: SubchannelIndex,
     *,
     atom_cap: int = DEFAULT_ATOM_CAP,
-    merge_tol: float | None = None,
 ) -> JointDistribution:
     """Materialize the joint distribution of one subchannel.
 
@@ -205,7 +205,7 @@ def synthesize(
     """
     cur = canonicalize_orientation(root)
     for bit in index.path():
-        pair = transform_pair(cur, atom_cap=atom_cap, merge_tol=merge_tol)
+        pair = transform_pair(cur, atom_cap=atom_cap)
         cur = pair.plus if bit else pair.minus
     return cur
 
@@ -245,8 +245,10 @@ class _RatioView:
         return np.add.reduceat(values, self.starts)
 
 
-def _pair_grid_sum(ga: np.ndarray, ratios: np.ndarray, alpha: float) -> float:
+def _pair_grid_sum(view: _RatioView, alpha: float) -> float:
     """sum_{a,b} G(a) G(b) [(1 + r_a r_b)^alpha + (r_a + r_b)^alpha]."""
+    ga = view.group_sum(view.w * view.p0**alpha)
+    ratios = view.ratios
     n = ratios.shape[0]
     rows = max(1, _PAIR_CHUNK // n)
     starts = list(range(0, n, rows))
@@ -261,17 +263,7 @@ def _pair_grid_sum(ga: np.ndarray, ratios: np.ndarray, alpha: float) -> float:
     return math.fsum(_chunked_map(work, starts))
 
 
-def _minus_num_log2_grid(view: _RatioView, alpha: float) -> float:
-    ga = view.group_sum(view.w * view.p0**alpha)
-    pair = _pair_grid_sum(ga, view.ratios, alpha)
-    return (
-        2.0 * math.log2(view.total_weight)
-        + 2.0 * alpha * math.log2(view.max_mass)
-        + math.log2(pair)
-    )
-
-
-def _minus_num_log2_moments(view: _RatioView, alpha: int) -> float:
+def _pair_moment_sum(view: _RatioView, alpha: int) -> float:
     """Binomial expansion of the pair sum for integral orders.
 
     (p0i p0j + p1i p1j)^a and (p1i p0j + p0i p1j)^a expand into products
@@ -284,14 +276,9 @@ def _minus_num_log2_moments(view: _RatioView, alpha: int) -> float:
     for k in range(alpha + 1):
         moments[k] = float(np.sum(ga * cur))
         cur = cur * view.ratios
-    pair = math.fsum(
+    return math.fsum(
         math.comb(alpha, k) * (moments[k] * moments[k] + moments[k] * moments[alpha - k])
         for k in range(alpha + 1)
-    )
-    return (
-        2.0 * math.log2(view.total_weight)
-        + 2.0 * alpha * math.log2(view.max_mass)
-        + math.log2(pair)
     )
 
 
@@ -301,10 +288,16 @@ _MOMENT_MAX_ORDER = 512
 
 
 def minus_num_log2(view: _RatioView, alpha: float) -> float:
-    """log2 of the minus child's joint power sum at a finite order."""
+    """log2 of the minus child's joint power sum, with the view's scaling undone."""
     if float(alpha).is_integer() and 2 <= alpha <= _MOMENT_MAX_ORDER:
-        return _minus_num_log2_moments(view, int(alpha))
-    return _minus_num_log2_grid(view, alpha)
+        pair = _pair_moment_sum(view, int(alpha))
+    else:
+        pair = _pair_grid_sum(view, alpha)
+    return (
+        2.0 * math.log2(view.total_weight)
+        + 2.0 * alpha * math.log2(view.max_mass)
+        + math.log2(pair)
+    )
 
 
 def _xlog2x(values: np.ndarray) -> np.ndarray:
@@ -407,12 +400,16 @@ def child_entropies(
 
     Raises
     ------
+    DistributionError
+        If some atom has p1 > p0; see :func:`canonicalize_orientation`.
     CapacityError
         If an order needs a full pair grid over the parent's ratio groups
         and that grid exceeds ``_SPLIT_WORK_FACTOR * atom_cap`` elements.
         The grid is streamed, not stored, so its budget is time, not
         memory; raising ``atom_cap`` widens both budgets together.
     """
+    if np.any(parent.p1 > parent.p0):
+        raise DistributionError("parent must be canonical (p0 >= p1 per atom)")
     orders = [as_order(o) for o in orders]
     out = np.empty((len(orders), 2))
     finite = [o for o in orders if o.kind == "finite"]
@@ -430,14 +427,12 @@ def child_entropies(
                 f"{_SPLIT_WORK_FACTOR} * {atom_cap}"
             )
 
-    if need_one or finite:
-        s = parent.symbol_mass
-        w = parent.weight
     if need_one:
+        w = parent.weight
         joint = -float(
             np.sum(w * _xlog2x(parent.p0)) + np.sum(w * _xlog2x(parent.p1))
         )
-        symbol = -float(np.sum(w * _xlog2x(s)))
+        symbol = -float(np.sum(w * _xlog2x(parent.symbol_mass)))
         joint_minus = _minus_shannon_joint(view)
         h1_minus = joint_minus - 2.0 * symbol
         h1_plus = 2.0 * joint - joint_minus
@@ -456,10 +451,7 @@ def child_entropies(
             out[row] = (h1_minus, h1_plus)
         else:
             a = o.alpha
-            lognum = log2_power_sum(
-                np.concatenate([parent.p0, parent.p1]), a, np.concatenate([w, w])
-            )
-            logden = log2_power_sum(s, a, w)
+            lognum, logden = power_sums(parent, a)
             lognum_minus = minus_num_log2(view, a)
             out[row, 0] = (lognum_minus - 2.0 * logden) / (1.0 - a)
             out[row, 1] = (2.0 * lognum - lognum_minus) / (1.0 - a)
@@ -516,7 +508,6 @@ def level_profile(
     orders: Sequence = None,
     *,
     atom_cap: int = DEFAULT_ATOM_CAP,
-    merge_tol: float | None = None,
 ) -> PolarizationProfile:
     """Entropies of all 2**level subchannels of ``root``.
 
@@ -526,7 +517,7 @@ def level_profile(
     ceil(i / 2): children (2j - 1, 2j) of parent j are its minus and plus
     outputs.
     """
-    return level_profile_sweep(root, level, orders, atom_cap=atom_cap, merge_tol=merge_tol)[-1]
+    return level_profile_sweep(root, level, orders, atom_cap=atom_cap)[-1]
 
 
 def level_profile_sweep(
@@ -535,7 +526,6 @@ def level_profile_sweep(
     orders: Sequence = None,
     *,
     atom_cap: int = DEFAULT_ATOM_CAP,
-    merge_tol: float | None = None,
 ) -> list[PolarizationProfile]:
     """Profiles for every level 1 .. max_level in one walk.
 
@@ -562,10 +552,7 @@ def level_profile_sweep(
         if lvl < max_level:
             nxt = []
             for parent in current:
-                pair = transform_pair(
-                    parent, atom_cap=atom_cap, merge_tol=merge_tol, canonical=True
-                )
-                nxt.extend(pair)
+                nxt.extend(transform_pair(parent, atom_cap=atom_cap, canonical=True))
             current = nxt
     return profiles
 
@@ -601,17 +588,10 @@ def split_power_sums(
     if not (alpha > 0.0 and math.isfinite(alpha)) or abs(alpha - 1.0) <= 1e-9:
         raise ValueError("split power sums are defined for finite alpha > 0, != 1")
 
-    def sums(d: JointDistribution) -> tuple[float, float]:
-        num = log2_power_sum(
-            np.concatenate([d.p0, d.p1]), alpha, np.concatenate([d.weight, d.weight])
-        )
-        den = log2_power_sum(d.symbol_mass, alpha, d.weight)
-        return num, den
-
-    num_a, den_a = sums(a)
-    num_b, den_b = sums(b)
+    num_a, den_a = power_sums(a, alpha)
+    num_b, den_b = power_sums(b, alpha)
     minus = transform_pair(a, b, canonical=False).minus
-    num_minus, _ = sums(minus)
+    num_minus, _ = power_sums(minus, alpha)
     return SplitPowerSums(
         log_s1=den_a + den_b,
         log_s2=num_minus,

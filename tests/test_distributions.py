@@ -145,23 +145,6 @@ def test_dedup_order_invariant():
         assert np.array_equal(d.weight, ref.weight)
 
 
-def test_dedup_merge_tol_validation():
-    d = make_bsc(0.3)
-    for bad in (0.0, -1e-6, 1e-3, 0.5):
-        with pytest.raises((DistributionError, ValueError)):
-            dedup(d, merge_tol=bad)
-
-
-def test_merge_tol_collapses_near_duplicates():
-    eps = 1e-9
-    d = make_from_atoms(
-        [(0.25, 0.05, 1.0), (0.25 + eps, 0.05 - eps, 1.0), (0.2, 0.2, 1.0)],
-        normalization_tol=None,
-    )
-    g = dedup(d, merge_tol=1e-6)
-    assert g.n_atoms == 2
-
-
 def test_canonicalize_orients_and_groups():
     d = make_bsc(0.2)
     c = canonicalize_orientation(d)

@@ -2,7 +2,9 @@
 effective sets."""
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -193,6 +195,78 @@ def test_mpmath_branch_agrees_with_direct_float():
         np.sum((q / 2 + dv) ** a + (q / 2 - dv) ** a) / (2 ** (1 - a) * np.sum(q**a)) - 1
     )
     assert perturbation_exact(spec) == pytest.approx(direct, rel=1e-10)
+
+
+def _reference_deviations(spec):
+    """One loop per number type and form, as before the evaluators merged."""
+    a_ord = spec.order
+    pairs = list(zip(spec.base_weights, spec.deltas))
+    if a_ord.kind == "finite" and float(a_ord.alpha).is_integer() and a_ord.alpha >= 2.0:
+        a = int(a_ord.alpha)
+        num = den = acc = Fraction(0)
+        for qf, df in pairs:
+            q, dv = Fraction(qf), Fraction(df)
+            if spec.mode == "uniform":
+                num += (q / 2 + dv) ** a + (q / 2 - dv) ** a
+            else:
+                num += dv**a + (q - dv) ** a
+            den += q**a
+        if spec.mode == "uniform":
+            den = den * Fraction(2) ** (1 - a)
+        exact = float(num / den - 1)
+        den = Fraction(0)
+        for qf, df in pairs:
+            q, dv = Fraction(qf), Fraction(df)
+            den += q**a
+            if spec.mode == "uniform":
+                acc += dv * dv * q ** (a - 2)
+            else:
+                acc += dv**a - a * dv * q ** (a - 1)
+        if spec.mode == "uniform":
+            acc = 2 * a * (a - 1) * acc
+        return exact, float(acc / den)
+    a = mpmath.mpf(a_ord.alpha)
+    with mpmath.workdps(50):
+        num = den = mpmath.mpf(0)
+        for qf, df in pairs:
+            q, dv = mpmath.mpf(qf), mpmath.mpf(df)
+            if spec.mode == "uniform":
+                num += (q / 2 + dv) ** a + (q / 2 - dv) ** a
+            else:
+                num += (dv**a if dv > 0 else mpmath.mpf(0)) + (q - dv) ** a
+            den += q**a
+        if spec.mode == "uniform":
+            den = den * mpmath.mpf(2) ** (1 - a)
+        exact = float(num / den - 1)
+    with mpmath.workdps(50):
+        den = acc = mpmath.mpf(0)
+        for qf, df in pairs:
+            q, dv = mpmath.mpf(qf), mpmath.mpf(df)
+            den += q**a
+            if spec.mode == "uniform":
+                acc += dv * dv * q ** (a - 2)
+            else:
+                acc += (dv**a if dv > 0 else mpmath.mpf(0)) - a * dv * q ** (a - 1)
+        if spec.mode == "uniform":
+            acc = 2 * a * (a - 1) * acc
+        return exact, float(acc / den)
+
+
+def test_perturbation_evaluator_matches_per_type_reference_bitwise():
+    specs = (
+        ("uniform", (0.5, 0.25, 0.125, 0.125), (0.01, -0.02, 0.005, 0.003)),
+        # the zero delta hits 0**a at non-integral orders
+        ("deterministic", (0.4, 0.3, 0.2, 0.1), (0.01, 0.0, 0.002, 0.0005)),
+    )
+    for mode, q, dv in specs:
+        for alpha in (2.0, 3.0, 0.5, 2.5, 7.5):
+            spec = PerturbationSpec(mode=mode, base_weights=q, deltas=dv, order=alpha)
+            rows = perturbation_sweep(spec, halvings=3)
+            for row in rows:
+                want = _reference_deviations(spec.scaled(row.scale))
+                assert (row.exact, row.approx) == want, (mode, alpha, row.scale)
+            assert perturbation_exact(spec) == rows[0].exact
+            assert perturbation_approx(spec) == rows[0].approx
 
 
 def test_exact_matches_entropy_shift_direction():

@@ -7,12 +7,14 @@ import pytest
 
 from polarlens import (
     CapacityError,
+    DistributionError,
     SubchannelIndex,
     child_entropies,
     conditional_renyi,
     dedup,
     level_profile,
     level_profile_sweep,
+    make_bec,
     make_bsc,
     make_from_atoms,
     one_step_report,
@@ -117,6 +119,16 @@ def test_child_entropies_bounds():
         vals = child_entropies(parent, ORDERS)
         assert (vals >= 0.0).all()
         assert (vals <= 1.0).all()
+
+
+def test_child_entropies_rejects_non_canonical_parent():
+    from polarlens.distributions import canonicalize_orientation
+
+    raw = make_bec(0.35)  # the p0 = 0 < p1 atom would divide p1 / p0 by zero
+    with pytest.raises(DistributionError):
+        child_entropies(raw, ORDERS)
+    vals = child_entropies(canonicalize_orientation(raw), ORDERS)
+    assert np.isfinite(vals).all()
 
 
 def test_split_power_sums_contract():
@@ -244,13 +256,6 @@ def test_child_entropies_pair_grid_work_budget():
     # one more element of budget admits the grid
     vals = child_entropies(parent, (0.5,), atom_cap=tight + 1)
     assert vals.shape == (1, 2)
-
-
-def test_merge_tol_keeps_profiles_close():
-    root = make_bsc(0.2)
-    exact = level_profile(root, 5, orders=(1.0, 2.0))
-    merged = level_profile(root, 5, orders=(1.0, 2.0), merge_tol=1e-9)
-    assert np.max(np.abs(exact.entries - merged.entries)) < 1e-6
 
 
 def test_dedup_before_transform_changes_nothing():
