@@ -66,6 +66,35 @@ def test_polarize_shapes_and_summary(tmp_path):
         assert mean == pytest.approx(root, abs=1e-9)
 
 
+HIGH_ORDERS = "500,512,513,650.5,660,700.5,1023,1100,5000.5,1e5"
+
+
+@pytest.mark.parametrize(
+    "channel,n,alphas",
+    [
+        ("bsc:0.2", 3, HIGH_ORDERS),
+        ("bsc:0.49", 3, HIGH_ORDERS),
+        ("bec:0.35", 3, HIGH_ORDERS),
+        # deep erasure parents square moments far below the float range
+        ("bec:0.5", 6, "300,512"),
+    ],
+)
+def test_polarize_high_orders(tmp_path, channel, n, alphas):
+    # up to 512 the moment expansion; beyond, log-domain pair grids
+    out = tmp_path / "p.csv"
+    code = run(
+        ["polarize", "--channel", channel, "--n", str(n), "--alpha", alphas,
+         "--delta", "0.1", "--out", str(out)]
+    )
+    assert code == EXIT_OK
+    entries, summary = read_tables(str(out))
+    values = [float(r[3]) for r in entries.rows]
+    assert len(values) == 2**n * len(alphas.split(","))
+    assert all(0.0 <= v <= 1.0 for v in values)  # NaN fails both comparisons
+    for row in summary.rows:
+        assert abs(float(row[6]) - float(row[7])) <= 1e-6
+
+
 def test_polarize_sort_shannon_column(tmp_path):
     out = tmp_path / "p.csv"
     run(
@@ -180,13 +209,15 @@ def test_capacity_exit_code(tmp_path, capsys):
 
 
 def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
-    args = ["polarize", "--channel", "bsc:0.2", "--n", "5",
-            "--alpha", "0.3,1,2.5,100", "--delta", "0.1"]
-    monkeypatch.setenv("POLARLENS_THREADS", "1")
-    run(args + ["--out", str(tmp_path / "a.csv")])
-    monkeypatch.setenv("POLARLENS_THREADS", "4")
-    run(args + ["--out", str(tmp_path / "b.csv")])
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    # n = 7 runs its level-6 grids over proxy points
+    for n, alphas in (("5", "0.3,1,2.5,100"), ("7", "0.3,1")):
+        args = ["polarize", "--channel", "bsc:0.2", "--n", n,
+                "--alpha", alphas, "--delta", "0.1"]
+        monkeypatch.setenv("POLARLENS_THREADS", "1")
+        assert run(args + ["--out", str(tmp_path / "a.csv")]) == EXIT_OK
+        monkeypatch.setenv("POLARLENS_THREADS", "4")
+        assert run(args + ["--out", str(tmp_path / "b.csv")]) == EXIT_OK
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_table_round_trip():

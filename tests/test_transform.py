@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarlens import (
     CapacityError,
@@ -274,3 +276,99 @@ def test_dedup_before_transform_changes_nothing():
             assert conditional_renyi(dedup(doubled), a) == pytest.approx(
                 conditional_renyi(d, a), abs=1e-12
             )
+
+
+# ---------------------------------------------------------------------------
+# Proxy-point pair grids against the direct grid over the ratio groups.
+# ---------------------------------------------------------------------------
+
+PROXY_ORDERS = (1e-3, 0.1, 0.5, 0.999, 1.001, 3.7, 31.9, 32.0)
+
+
+#: Odds draws: uniform on [0, 1]; log-uniform down to 2^-1000, which leaves
+#: few groups per dyadic box; log-uniform over four boxes near 2^-1000.
+RATIO_DRAWS = {"uniform": (None, None), "log": (0.0, 1000.0), "deep": (996.0, 1000.0)}
+
+
+def _ratio_view(seed, groups, draw):
+    """A view over ``groups`` atoms with random odds, r = 0 and r = 1 included."""
+    from polarlens.transform import _RatioView
+
+    rng = np.random.default_rng(seed)
+    lo, hi = RATIO_DRAWS[draw]
+    if lo is None:
+        r = rng.uniform(0.0, 1.0, groups)
+    else:
+        r = np.exp2(-rng.uniform(lo, hi, groups))
+    r[:2] = (0.0, 1.0)
+    p0 = rng.uniform(0.1, 1.0, groups)
+    atoms = np.column_stack([p0, p0 * r, rng.uniform(0.5, 2.0, groups)])
+    return _RatioView(make_from_atoms(atoms, normalization_tol=None))
+
+
+def _proxy_errors(view, orders):
+    """Relative difference of every proxy pair sum from the direct grid."""
+    from polarlens.transform import (
+        _pair_grid_sum,
+        _proxy_pair_sum,
+        _shannon_pair_sum,
+    )
+
+    errs = {}
+    for a in orders:
+        direct = _pair_grid_sum(view.ratios, view.group_log2_sums(a), a)
+        errs[a] = abs(_proxy_pair_sum(view, a) - direct) * math.log(2.0)
+    e = view.group_sum(view.w * view.p0)
+    l2 = view.group_sum(view.w * view.p0 * np.log2(view.p0))
+    direct = _shannon_pair_sum(view.ratios, e, l2)
+    proxy = _shannon_pair_sum(view.proxy_ratios, view.to_proxies(e), view.to_proxies(l2))
+    errs["shannon"] = abs(proxy - direct) / abs(direct)
+    return errs
+
+
+@pytest.mark.parametrize("draw", sorted(RATIO_DRAWS))
+@pytest.mark.parametrize("groups", [200, 1000])
+def test_proxy_pair_sums_match_direct_grid(groups, draw):
+    view = _ratio_view(163 + groups, groups, draw)
+    assert view.ratios.size == groups
+    if draw != "log":
+        assert view.proxy_ratios.size < groups
+    for key, err in _proxy_errors(view, PROXY_ORDERS).items():
+        assert err <= 1e-13, key
+
+
+def test_proxy_pair_sums_on_bsc_level6_parent():
+    from polarlens.distributions import canonicalize_orientation
+    from polarlens.transform import _RatioView
+
+    level = [canonicalize_orientation(make_bsc(0.2))]
+    for _ in range(6):
+        level = [child for parent in level for child in transform_pair(parent)]
+    views = [_RatioView(parent) for parent in level]
+    view = min((v for v in views if v.ratios.size >= 3000), key=lambda v: v.ratios.size)
+    assert view.proxy_ratios.size < view.ratios.size // 4
+    for key, err in _proxy_errors(view, PROXY_ORDERS).items():
+        assert err <= 1e-13, key
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    groups=st.integers(200, 3000),
+    draw=st.sampled_from(sorted(RATIO_DRAWS)),
+    alpha=st.floats(1e-3, 32.0),
+)
+def test_proxy_pair_sums_property(seed, groups, draw, alpha):
+    errs = _proxy_errors(_ratio_view(seed, groups, draw), (alpha,))
+    assert max(errs.values()) <= 1e-13
+
+
+def test_proxy_map_passes_small_boxes_through():
+    # a BEC parent has two ratio groups, r = 0 and r = 1: nothing to squeeze
+    from polarlens.distributions import canonicalize_orientation
+    from polarlens.transform import _RatioView
+
+    view = _RatioView(canonicalize_orientation(make_bec(0.35)))
+    assert np.array_equal(view.proxy_ratios, view.ratios)
+    values = np.array([0.3, 0.7])
+    assert np.array_equal(view.to_proxies(values), values)
