@@ -278,6 +278,143 @@ def test_dedup_before_transform_changes_nothing():
             )
 
 
+def test_sweep_refuses_a_level_before_working_on_it(monkeypatch):
+    import polarlens.transform as transform
+
+    calls = []
+    real = transform.transform_pair
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].n_atoms)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transform, "transform_pair", counted)
+    # BSC(0.2) level-3 parents hold 1, 2, 3, 4, 6, 7, 6, 5 atoms: the fifth
+    # is the first whose 2 * 6 * 6 raw atoms exceed the cap of 50
+    with pytest.raises(CapacityError) as err:
+        level_profile_sweep(make_bsc(0.2), 5, orders=(0.5, 2.0), atom_cap=50)
+    assert str(err.value) == (
+        "level 4 cannot be materialized: parent 5 of 8 would create 72 raw "
+        "atoms (cap 50); raise atom_cap to allow it"
+    )
+    assert len(calls) == 1 + 2 + 4  # levels 1 to 3 only
+    # the deepest level is never materialized, so it needs no room
+    assert len(level_profile_sweep(make_bsc(0.2), 4, orders=(0.5,), atom_cap=50)) == 4
+
+
+# ---------------------------------------------------------------------------
+# Self-paired transforms: the i <= j triangle against the full outer product.
+# ---------------------------------------------------------------------------
+
+
+def _copy(d):
+    """An equal but distinct distribution, so transform_pair runs the full grid."""
+    from polarlens import JointDistribution
+
+    return JointDistribution(d.p0.copy(), d.p1.copy(), d.weight.copy())
+
+
+def _assert_triangle_matches_full(parent):
+    tri = transform_pair(parent)
+    full = transform_pair(parent, _copy(parent))
+    for got, want in zip(tri, full):
+        assert got.n_atoms == want.n_atoms
+        assert np.array_equal(got.p0, want.p0)
+        assert np.array_equal(got.p1, want.p1)
+        assert np.all(np.abs(got.weight - want.weight) <= 1e-15 * want.weight)
+
+
+def _levels(root, deepest):
+    from polarlens.distributions import canonicalize_orientation
+
+    levels = [[canonicalize_orientation(root)]]
+    for _ in range(deepest):
+        levels.append([c for p in levels[-1] for c in transform_pair(p)])
+    return levels
+
+
+@pytest.mark.parametrize("root", [make_bsc(0.2), make_bec(0.35)], ids=["bsc", "bec"])
+def test_self_paired_triangle_matches_full_grid(root):
+    levels = _levels(root, 5)
+    for parent in levels[3] + levels[4]:
+        _assert_triangle_matches_full(parent)
+    # level 5 holds the largest parents; the three largest cover the blocks
+    for parent in sorted(levels[5], key=lambda p: p.n_atoms)[-3:]:
+        _assert_triangle_matches_full(parent)
+
+
+def test_self_paired_dedup_sees_the_triangle(monkeypatch):
+    import polarlens.transform as transform
+
+    seen = []
+    real = transform.canonicalize_orientation
+
+    def counted(d):
+        seen.append(d.n_atoms)
+        return real(d)
+
+    parent = max(_levels(make_bsc(0.2), 4)[4], key=lambda p: p.n_atoms)
+    n = parent.n_atoms
+    monkeypatch.setattr(transform, "canonicalize_orientation", counted)
+    transform_pair(parent)
+    transform_pair(parent, _copy(parent))
+    # all-positive BSC atoms: no plus atom is massless
+    assert seen == [n * (n + 1) // 2, n * (n + 1), n * n, 2 * n * n]
+
+
+@pytest.mark.parametrize(
+    "atoms",
+    [
+        [(1.0, 0.0, 1.0)],  # noiseless: its flipped plus atoms carry no mass
+        [(0.25, 0.25, 2.0)],  # pure noise, p0 = p1
+        [(0.3, 0.0, 1.0), (0.1, 0.1, 2.0), (0.2, 0.05, 1.0), (0.05, 0.0, 1.0)],
+    ],
+    ids=["noiseless", "noise", "mixed"],
+)
+def test_self_paired_triangle_edge_atoms(atoms):
+    from polarlens.distributions import canonicalize_orientation
+
+    _assert_triangle_matches_full(canonicalize_orientation(make_from_atoms(atoms)))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    atoms=st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(1, 3)),
+        min_size=1,
+        max_size=40,
+    ).filter(lambda xs: any(a + b > 0 for a, b, _ in xs))
+)
+def test_self_paired_triangle_property(atoms):
+    # small integer lattices give ties, duplicates and zero entries
+    from polarlens.distributions import canonicalize_orientation
+
+    arr = np.array([(a, b, w) for a, b, w in atoms if a + b > 0], dtype=float)
+    arr[:, :2] /= np.sum(arr[:, 2] * (arr[:, 0] + arr[:, 1]))
+    _assert_triangle_matches_full(
+        canonicalize_orientation(make_from_atoms(arr, normalization_tol=None))
+    )
+
+
+def test_self_paired_blocks_and_threads_do_not_change_bytes(monkeypatch):
+    import polarlens.transform as transform
+
+    parent = max(_levels(make_bsc(0.2), 4)[4], key=lambda p: p.n_atoms)
+
+    def arrays(chunk, threads, **kwargs):
+        monkeypatch.setattr(transform, "_PAIR_CHUNK", chunk)
+        monkeypatch.setenv("POLARLENS_THREADS", str(threads))
+        pair = transform_pair(parent, **kwargs)
+        return [x for d in pair for x in (d.p0, d.p1, d.weight)]
+
+    for kwargs in ({}, {"canonical": False}):
+        # 64 elements per block: two rows of the 27-atom parent per block
+        single = arrays(1 << 30, 1, **kwargs)
+        for threads in (1, 4):
+            blocked = arrays(64, threads, **kwargs)
+            assert all(np.array_equal(x, y) for x, y in zip(blocked, single))
+
+
 # ---------------------------------------------------------------------------
 # Proxy-point pair grids against the direct grid over the ratio groups.
 # ---------------------------------------------------------------------------
