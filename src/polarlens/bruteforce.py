@@ -29,6 +29,9 @@ from .entropy import Order, as_order
 #: Maximum number of joint entries (output tuples times input words).
 DEFAULT_STATE_CAP = 1 << 24
 
+#: Output tuples enumerated per vectorized block.
+_CHUNK_TUPLES = 2048
+
 _LN2 = math.log(2.0)
 
 
@@ -128,9 +131,6 @@ def brute_force_profile(
     root: JointDistribution,
     level: int,
     orders,
-    *,
-    state_cap: int = DEFAULT_STATE_CAP,
-    chunk_tuples: int = 2048,
 ) -> np.ndarray:
     """Entropies of all subchannels at ``level`` by full enumeration.
 
@@ -143,15 +143,15 @@ def brute_force_profile(
     Raises
     ------
     CapacityError
-        If A**N * 2**N exceeds ``state_cap``.
+        If A**N * 2**N exceeds ``DEFAULT_STATE_CAP``.
     """
     orders = [as_order(o) for o in orders]
     n = 1 << level
     a_count = root.n_atoms
     total = (a_count**n) * (1 << n)
-    if total > state_cap:
+    if total > DEFAULT_STATE_CAP:
         raise CapacityError(
-            f"brute force would touch {total} joint entries (cap {state_cap})"
+            f"brute force would touch {total} joint entries (cap {DEFAULT_STATE_CAP})"
         )
 
     xidx = _input_to_codeword_index(level)
@@ -166,8 +166,8 @@ def brute_force_profile(
 
     mass = 0.0
     tuples = list(iter_product(range(a_count), repeat=n))
-    for start in range(0, len(tuples), chunk_tuples):
-        chunk = np.array(tuples[start : start + chunk_tuples], dtype=np.int64)
+    for start in range(0, len(tuples), _CHUNK_TUPLES):
+        chunk = np.array(tuples[start : start + _CHUNK_TUPLES], dtype=np.int64)
         t_count = chunk.shape[0]
         # joint probability of (x, y-tuple) per class, in x order
         px = np.ones((t_count, 1 << n))
@@ -195,9 +195,7 @@ def brute_force_profile(
     return out
 
 
-def high_precision_conditional(
-    d: JointDistribution, alpha: float, dps: int = 50
-) -> float:
+def high_precision_conditional(d: JointDistribution, alpha: float) -> float:
     """Conditional entropy at finite alpha != 1 via 50-digit arithmetic.
 
     Atom floats are taken at face value (exact binary rationals).  Useful
@@ -205,7 +203,7 @@ def high_precision_conditional(
     """
     if alpha <= 0 or abs(alpha - 1.0) < 1e-12 or math.isinf(alpha):
         raise ValueError("high-precision path covers finite alpha > 0, != 1")
-    with mpmath.workdps(dps):
+    with mpmath.workdps(50):
         num = mpmath.mpf(0)
         den = mpmath.mpf(0)
         for atom in d.atoms():
@@ -221,12 +219,12 @@ def high_precision_conditional(
         return float(h)
 
 
-def rational_conditional_renyi(d: JointDistribution, alpha: int, dps: int = 50) -> float:
+def rational_conditional_renyi(d: JointDistribution, alpha: int) -> float:
     """Conditional entropy at a positive integer order >= 2, exactly.
 
     Every binary64 probability is an exact rational, so for integral alpha
     the two power sums are computed as exact fractions; only the final two
-    logarithms are rounded (at ``dps`` digits).  Confirms the float kernels
+    logarithms are rounded (at 50 digits).  Confirms the float kernels
     carry no systematic bias.
     """
     if not (isinstance(alpha, int) and alpha >= 2):
@@ -239,7 +237,7 @@ def rational_conditional_renyi(d: JointDistribution, alpha: int, dps: int = 50) 
         f1 = Fraction(atom.p1)
         num += w * (f0**alpha + f1**alpha)
         den += w * (f0 + f1) ** alpha
-    with mpmath.workdps(dps):
+    with mpmath.workdps(50):
         log_ratio = (
             mpmath.log(num.numerator)
             - mpmath.log(num.denominator)

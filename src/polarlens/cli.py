@@ -34,7 +34,6 @@ from .distributions import (
     random_joint,
 )
 from .entropy import (
-    DEFAULT_ORDER_GRID,
     EXTENDED_ORDER_GRID,
     Order,
     as_order,
@@ -76,8 +75,6 @@ def _cell(value) -> str:
     """Stringify a cell; floats use repr so they round-trip bit-exactly."""
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, Order):
-        return str(value)
     return str(value)
 
 

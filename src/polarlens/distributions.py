@@ -265,15 +265,15 @@ def canonicalize_orientation(d: JointDistribution) -> JointDistribution:
     return JointDistribution(_freeze(p0), _freeze(p1), _freeze(w))
 
 
-def from_json_dict(obj: dict, *, default_tol: float = MASS_TOL) -> JointDistribution:
+def from_json_dict(obj: dict) -> JointDistribution:
     """Build a distribution from the JSON file schema.
 
     Expected shape: {"atoms": [[p0, p1, weight], ...]} with an optional
-    "normalization_tol" override.
+    "normalization_tol" override of ``MASS_TOL``.
     """
     if not isinstance(obj, dict) or "atoms" not in obj:
         raise DistributionError('distribution JSON must contain an "atoms" list')
-    tol = float(obj.get("normalization_tol", default_tol))
+    tol = float(obj.get("normalization_tol", MASS_TOL))
     return make_from_atoms(obj["atoms"], normalization_tol=tol)
 
 

@@ -47,7 +47,8 @@ class Order:
             return "inf"
         if self.kind == "one":
             return "1"
-        return format(self.alpha, "g")
+        short = format(self.alpha, "g")
+        return short if float(short) == self.alpha else repr(self.alpha)
 
     @property
     def is_integer(self) -> bool:
@@ -138,15 +139,14 @@ def renyi_entropy(
     order,
     weights=None,
     *,
-    support_eps: float = 0.0,
     normalization_tol: float | None = 1e-9,
 ) -> float:
     """Renyi entropy of a (weighted multiset) probability vector, in bits.
 
     ``weights`` are multiplicities: weight w at value p represents w symbols
     of probability p each, so the vector masses to sum(w * p) = 1.
-    ``support_eps`` is the threshold of the order-0 support count (exact
-    zero by default); ``normalization_tol`` of None skips the mass check.
+    Order 0 counts the positive entries; ``normalization_tol`` of None
+    skips the mass check.
     """
     o = as_order(order)
     p = np.asarray(probs, dtype=np.float64).ravel()
@@ -156,7 +156,7 @@ def renyi_entropy(
         if err > normalization_tol:
             raise DistributionError(f"probability mass deviates from 1 by {err:.3e}")
     if o.kind == "zero":
-        return math.log2(float(np.sum(w[p > support_eps])))
+        return math.log2(float(np.sum(w[p > 0.0])))
     if o.kind == "one":
         return _shannon_bits(p, w)
     if o.kind == "infinity":
@@ -191,13 +191,13 @@ def snap_to_unit(value: float, tol: float = 1e-9) -> float:
     return value
 
 
-def conditional_renyi(d: JointDistribution, order, *, support_eps: float = 0.0) -> float:
+def conditional_renyi(d: JointDistribution, order) -> float:
     """Conditional Renyi entropy H_a(X|Y) in bits.
 
     Branches:
 
     * a = 0: log2 of (weighted joint support size / weighted output
-      support size), counting entries above ``support_eps``.
+      support size), counting the positive entries.
     * a = 1: Shannon conditional entropy H(X,Y) - H(Y).
     * a = inf: log2(max_y P(y)) - log2(max_{x,y} P(x,y)).
     * otherwise the ratio form in the module docstring.
@@ -205,9 +205,9 @@ def conditional_renyi(d: JointDistribution, order, *, support_eps: float = 0.0) 
     o = as_order(order)
     s = d.symbol_mass
     if o.kind == "zero":
-        alive = (d.p0 > support_eps).astype(np.int64) + (d.p1 > support_eps)
+        alive = (d.p0 > 0.0).astype(np.int64) + (d.p1 > 0.0)
         joint_support = float(np.sum(d.weight * alive))
-        out_support = float(np.sum(d.weight, where=s > support_eps))
+        out_support = float(np.sum(d.weight, where=s > 0.0))
         value = math.log2(joint_support / out_support)
     elif o.kind == "one":
         hj = _shannon_bits(d.p0, d.weight) + _shannon_bits(d.p1, d.weight)

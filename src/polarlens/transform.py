@@ -45,8 +45,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -61,6 +59,7 @@ from .distributions import (
     _freeze,
 )
 from .entropy import (
+    DEFAULT_ORDER_GRID,
     ORDER_ONE,
     Order,
     as_order,
@@ -81,28 +80,6 @@ _SPLIT_WORK_FACTOR = 100
 #: 2^18 float64 (2 MiB) stay in cache: a 3,000-group direct grid ran 2-3x
 #: faster than at 2^22, and materialization did not slow down.
 _PAIR_CHUNK = 1 << 18
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("POLARLENS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _chunked_map(work, starts):
-    """Apply ``work`` to every chunk start, preserving list order.
-
-    Chunk boundaries depend only on problem size, and partial results are
-    reduced in submission order, so the outcome is independent of the
-    thread count.
-    """
-    threads = _thread_count()
-    if threads == 1 or len(starts) <= 1:
-        return [work(s) for s in starts]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, starts))
 
 
 def _stack_atoms(pieces) -> JointDistribution:
@@ -151,7 +128,6 @@ def transform_pair(
             "raise atom_cap to allow it"
         )
     rows = max(1, _PAIR_CHUNK // max(1, nb))
-    starts = list(range(0, na, rows))
 
     def build(s: int):
         a0 = a.p0[s : s + rows, None]
@@ -180,7 +156,7 @@ def transform_pair(
         l0, l1 = m0 > 0.0, m1 > 0.0
         return (m0, m1, w), (d00[l0], d11[l0], w[l0]), (d10[l1], d01[l1], w[l1])
 
-    parts = _chunked_map(build, starts)
+    parts = [build(s) for s in range(0, na, rows)]
     minus = _stack_atoms([p[0] for p in parts])
     plus = _stack_atoms([p[1] for p in parts] + [p[2] for p in parts])
 
@@ -388,7 +364,6 @@ def _pair_grid_sum(
     """
     n = ratios.shape[0]
     rows = max(1, _PAIR_CHUNK // n)
-    starts = list(range(0, n, rows))
 
     def work(s: int) -> tuple[float, float]:
         rc = ratios[s : s + rows, None]
@@ -415,7 +390,7 @@ def _pair_grid_sum(
             both *= signs[s : s + rows, None] * signs
         return top, float(np.sum(both))
 
-    parts = _chunked_map(work, starts)
+    parts = [work(s) for s in range(0, n, rows)]
     top = max(t for t, _ in parts)
     return top + math.log2(math.fsum(v * 2.0 ** (t - top) for t, v in parts))
 
@@ -454,9 +429,14 @@ def _proxy_pair_sum(view: _RatioView, alpha: float) -> float:
     return 2.0 * top + _pair_grid_sum(view.proxy_ratios, lu, alpha, np.sign(u))
 
 
+def _uses_moments(alpha: float) -> bool:
+    """True where :func:`minus_num_log2` runs the moment expansion, not a pair grid."""
+    return float(alpha).is_integer() and 2 <= alpha <= _MOMENT_MAX_ORDER
+
+
 def minus_num_log2(view: _RatioView, alpha: float) -> float:
     """log2 of the minus child's joint power sum, with the view's scaling undone."""
-    if float(alpha).is_integer() and 2 <= alpha <= _MOMENT_MAX_ORDER:
+    if _uses_moments(alpha):
         pair = _pair_moment_sum(view, int(alpha))
     elif alpha <= _PROXY_MAX_ORDER:
         pair = _proxy_pair_sum(view, alpha)
@@ -481,7 +461,6 @@ def _shannon_pair_sum(r: np.ndarray, e: np.ndarray, l2: np.ndarray) -> float:
     """sum_{a,b} q (E_a L_b + L_a E_b + E_a E_b log2 q), q in {1 + r_a r_b, r_a + r_b}."""
     n = r.shape[0]
     rows = max(1, _PAIR_CHUNK // (4 * n))
-    starts = list(range(0, n, rows))
 
     def work(s: int) -> float:
         rc = r[s : s + rows, None]
@@ -496,7 +475,7 @@ def _shannon_pair_sum(r: np.ndarray, e: np.ndarray, l2: np.ndarray) -> float:
         t = q0 * (el + ee * np.log2(q0)) + q1 * (el + ee * lq1)
         return float(np.sum(t))
 
-    return math.fsum(_chunked_map(work, starts))
+    return math.fsum(work(s) for s in range(0, n, rows))
 
 
 def _minus_shannon_joint(view: _RatioView) -> float:
@@ -590,9 +569,7 @@ def child_entropies(
     need_one = any(o.kind == "one" for o in orders)
     view = _RatioView(parent) if (finite or need_one) else None
 
-    grid_orders = need_one or any(
-        not (o.is_integer and o.alpha <= _MOMENT_MAX_ORDER) for o in finite
-    )
+    grid_orders = need_one or any(not _uses_moments(o.alpha) for o in finite)
     if grid_orders and view is not None:
         groups = view.ratios.shape[0]
         if 2 * groups * groups > _SPLIT_WORK_FACTOR * atom_cap:
@@ -715,8 +692,6 @@ def level_profile_sweep(
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
     if orders is None:
-        from .entropy import DEFAULT_ORDER_GRID
-
         orders = DEFAULT_ORDER_GRID
     orders = tuple(as_order(o) for o in orders)
     root_entropy = np.array([conditional_renyi(root, o) for o in orders])
@@ -817,8 +792,6 @@ def one_step_report(
     be played against each other in tests.
     """
     if orders is None:
-        from .entropy import DEFAULT_ORDER_GRID
-
         orders = DEFAULT_ORDER_GRID
     if b is None:
         b = a

@@ -1,6 +1,7 @@
-"""Every demo script runs to completion against the library in src/."""
+"""Every demo script, and the README's library tour, runs against src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +23,16 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_tour_runs_and_quotes_its_value(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    quoted = re.search(r"conditional_renyi\(d, 2\.0\) +# (\S+)", tour).group(1)
+    script = tour + "print(repr(conditional_renyi(d, 2.0)))\n"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.split()[-1]) == float(quoted) == 0.556393348524385

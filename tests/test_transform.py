@@ -401,18 +401,16 @@ def test_self_paired_blocks_and_threads_do_not_change_bytes(monkeypatch):
 
     parent = max(_levels(make_bsc(0.2), 4)[4], key=lambda p: p.n_atoms)
 
-    def arrays(chunk, threads, **kwargs):
+    def arrays(chunk, **kwargs):
         monkeypatch.setattr(transform, "_PAIR_CHUNK", chunk)
-        monkeypatch.setenv("POLARLENS_THREADS", str(threads))
         pair = transform_pair(parent, **kwargs)
         return [x for d in pair for x in (d.p0, d.p1, d.weight)]
 
     for kwargs in ({}, {"canonical": False}):
         # 64 elements per block: two rows of the 27-atom parent per block
-        single = arrays(1 << 30, 1, **kwargs)
-        for threads in (1, 4):
-            blocked = arrays(64, threads, **kwargs)
-            assert all(np.array_equal(x, y) for x, y in zip(blocked, single))
+        single = arrays(1 << 30, **kwargs)
+        blocked = arrays(64, **kwargs)
+        assert all(np.array_equal(x, y) for x, y in zip(blocked, single))
 
 
 # ---------------------------------------------------------------------------
