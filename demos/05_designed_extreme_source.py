@@ -48,7 +48,7 @@ for i, a in enumerate(d.atoms()):
     print(f"  atom {i}: ({a.p0:.3e}, {a.p1:.3e}) weight {a.weight:9.2f}  {kind}")
 
 for a in (2.0, 3.0):
-    rep = effective_set(d, a, eps=0.01)
+    rep = effective_set(d, a)
     first = "uninformative" if rep.indices[0] == 1 else "deterministic"
     print(
         f"alpha={a:g}: greedy cover picks the {first} class first "

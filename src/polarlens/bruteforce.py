@@ -256,12 +256,12 @@ class MinkowskiReport(NamedTuple):
     near_equality: bool
 
 
-def minkowski_check(x, y, p: float, slack: float = 1e-12) -> MinkowskiReport:
+def minkowski_check(x, y, p: float) -> MinkowskiReport:
     """Check the p-norm triangle inequality direction on two vectors.
 
     lhs = ||x + y||_p against rhs = ||x||_p + ||y||_p: for p >= 1 the
     inequality is lhs <= rhs, for 0 < p < 1 it reverses.  Equality within
-    ``slack`` is flagged; it occurs exactly when x and y are positively
+    1e-12 is flagged; it occurs exactly when x and y are positively
     linearly dependent.  This scalar fact drives the ordering of the minus
     child's entropy against its parents'.
     """
@@ -281,5 +281,6 @@ def minkowski_check(x, y, p: float, slack: float = 1e-12) -> MinkowskiReport:
 
     lhs = norm(x + y)
     rhs = norm(x) + norm(y)
+    slack = 1e-12
     ok = lhs <= rhs + slack if p >= 1.0 else lhs >= rhs - slack
     return MinkowskiReport(lhs, rhs, ok, abs(lhs - rhs) < slack)

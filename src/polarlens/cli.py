@@ -35,6 +35,7 @@ from .distributions import (
 )
 from .entropy import (
     EXTENDED_ORDER_GRID,
+    ORDER_ONE,
     Order,
     as_order,
     chain_rule_residual,
@@ -147,7 +148,10 @@ def _emit(sections: list[Section], out: str | None, fmt: str) -> None:
 
 
 def _parse_orders(text: str) -> tuple[Order, ...]:
-    return tuple(as_order(tok) for tok in text.split(",") if tok.strip())
+    orders = tuple(as_order(tok) for tok in text.split(",") if tok.strip())
+    if not orders:
+        raise ValueError("--alpha needs at least one order")
+    return orders
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -174,6 +178,9 @@ def resolve_channel(spec: str, prior0: float) -> JointDistribution:
 
 def cmd_polarize(ns) -> int:
     orders = _parse_orders(ns.alpha)
+    if ns.sort_shannon and ORDER_ONE not in orders:
+        print("polarize: --sort-shannon needs order 1 in --alpha", file=sys.stderr)
+        return EXIT_USAGE
     bands = _parse_floats(ns.delta)
     root = resolve_channel(ns.channel, ns.prior0)
     profile = level_profile(root, ns.n, orders, atom_cap=ns.atom_cap)
@@ -333,7 +340,7 @@ def _suite_lemma1(trials: int, seed: int) -> SuiteResult:
     for t in range(trials):
         a = random_joint(rng)
         b = a if t % 3 == 0 else random_joint(rng)
-        for rep in one_step_report(a, b, EXTENDED_ORDER_GRID, slack=1e-12):
+        for rep in one_step_report(a, b, EXTENDED_ORDER_GRID):
             lo, hi = min(rep.parent_a, rep.parent_b), max(rep.parent_a, rep.parent_b)
             gaps = (
                 hi - rep.minus,  # minus must dominate both parents
@@ -414,6 +421,9 @@ _SUITES = {
 
 
 def cmd_verify(ns) -> int:
+    if ns.trials < 1:
+        print("verify: --trials must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     result = _SUITES[ns.suite](ns.trials, ns.seed)
     status = "PASS" if result.violations == 0 else "FAIL"
     print(

@@ -40,10 +40,6 @@ class JointAtom(NamedTuple):
     p1: float
     weight: float
 
-    @property
-    def mass(self) -> float:
-        return self.weight * (self.p0 + self.p1)
-
 
 @dataclass(frozen=True, eq=False)
 class JointDistribution:

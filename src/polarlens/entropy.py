@@ -19,10 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistributionError, JointDistribution
+from .distributions import MASS_TOL, DistributionError, JointDistribution
 
 #: Width of the band around a = 1 treated as the Shannon limit.
 ONE_BAND = 1e-9
+
+#: Largest finite order accepted.  |log2 x| <= 1075 for every positive
+#: double and no kernel sums more than four such terms times the order, so
+#: every log-domain term stays finite; use inf beyond this.
+MAX_FINITE_ORDER = 1e300
 
 #: Orders used by sweep commands unless the caller overrides them.
 DEFAULT_ORDER_GRID = (0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
@@ -70,7 +75,8 @@ def as_order(value) -> Order:
 
     Strings accept "inf" / "infinity" (case-insensitive) and anything
     float() can parse.  Values within ONE_BAND of 1 collapse onto the
-    Shannon branch; negative orders are rejected.
+    Shannon branch; negative orders and finite orders above
+    MAX_FINITE_ORDER are rejected.
     """
     if isinstance(value, Order):
         return value
@@ -89,12 +95,14 @@ def as_order(value) -> Order:
         return ORDER_ZERO
     if math.isinf(a):
         return ORDER_INF
+    if a > MAX_FINITE_ORDER:
+        raise ValueError(f"finite Renyi order must be <= {MAX_FINITE_ORDER:g}, got {a!r}; use inf")
     if abs(a - 1.0) <= ONE_BAND:
         return ORDER_ONE
     return Order("finite", a)
 
 
-def log2_power_sum(values: np.ndarray, alpha: float, weights=None) -> float:
+def log2_power_sum(values: np.ndarray, alpha: float, weights: np.ndarray) -> float:
     """log2 of sum_i w_i * values_i**alpha, computed in the log domain.
 
     Zero values drop out (their power contributes nothing for alpha > 0).
@@ -103,10 +111,7 @@ def log2_power_sum(values: np.ndarray, alpha: float, weights=None) -> float:
     is bitwise alpha*log2(v) + log2(w).
     """
     values = np.asarray(values, dtype=np.float64).ravel()
-    if weights is None:
-        weights = np.ones_like(values)
-    else:
-        weights = np.asarray(weights, dtype=np.float64).ravel()
+    weights = np.asarray(weights, dtype=np.float64).ravel()
     mask = values > 0.0
     if not np.any(mask):
         return -math.inf
@@ -134,27 +139,20 @@ def _shannon_bits(values: np.ndarray, weights: np.ndarray) -> float:
     return float(-np.sum(w * v * np.log2(v)))
 
 
-def renyi_entropy(
-    probs,
-    order,
-    weights=None,
-    *,
-    normalization_tol: float | None = 1e-9,
-) -> float:
+def renyi_entropy(probs, order, weights=None) -> float:
     """Renyi entropy of a (weighted multiset) probability vector, in bits.
 
     ``weights`` are multiplicities: weight w at value p represents w symbols
     of probability p each, so the vector masses to sum(w * p) = 1.
-    Order 0 counts the positive entries; ``normalization_tol`` of None
-    skips the mass check.
+    Order 0 counts the positive entries.  A mass off 1 by more than
+    ``MASS_TOL`` raises DistributionError.
     """
     o = as_order(order)
     p = np.asarray(probs, dtype=np.float64).ravel()
     w = np.ones_like(p) if weights is None else np.asarray(weights, dtype=np.float64).ravel()
-    if normalization_tol is not None:
-        err = abs(float(np.sum(w * p)) - 1.0)
-        if err > normalization_tol:
-            raise DistributionError(f"probability mass deviates from 1 by {err:.3e}")
+    err = abs(float(np.sum(w * p)) - 1.0)
+    if err > MASS_TOL:
+        raise DistributionError(f"probability mass deviates from 1 by {err:.3e}")
     if o.kind == "zero":
         return math.log2(float(np.sum(w[p > 0.0])))
     if o.kind == "one":
@@ -177,16 +175,16 @@ def output_renyi(d: JointDistribution, order) -> float:
     return renyi_entropy(d.symbol_mass, order, d.weight)
 
 
-def snap_to_unit(value: float, tol: float = 1e-9) -> float:
+def snap_to_unit(value: float) -> float:
     """Snap rounding-scale excursions outside [0, 1] back onto the interval.
 
     Conditional entropies of a binary input provably lie in [0, 1]; float
     evaluation can land a hair outside near the endpoints.  Violations
-    beyond ``tol`` are left alone so real defects stay visible.
+    beyond 1e-9 are left alone so real defects stay visible.
     """
-    if -tol <= value < 0.0:
+    if -1e-9 <= value < 0.0:
         return 0.0
-    if 1.0 < value <= 1.0 + tol:
+    if 1.0 < value <= 1.0 + 1e-9:
         return 1.0
     return value
 

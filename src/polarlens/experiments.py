@@ -17,9 +17,9 @@ from typing import NamedTuple, Sequence
 import mpmath
 import numpy as np
 
-from .distributions import JointDistribution, make_from_atoms, _freeze
+from .distributions import MASS_TOL, JointDistribution, make_from_atoms, _freeze
 from .entropy import Order, as_order, conditional_renyi
-from .transform import PolarizationProfile, level_profile_sweep
+from .transform import PolarizationProfile
 
 
 # ---------------------------------------------------------------------------
@@ -64,23 +64,9 @@ def extremal_fractions(
     return out
 
 
-def fraction_trend(
-    root: JointDistribution,
-    max_level: int,
-    orders: Sequence,
-    band: float,
-    **profile_opts,
-) -> list[tuple[int, list[ExtremalFractions]]]:
-    """Extremal fractions at every level 1 .. max_level, one walk."""
-    profiles = level_profile_sweep(root, max_level, orders, **profile_opts)
-    return [(p.level, extremal_fractions(p, band)) for p in profiles]
-
-
-def high_entropy_indices(
-    profile: PolarizationProfile, order, threshold: float = 0.5
-) -> np.ndarray:
-    """1-based subchannel indices whose entropy exceeds ``threshold``."""
-    return np.flatnonzero(profile.row(order) > threshold) + 1
+def high_entropy_indices(profile: PolarizationProfile, order) -> np.ndarray:
+    """1-based subchannel indices whose entropy exceeds 1/2."""
+    return np.flatnonzero(profile.row(order) > 0.5) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +217,7 @@ class PerturbationSpec:
             raise ValueError("base_weights and deltas must have equal positive length")
         if np.any(q <= 0.0):
             raise ValueError("base weights must be positive")
-        if abs(float(q.sum()) - 1.0) > 1e-9:
+        if abs(float(q.sum()) - 1.0) > MASS_TOL:
             raise ValueError("base weights must sum to 1")
         if self.mode == "uniform":
             if np.any(np.abs(dv) > q / 2.0):
@@ -367,19 +353,17 @@ class EffectiveSetReport(NamedTuple):
     entropy: float
 
 
-def effective_set(d: JointDistribution, alpha, eps: float = 0.01) -> EffectiveSetReport:
+def effective_set(d: JointDistribution, alpha) -> EffectiveSetReport:
     """Greedy cover of the power sums: which symbols actually matter at alpha.
 
     Atoms are added by descending combined contribution until both the
-    numerator share and the denominator share exceed 1 - eps.  Which class
+    numerator share and the denominator share exceed 0.99.  Which class
     of symbols dominates flips with the order; that flip is the point of
     the diagnostic.
     """
     o = as_order(alpha)
     if o.kind != "finite":
         raise ValueError("effective set is defined for finite alpha > 0, != 1")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
     a = o.alpha
     s = d.symbol_mass
     scale_p = float(np.max(np.maximum(d.p0, d.p1)))
@@ -392,7 +376,7 @@ def effective_set(d: JointDistribution, alpha, eps: float = 0.01) -> EffectiveSe
     picked = np.argsort(-score, kind="stable")
     cum_num = np.cumsum(num_share[picked])
     cum_den = np.cumsum(den_share[picked])
-    enough = np.flatnonzero((cum_num > 1.0 - eps) & (cum_den > 1.0 - eps))
+    enough = np.flatnonzero((cum_num > 0.99) & (cum_den > 0.99))
     count = int(enough[0]) + 1 if enough.size else d.n_atoms
     chosen = picked[:count]
     sub_mass = float(np.sum(d.weight[chosen] * s[chosen]))

@@ -46,7 +46,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -189,14 +189,6 @@ class SubchannelIndex:
         for k in range(self.level - 1, -1, -1):
             bits.append((v >> k) & 1)
         return tuple(bits)
-
-    def path_string(self) -> str:
-        return "".join("+" if b else "-" for b in self.path()) or "(root)"
-
-    def child(self, bit: int) -> "SubchannelIndex":
-        if bit not in (0, 1):
-            raise ValueError("bit must be 0 (minus) or 1 (plus)")
-        return SubchannelIndex(self.level + 1, 2 * self.index - 1 + bit)
 
 
 def synthesize(
@@ -721,49 +713,6 @@ def level_profile_sweep(
     return profiles
 
 
-class SplitPowerSums(NamedTuple):
-    """The four power sums (base-2 logs) behind one transform step.
-
-    With num/den the joint/output power sums of a channel at order a:
-
-    * log_s1 = log den(a) + log den(b)   (output law of the joined pair)
-    * log_s2 = log num(minus child)      (also the plus child's den)
-    * log_s3 = log num(a) + log num(b)   (also the plus child's num)
-    * log_s4 = log den(a) + log num(b)
-
-    so (log_s2 - log_s1)/(1-a) is the minus entropy, (log_s3 - log_s2)/(1-a)
-    the plus entropy, and (log_s3 - log_s4)/(1-a) recovers channel a's own
-    entropy.  The s2/s4 ordering carries the sign of the minus inequality.
-    """
-
-    log_s1: float
-    log_s2: float
-    log_s3: float
-    log_s4: float
-
-
-def split_power_sums(
-    a: JointDistribution, b: JointDistribution | None = None, alpha: float = 2.0
-) -> SplitPowerSums:
-    """Power sums of one step at a finite order != 1 (see SplitPowerSums)."""
-    if b is None:
-        b = a
-    alpha = float(alpha)
-    if not (alpha > 0.0 and math.isfinite(alpha)) or abs(alpha - 1.0) <= 1e-9:
-        raise ValueError("split power sums are defined for finite alpha > 0, != 1")
-
-    num_a, den_a = power_sums(a, alpha)
-    num_b, den_b = power_sums(b, alpha)
-    minus = transform_pair(a, b, canonical=False).minus
-    num_minus, _ = power_sums(minus, alpha)
-    return SplitPowerSums(
-        log_s1=den_a + den_b,
-        log_s2=num_minus,
-        log_s3=num_a + num_b,
-        log_s4=den_a + num_b,
-    )
-
-
 class OneStepReport(NamedTuple):
     """Entropies and checks for one combining/splitting step at one order."""
 
@@ -781,13 +730,12 @@ def one_step_report(
     a: JointDistribution,
     b: JointDistribution | None = None,
     orders: Sequence = None,
-    slack: float = 1e-10,
 ) -> list[OneStepReport]:
     """Evaluate one transform step directly and check its order inequalities.
 
     For every order: minus >= max(parent entropies), plus <= min(parent
     entropies), and minus + plus = parent_a + parent_b (conservation).
-    Checks allow ``slack`` of rounding.  This path materializes the
+    Checks allow 1e-10 of rounding.  This path materializes the
     children, deliberately bypassing the split evaluation, so the two can
     be played against each other in tests.
     """
@@ -795,6 +743,7 @@ def one_step_report(
         orders = DEFAULT_ORDER_GRID
     if b is None:
         b = a
+    slack = 1e-10
     pair = transform_pair(a, b, canonical=False)
     reports = []
     for o in (as_order(x) for x in orders):

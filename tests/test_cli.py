@@ -95,6 +95,56 @@ def test_polarize_high_orders(tmp_path, channel, n, alphas):
         assert abs(float(row[6]) - float(row[7])) <= 1e-6
 
 
+@pytest.mark.parametrize("channel", ["bsc:0.2", "bec:0.35"])
+@pytest.mark.parametrize("alpha", ["1e-300", "0.999999", "1.000001", "1e300", "1e308", "inf"])
+def test_polarize_order_range_contract(channel, alpha, capsys):
+    # every order gives finite entries in [0, 1] or one clean line and exit 2
+    code = run(["polarize", "--channel", channel, "--n", "3", "--alpha", alpha])
+    out, err = capsys.readouterr()
+    if code == EXIT_USAGE:
+        assert out == "" and len(err.splitlines()) == 1 and "Traceback" not in err
+        return
+    assert code == EXIT_OK
+    entries, summary = parse_tables(out)
+    values = [float(r[3]) for r in entries.rows]
+    assert len(values) == 8
+    assert all(0.0 <= v <= 1.0 for v in values)  # NaN fails both comparisons
+    root = float(summary.rows[0][7])
+    assert abs(sum(values) / len(values) - root) <= 1e-6
+
+
+def test_polarize_rejects_orders_too_large_to_evaluate(capsys):
+    code = run(["polarize", "--channel", "bsc:0.49", "--n", "4", "--alpha", "1e307"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE and out == ""
+    assert len(err.splitlines()) == 1 and "use inf" in err
+
+
+def test_polarize_sort_shannon_needs_order_one(capsys):
+    code = run(["polarize", "--n", "2", "--alpha", "2", "--sort-shannon"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE and out == ""
+    assert err == "polarize: --sort-shannon needs order 1 in --alpha\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--suite", "chain", "--trials", "-3"],
+        ["verify", "--suite", "chain", "--trials", "0"],
+        ["polarize", "--n", "2", "--alpha", ""],
+        ["entropy", "--channel", "bsc:0.2", "--alpha", ""],
+        ["entropy", "--channel", "bsc:0.2", "--alpha", " , "],
+    ],
+    ids=["trials-negative", "trials-zero", "polarize-no-order", "entropy-no-order",
+         "entropy-blank-orders"],
+)
+def test_empty_or_negative_inputs_exit_2(args, capsys):
+    assert run(args) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+
+
 def test_polarize_sort_shannon_column(tmp_path):
     out = tmp_path / "p.csv"
     run(

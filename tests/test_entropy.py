@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from polarlens import (
+    MAX_FINITE_ORDER,
     ORDER_INF,
     ORDER_ONE,
     ORDER_ZERO,
@@ -45,9 +46,10 @@ def test_as_order_parsing():
     assert as_order(1.0) == ORDER_ONE
     assert as_order(1.0 + 1e-12) == ORDER_ONE  # inside the alpha=1 band
     assert as_order(ORDER_ONE) is ORDER_ONE
+    assert as_order(MAX_FINITE_ORDER) == Order("finite", 1e300)
 
 
-@pytest.mark.parametrize("bad", [-1.0, -0.001, math.nan, "junk"])
+@pytest.mark.parametrize("bad", [-1.0, -0.001, math.nan, "junk", 1e301, "1e308"])
 def test_as_order_rejects(bad):
     with pytest.raises(ValueError):
         as_order(bad)
@@ -99,8 +101,6 @@ def test_renyi_entropy_uniform_and_deterministic():
 def test_renyi_entropy_mass_check():
     with pytest.raises(ValueError):
         renyi_entropy(np.array([0.3, 0.3]), 2.0)
-    # explicit opt-out for unnormalized inputs
-    renyi_entropy(np.array([0.3, 0.3]), 2.0, normalization_tol=None)
 
 
 def test_bsc_conditional_frozen_values():

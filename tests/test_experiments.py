@@ -19,9 +19,7 @@ from polarlens import (
     extreme_example_closed_form,
     extreme_example_distribution,
     extreme_example_sweep,
-    fraction_trend,
     high_entropy_indices,
-    level_profile,
     make_bsc,
     make_from_atoms,
     perturbation_approx,
@@ -55,17 +53,8 @@ def test_extremal_fractions_band_validation():
             extremal_fractions(prof, bad)
 
 
-def test_fraction_trend_levels():
-    trend = fraction_trend(make_bsc(0.2), 3, (1.0, 2.0), 0.1)
-    assert [lvl for lvl, _ in trend] == [1, 2, 3]
-    for _, reps in trend:
-        for r in reps:
-            assert 0.0 <= r.frac_low <= 1.0
-            assert 0.0 <= r.frac_high <= 1.0
-
-
 def test_high_entropy_indices_one_based():
-    idx = high_entropy_indices(_tiny_profile(), 2.0, threshold=0.5)
+    idx = high_entropy_indices(_tiny_profile(), 2.0)
     assert idx.tolist() == [1, 4]
 
 
@@ -290,7 +279,7 @@ def test_effective_set_pick_order_flips_with_alpha():
 
 def test_effective_set_shares_and_entropy():
     d = make_from_atoms([(0.45, 0.05, 1.0), (0.2, 0.28, 1.0), (0.01, 0.01, 1.0)])
-    rep = effective_set(d, 2.0, eps=0.01)
+    rep = effective_set(d, 2.0)
     assert set(rep.indices) == {0, 1}  # the near-massless atom is skipped
     assert rep.num_share > 0.99
     assert rep.den_share > 0.99
@@ -301,5 +290,3 @@ def test_effective_set_validation():
     d = make_bsc(0.2)
     with pytest.raises(ValueError):
         effective_set(d, "inf")
-    with pytest.raises(ValueError):
-        effective_set(d, 2.0, eps=0.0)

@@ -21,7 +21,6 @@ from polarlens import (
     make_from_atoms,
     one_step_report,
     random_joint,
-    split_power_sums,
     synthesize,
     transform_pair,
 )
@@ -133,46 +132,11 @@ def test_child_entropies_rejects_non_canonical_parent():
     assert np.isfinite(vals).all()
 
 
-def test_split_power_sums_contract():
-    rng = np.random.default_rng(131)
-    for _ in range(20):
-        a = random_joint(rng)
-        b = random_joint(rng)
-        for alpha in (0.3, 0.7, 2.0, 5.0):
-            s = split_power_sums(a, b, alpha=alpha)
-            scale = 1.0 - alpha
-            rep = {r.order.alpha: r for r in one_step_report(a, b, orders=(alpha,))}
-            assert (s.log_s2 - s.log_s1) / scale == pytest.approx(
-                rep[alpha].minus, abs=1e-9
-            )
-            assert (s.log_s3 - s.log_s2) / scale == pytest.approx(
-                rep[alpha].plus, abs=1e-9
-            )
-            # s3 - s4 telescopes back to channel a's own entropy
-            assert (s.log_s3 - s.log_s4) / scale == pytest.approx(
-                conditional_renyi(a, alpha), abs=1e-9
-            )
-
-
-def test_split_power_sums_ordering_carries_minus_inequality():
-    rng = np.random.default_rng(137)
-    for _ in range(50):
-        a = random_joint(rng)
-        b = random_joint(rng)
-        s_low = split_power_sums(a, b, alpha=0.45)
-        s_high = split_power_sums(a, b, alpha=3.5)
-        assert s_low.log_s2 >= s_low.log_s4 - 1e-12
-        assert s_high.log_s2 <= s_high.log_s4 + 1e-12
-
-
 def test_subchannel_index_paths():
     assert SubchannelIndex(0, 1).path() == ()
-    assert SubchannelIndex(0, 1).path_string() == "(root)"
     assert SubchannelIndex(3, 1).path() == (0, 0, 0)
     assert SubchannelIndex(3, 8).path() == (1, 1, 1)
     assert SubchannelIndex(3, 5).path() == (1, 0, 0)
-    assert SubchannelIndex(3, 5).path_string() == "+--"
-    assert SubchannelIndex(2, 2).child(1) == SubchannelIndex(3, 4)
     with pytest.raises(ValueError):
         SubchannelIndex(2, 5)
     with pytest.raises(ValueError):
