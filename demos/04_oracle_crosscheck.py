@@ -9,8 +9,8 @@ output tuple, and accumulate each sub-channel's power sums directly
 from the joint law of (u_i; y, u_1..u_{i-1}).
 
 The two implementations share no kernels (the oracle accumulates in
-natural-log space via scipy's logsumexp), so agreement to ~1e-14 checks
-both the recursion and the index convention.
+natural-log space through its own log-sum-exp), so agreement to ~1e-14
+checks both the recursion and the index convention.
 """
 
 import math

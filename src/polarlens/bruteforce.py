@@ -6,7 +6,7 @@ code, with none of the split identities, ratio grouping, or base-2
 kernels of the fast path.  Agreement between the two is the main
 correctness argument for the engine, so this module deliberately shares
 as little machinery with it as possible (natural-log accumulation through
-scipy, plain supports and maxima for the limit orders).
+its own log-sum-exp, plain supports and maxima for the limit orders).
 
 Cost is A**N * 2**N joint entries for an A-atom root at level n (N = 2**n),
 so this is for shallow levels only; the cap guards against surprises.
@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 import mpmath
 import numpy as np
-from scipy.special import logsumexp
 
 from .distributions import CapacityError, DistributionError, JointDistribution
 from .entropy import Order, as_order
@@ -71,10 +70,25 @@ def _input_to_codeword_index(level: int) -> np.ndarray:
     return x.astype(np.int64) @ weights
 
 
+def _logsumexp(a) -> float:
+    """ln sum(exp(a)) over every entry of an array with a finite maximum.
+
+    The m entries equal to the maximum are taken out of the shifted sum,
+    which then enters through log1p (Blanchard, Higham & Higham, IMA J.
+    Numer. Anal. 41(4), 2021): ln m + max + log1p(sum(exp(rest - max)) / m).
+    """
+    a = np.asarray(a, dtype=np.float64)
+    top = a.max()
+    at_top = a == top
+    m = np.count_nonzero(at_top)
+    rest = np.sum(np.exp(np.where(at_top, -np.inf, a) - top)) / m
+    return float(np.log1p(rest) + np.log(m) + top)
+
+
 class _Accumulator:
     """Per-subchannel running totals, fed chunk by chunk.
 
-    Finite orders accumulate log num / log den through logsumexp; the
+    Finite orders accumulate log num / log den through ``_logsumexp``; the
     limit orders keep supports, Shannon sums, or maxima directly.
     """
 
@@ -111,8 +125,8 @@ class _Accumulator:
             with np.errstate(divide="ignore"):
                 lq = np.log(q, out=np.full_like(q, -np.inf), where=q > 0.0)
                 ls = np.log(s, out=np.full_like(s, -np.inf), where=s > 0.0)
-            self.log_num_parts.append(float(logsumexp(a * lq + logw[:, None])))
-            self.log_den_parts.append(float(logsumexp(a * ls + logw)))
+            self.log_num_parts.append(_logsumexp(a * lq + logw[:, None]))
+            self.log_den_parts.append(_logsumexp(a * ls + logw))
 
     def entropy_bits(self) -> float:
         kind = self.order.kind
@@ -122,9 +136,9 @@ class _Accumulator:
             return (self.symbol_plogp - self.joint_plogp) / _LN2
         if kind == "infinity":
             return math.log2(self.max_symbol / self.max_joint)
-        log_num = logsumexp(np.array(self.log_num_parts))
-        log_den = logsumexp(np.array(self.log_den_parts))
-        return float(log_num - log_den) / ((1.0 - self.order.alpha) * _LN2)
+        log_num = _logsumexp(self.log_num_parts)
+        log_den = _logsumexp(self.log_den_parts)
+        return (log_num - log_den) / ((1.0 - self.order.alpha) * _LN2)
 
 
 def brute_force_profile(

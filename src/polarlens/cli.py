@@ -45,6 +45,7 @@ from .entropy import (
 )
 from .experiments import (
     PerturbationSpec,
+    check_band,
     extreme_example_sweep,
     extremal_fractions,
     perturbation_sweep,
@@ -154,8 +155,11 @@ def _parse_orders(text: str) -> tuple[Order, ...]:
     return orders
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+def _parse_bands(text: str) -> tuple[float, ...]:
+    bands = tuple(check_band(float(tok)) for tok in text.split(",") if tok.strip())
+    if not bands:
+        raise ValueError("--delta needs at least one band")
+    return bands
 
 
 def resolve_channel(spec: str, prior0: float) -> JointDistribution:
@@ -181,7 +185,7 @@ def cmd_polarize(ns) -> int:
     if ns.sort_shannon and ORDER_ONE not in orders:
         print("polarize: --sort-shannon needs order 1 in --alpha", file=sys.stderr)
         return EXIT_USAGE
-    bands = _parse_floats(ns.delta)
+    bands = _parse_bands(ns.delta)
     root = resolve_channel(ns.channel, ns.prior0)
     profile = level_profile(root, ns.n, orders, atom_cap=ns.atom_cap)
     columns = ["n", "index", "alpha", "entropy"]

@@ -42,12 +42,18 @@ class ExtremalFractions(NamedTuple):
     predicted_low: float
 
 
+def check_band(band: float) -> float:
+    """Return ``band`` if it is an extremal band width in (0, 0.5)."""
+    if not 0.0 < band < 0.5:
+        raise ValueError("band must lie in (0, 0.5)")
+    return band
+
+
 def extremal_fractions(
     profile: PolarizationProfile, band: float
 ) -> list[ExtremalFractions]:
     """Per-order fractions of entries above 1 - band and below band."""
-    if not 0.0 < band < 0.5:
-        raise ValueError("band must lie in (0, 0.5)")
+    check_band(band)
     out = []
     for k, order in enumerate(profile.orders):
         low, high = profile.extreme_fractions(order, band)
@@ -94,6 +100,8 @@ class ExtremeExampleParams:
             raise ValueError("alpha0 must exceed 1")
         if self.size < 2:
             raise ValueError("size must be >= 2")
+        if self.size > 1023:
+            raise ValueError("size must be <= 1023, or M = 2**size overflows a float")
 
     @property
     def split_minus_one(self) -> float:
@@ -320,6 +328,8 @@ def perturbation_sweep(spec: PerturbationSpec, halvings: int = 5) -> list[Pertur
     Scale 1 is the spec as given; each subsequent row halves the deltas.
     rel_error is |approx - exact| / |exact| (0 when both vanish).
     """
+    if halvings < 0:
+        raise ValueError(f"halvings must be >= 0, got {halvings}")
     rows = []
     for k in range(halvings + 1):
         scale = 0.5**k

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,6 +22,7 @@ from polarlens import (
     random_joint,
     rational_conditional_renyi,
 )
+from polarlens.bruteforce import _logsumexp
 
 ORDERS = (0.0, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0, math.inf)
 
@@ -46,6 +48,38 @@ def test_generator_matrix_level_bounds():
         generator_matrix(5)
     with pytest.raises(ValueError):
         generator_matrix(-1)
+
+
+def _accumulator_shaped_terms():
+    # a * ln q + ln w over (classes, 2) joint columns with some empty cells
+    rng = np.random.default_rng(181)
+    q = rng.exponential(size=(40, 2))
+    q[rng.random(size=q.shape) < 0.2] = 0.0
+    with np.errstate(divide="ignore"):
+        return 3.7 * np.log(q) + np.log(rng.integers(1, 9, size=40))[:, None]
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [-7.3],
+        [3.0, 3.0, 1.0, -2.5],
+        [-np.inf, 0.5, -np.inf, -1.25],
+        [2.0, 2.0, -np.inf],
+        [10.0, -750.0, -1000.0, 8.5],
+        [-1.0e3, -1.9e3, -1.0e3],
+        _accumulator_shaped_terms(),
+    ],
+    ids=["single", "tied-max", "neg-inf", "tied-with-neg-inf", "underflow", "far-below-zero",
+         "accumulator-2d"],
+)
+def test_logsumexp_within_two_ulp_of_50_digits(terms):
+    terms = np.asarray(terms, dtype=np.float64)
+    with mpmath.workdps(50):
+        want = float(mpmath.log(mpmath.fsum(mpmath.exp(mpmath.mpf(t)) for t in terms.ravel())))
+    got = _logsumexp(terms)
+    assert isinstance(got, float)
+    assert abs(got - want) <= 2 * np.spacing(abs(want)), (got, want)
 
 
 def test_brute_force_matches_one_step():

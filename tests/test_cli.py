@@ -128,21 +128,27 @@ def test_polarize_sort_shannon_needs_order_one(capsys):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args,topic",
     [
-        ["verify", "--suite", "chain", "--trials", "-3"],
-        ["verify", "--suite", "chain", "--trials", "0"],
-        ["polarize", "--n", "2", "--alpha", ""],
-        ["entropy", "--channel", "bsc:0.2", "--alpha", ""],
-        ["entropy", "--channel", "bsc:0.2", "--alpha", " , "],
+        (["verify", "--suite", "chain", "--trials", "-3"], "--trials"),
+        (["verify", "--suite", "chain", "--trials", "0"], "--trials"),
+        (["polarize", "--n", "2", "--alpha", ""], "--alpha"),
+        (["entropy", "--channel", "bsc:0.2", "--alpha", ""], "--alpha"),
+        (["entropy", "--channel", "bsc:0.2", "--alpha", " , "], "--alpha"),
+        (["polarize", "--n", "2", "--alpha", "1", "--delta", ""], "--delta"),
+        # bands are checked before the sweep, so n=30 fails on the band, not on capacity
+        (["polarize", "--n", "30", "--delta", "0.7"], "band"),
+        (["polarize", "--n", "30", "--delta", "0.1,0"], "band"),
+        (["example-extreme", "--nmin", "1024", "--nmax", "1025"], "1023"),
     ],
     ids=["trials-negative", "trials-zero", "polarize-no-order", "entropy-no-order",
-         "entropy-blank-orders"],
+         "entropy-blank-orders", "polarize-no-band", "polarize-band-above",
+         "polarize-band-zero", "extreme-size-overflow"],
 )
-def test_empty_or_negative_inputs_exit_2(args, capsys):
+def test_empty_or_negative_inputs_exit_2(args, topic, capsys):
     assert run(args) == EXIT_USAGE
     out, err = capsys.readouterr()
-    assert out == "" and len(err.splitlines()) == 1
+    assert out == "" and len(err.splitlines()) == 1 and topic in err
 
 
 def test_polarize_sort_shannon_column(tmp_path):
@@ -212,6 +218,15 @@ def test_perturb_bad_spec(tmp_path, capsys):
     assert run(["perturb", "--spec", str(tmp_path / "missing.json")]) == EXIT_USAGE
     spec.write_text("not json")
     assert run(["perturb", "--spec", str(spec)]) == EXIT_USAGE
+    capsys.readouterr()
+    good = {"mode": "uniform", "base_weights": [1.0], "deltas": [0.01], "alpha": 2}
+    spec.write_text(json.dumps(good))
+    assert run(["perturb", "--spec", str(spec), "--halvings", "-1"]) == EXIT_USAGE
+    spec.write_text(json.dumps({**good, "halvings": -1}))
+    assert run(["perturb", "--spec", str(spec)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("halvings must be >= 0") == 2
+    assert len(err.splitlines()) == 2
 
 
 @pytest.mark.parametrize(

@@ -63,6 +63,10 @@ def test_extreme_params_validation():
         ExtremeExampleParams(alpha0=1.0, size=8)
     with pytest.raises(ValueError):
         ExtremeExampleParams(alpha0=2.0, size=1)
+    # M = 2**size is carried as a float: 2**1023 is the last finite power
+    assert ExtremeExampleParams(alpha0=2.0, size=1023).symbol_count == 2.0**1023
+    with pytest.raises(ValueError, match="1023"):
+        ExtremeExampleParams(alpha0=2.0, size=1024)
 
 
 def test_extreme_split_formula():
@@ -120,6 +124,9 @@ def test_perturbation_spec_validation():
         PerturbationSpec(
             mode="deterministic", base_weights=(0.5, 0.5), deltas=(-0.1, 0.0), order=2.0
         )
+    assert len(perturbation_sweep(PerturbationSpec(**ok), halvings=0)) == 1
+    with pytest.raises(ValueError, match="halvings"):
+        perturbation_sweep(PerturbationSpec(**ok), halvings=-1)
 
 
 def test_perturbation_distribution_marginals():

@@ -2,11 +2,13 @@
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import polarlens
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "polarlens"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "polarlens"
 
 
 def test_library_reads_no_environment():
@@ -32,3 +34,23 @@ def test_exports_are_listed_once_and_resolve():
         for alias in node.names
     }
     assert sorted(n for n in imported if not n.startswith("_") and n not in names) == []
+
+
+def _declared_dependencies() -> set[str]:
+    # [project] dependencies, read without tomllib (Python 3.11+ only)
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]$(.*?)(?=^\[)", text, re.M | re.S).group(1)
+    listing = re.search(r"^dependencies = \[(.*?)\]", project, re.M | re.S).group(1)
+    names = re.findall(r'"([A-Za-z0-9_.-]+)', listing)
+    return {name.lower().replace("-", "_") for name in names}
+
+
+def test_third_party_imports_match_declared_dependencies():
+    imported = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) == _declared_dependencies()
