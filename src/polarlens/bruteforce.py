@@ -7,6 +7,9 @@ kernels of the fast path.  Agreement between the two is the main
 correctness argument for the engine, so this module deliberately shares
 as little machinery with it as possible (natural-log accumulation through
 its own log-sum-exp, plain supports and maxima for the limit orders).
+Each chunk of output tuples is read in one pass that serves every
+requested order.  One exact evaluator, :func:`high_precision_conditional`,
+gives a third opinion in rational or 50-digit arithmetic.
 
 Cost is A**N * 2**N joint entries for an A-atom root at level n (N = 2**n),
 so this is for shallow levels only; the cap guards against surprises.
@@ -16,14 +19,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product as iter_product
 from typing import NamedTuple
 
 import mpmath
 import numpy as np
 
 from .distributions import CapacityError, DistributionError, JointDistribution
-from .entropy import Order, as_order
+from .entropy import as_order
 
 #: Maximum number of joint entries (output tuples times input words).
 DEFAULT_STATE_CAP = 1 << 24
@@ -85,62 +87,6 @@ def _logsumexp(a) -> float:
     return float(np.log1p(rest) + np.log(m) + top)
 
 
-class _Accumulator:
-    """Per-subchannel running totals, fed chunk by chunk.
-
-    Finite orders accumulate log num / log den through ``_logsumexp``; the
-    limit orders keep supports, Shannon sums, or maxima directly.
-    """
-
-    def __init__(self, order: Order):
-        self.order = order
-        self.log_num_parts: list[float] = []
-        self.log_den_parts: list[float] = []
-        self.joint_support = 0.0
-        self.symbol_support = 0.0
-        self.joint_plogp = 0.0
-        self.symbol_plogp = 0.0
-        self.max_joint = 0.0
-        self.max_symbol = 0.0
-
-    def feed(self, q: np.ndarray, logw: np.ndarray) -> None:
-        """q: (classes, 2) joint columns; logw: (classes,) ln multiplicity."""
-        s = q.sum(axis=1)
-        kind = self.order.kind
-        w = np.exp(logw)
-        if kind == "zero":
-            self.joint_support += float(np.sum(w * (q > 0.0).sum(axis=1)))
-            self.symbol_support += float(np.sum(w, where=s > 0.0))
-        elif kind == "one":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                qlq = np.where(q > 0.0, q * np.log(q), 0.0)
-                sls = np.where(s > 0.0, s * np.log(s), 0.0)
-            self.joint_plogp += float(np.sum(w * qlq.sum(axis=1)))
-            self.symbol_plogp += float(np.sum(w * sls))
-        elif kind == "infinity":
-            self.max_joint = max(self.max_joint, float(q.max(initial=0.0)))
-            self.max_symbol = max(self.max_symbol, float(s.max(initial=0.0)))
-        else:
-            a = self.order.alpha
-            with np.errstate(divide="ignore"):
-                lq = np.log(q, out=np.full_like(q, -np.inf), where=q > 0.0)
-                ls = np.log(s, out=np.full_like(s, -np.inf), where=s > 0.0)
-            self.log_num_parts.append(_logsumexp(a * lq + logw[:, None]))
-            self.log_den_parts.append(_logsumexp(a * ls + logw))
-
-    def entropy_bits(self) -> float:
-        kind = self.order.kind
-        if kind == "zero":
-            return math.log2(self.joint_support / self.symbol_support)
-        if kind == "one":
-            return (self.symbol_plogp - self.joint_plogp) / _LN2
-        if kind == "infinity":
-            return math.log2(self.max_symbol / self.max_joint)
-        log_num = _logsumexp(self.log_num_parts)
-        log_den = _logsumexp(self.log_den_parts)
-        return (log_num - log_den) / ((1.0 - self.order.alpha) * _LN2)
-
-
 def brute_force_profile(
     root: JointDistribution,
     level: int,
@@ -152,7 +98,11 @@ def brute_force_profile(
 
     Output tuples are enumerated atom-class by atom-class (the root's
     weights multiply through as tuple multiplicities), inputs by all
-    2**N binary words mapped through the generator matrix.
+    2**N binary words mapped through the generator matrix.  Each chunk of
+    tuples is read in one pass: per subchannel, the weights, supports,
+    maxima and the logs of the joint and symbol columns are taken once,
+    and every requested order reads from them.  Finite orders keep one
+    log-sum-exp part per chunk and combine the parts at the end.
 
     Raises
     ------
@@ -160,105 +110,121 @@ def brute_force_profile(
         If A**N * 2**N exceeds ``DEFAULT_STATE_CAP``.
     """
     orders = [as_order(o) for o in orders]
+    finite = list(dict.fromkeys(o.alpha for o in orders if o.kind == "finite"))
     n = 1 << level
     a_count = root.n_atoms
-    total = (a_count**n) * (1 << n)
+    tuple_count = a_count**n
+    total = tuple_count * (1 << n)
     if total > DEFAULT_STATE_CAP:
         raise CapacityError(
             f"brute force would touch {total} joint entries (cap {DEFAULT_STATE_CAP})"
         )
 
-    xidx = _input_to_codeword_index(level)
     p = np.stack([root.p0, root.p1], axis=0)  # (2, A)
     logw_atom = np.log(root.weight)
 
-    accs = [[_Accumulator(o) for _ in range(n)] for o in orders]
+    # xbits[u, k] = k-th coordinate (1-based position k+1) of the codeword x(u)
+    xidx = _input_to_codeword_index(level)
+    xbits = (xidx[:, None] >> np.arange(n - 1, -1, -1)) & 1  # (2**N, N)
+    # tuples run in lexicographic order: tuple k has digit (k // A**(N-1-pos)) % A
+    # at position pos
+    place = a_count ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
-    # bits[k, x] = k-th coordinate (1-based position k+1) of codeword x
-    xs = np.arange(1 << n, dtype=np.int64)
-    xbits = (xs[:, None] >> np.arange(n - 1, -1, -1)) & 1  # (2**N, N)
+    # running state per subchannel: row 0 the joint columns, row 1 the symbols
+    support = np.zeros((2, n))
+    plogp = np.zeros((2, n))
+    peak = np.zeros((2, n))
+    chunk_count = -(-tuple_count // _CHUNK_TUPLES)
+    lse_parts = np.empty((2, len(finite), n, chunk_count))
 
     mass = 0.0
-    tuples = list(iter_product(range(a_count), repeat=n))
-    for start in range(0, len(tuples), _CHUNK_TUPLES):
-        chunk = np.array(tuples[start : start + _CHUNK_TUPLES], dtype=np.int64)
+    for c in range(chunk_count):
+        start = c * _CHUNK_TUPLES
+        k = np.arange(start, min(start + _CHUNK_TUPLES, tuple_count), dtype=np.int64)
+        chunk = k[:, None] // place % a_count
         t_count = chunk.shape[0]
-        # joint probability of (x, y-tuple) per class, in x order
-        px = np.ones((t_count, 1 << n))
-        for k in range(n):
-            px *= p[xbits[:, k], chunk[:, k][:, None]]
+        # row u of cols holds P(x(u), y-tuple) for every tuple of the chunk
+        cols = np.ones((1 << n, t_count))
+        for pos in range(n):
+            cols *= p[xbits[:, pos][:, None], chunk[:, pos]]
+        pu = cols.T  # column-major, which fixes the rounding of the sums over u
         logw = logw_atom[chunk].sum(axis=1)
-        mass += float(np.sum(np.exp(logw) * px.sum(axis=1)))
-        # reorder columns into u order: column u holds P(x(u), y)
-        pu = px[:, xidx]
-        for i in range(1, n + 1):
-            q = pu.reshape(t_count, 1 << (i - 1), 2, 1 << (n - i)).sum(axis=3)
-            q = q.reshape(t_count * (1 << (i - 1)), 2)
-            lw = np.repeat(logw, 1 << (i - 1))
-            for o_row, order in enumerate(orders):
-                accs[o_row][i - 1].feed(q, lw)
+        w_tuple = np.exp(logw)
+        mass += float(np.sum(w_tuple * pu.sum(axis=1)))
+        for i in range(n):
+            q = pu.reshape(t_count, 1 << i, 2, 1 << (n - 1 - i)).sum(axis=3)
+            q = q.reshape(t_count << i, 2)
+            s = q.sum(axis=1)
+            lq = np.log(q, out=np.full_like(q, -np.inf), where=q > 0.0)
+            ls = np.log(s, out=np.full_like(s, -np.inf), where=s > 0.0)
+            lw = np.repeat(logw, 1 << i)
+            for f, a in enumerate(finite):
+                lse_parts[0, f, i, c] = _logsumexp(a * lq + lw[:, None])
+                lse_parts[1, f, i, c] = _logsumexp(a * ls + lw)
+            w = np.repeat(w_tuple, 1 << i)
+            qlq = np.multiply(q, lq, out=np.zeros_like(q), where=q > 0.0).sum(axis=1)
+            sls = np.multiply(s, ls, out=np.zeros_like(s), where=s > 0.0)
+            support[:, i] += (np.sum(w * (q > 0.0).sum(axis=1)), np.sum(w, where=s > 0.0))
+            plogp[:, i] += (np.sum(w * qlq), np.sum(w * sls))
+            peak[:, i] = np.maximum(peak[:, i], (q.max(initial=0.0), s.max(initial=0.0)))
 
     if abs(mass - 1.0) > 1e-9:
         raise DistributionError(
             f"enumerated joint law has mass {mass!r}; expected 1 within 1e-9"
         )
     out = np.empty((len(orders), n))
-    for o_row in range(len(orders)):
+    for row, order in enumerate(orders):
         for i in range(n):
-            out[o_row, i] = accs[o_row][i].entropy_bits()
+            if order.kind == "zero":
+                h = math.log2(support[0, i] / support[1, i])
+            elif order.kind == "one":
+                h = (plogp[1, i] - plogp[0, i]) / _LN2
+            elif order.kind == "infinity":
+                h = math.log2(peak[1, i] / peak[0, i])
+            else:
+                f = finite.index(order.alpha)
+                log_ratio = _logsumexp(lse_parts[0, f, i]) - _logsumexp(lse_parts[1, f, i])
+                h = log_ratio / ((1.0 - order.alpha) * _LN2)
+            out[row, i] = h
     return out
 
 
-def high_precision_conditional(d: JointDistribution, alpha: float) -> float:
-    """Conditional entropy at finite alpha != 1 via 50-digit arithmetic.
+def high_precision_conditional(d: JointDistribution, alpha) -> float:
+    """Conditional entropy at a finite order, exactly or at 50 digits.
 
-    Atom floats are taken at face value (exact binary rationals).  Useful
-    as a third opinion when the fast path and the brute force disagree.
+    Atom floats are taken at face value (exact binary rationals).  For
+    integral orders >= 2 the two power sums are exact Fractions and only
+    the final logarithms are rounded (at 50 digits); every other finite
+    order sums in 50-digit mpf.  A third opinion when the fast path and the
+    brute force disagree, and a check that the float kernels carry no
+    systematic bias.
     """
-    if alpha <= 0 or abs(alpha - 1.0) < 1e-12 or math.isinf(alpha):
-        raise ValueError("high-precision path covers finite alpha > 0, != 1")
+    order = as_order(alpha)
+    if order.kind != "finite":
+        raise ValueError(f"exact evaluation covers finite orders other than 1, got {order}")
+    if order.is_integer:
+        num_t, a = Fraction, int(order.alpha)
+    else:
+        num_t, a = mpmath.mpf, mpmath.mpf(order.alpha)
     with mpmath.workdps(50):
-        num = mpmath.mpf(0)
-        den = mpmath.mpf(0)
+        num = den = num_t(0)
         for atom in d.atoms():
-            w = mpmath.mpf(atom.weight)  # float -> mpf is exact
-            a0 = mpmath.mpf(atom.p0)
-            a1 = mpmath.mpf(atom.p1)
-            if a0 > 0:
-                num += w * a0**alpha
-            if a1 > 0:
-                num += w * a1**alpha
-            den += w * (a0 + a1) ** alpha
-        h = (mpmath.log(num) - mpmath.log(den)) / ((1 - mpmath.mpf(alpha)) * mpmath.log(2))
-        return float(h)
-
-
-def rational_conditional_renyi(d: JointDistribution, alpha: int) -> float:
-    """Conditional entropy at a positive integer order >= 2, exactly.
-
-    Every binary64 probability is an exact rational, so for integral alpha
-    the two power sums are computed as exact fractions; only the final two
-    logarithms are rounded (at 50 digits).  Confirms the float kernels
-    carry no systematic bias.
-    """
-    if not (isinstance(alpha, int) and alpha >= 2):
-        raise ValueError("rational evaluation needs an integer order >= 2")
-    num = Fraction(0)
-    den = Fraction(0)
-    for atom in d.atoms():
-        w = Fraction(atom.weight)
-        f0 = Fraction(atom.p0)
-        f1 = Fraction(atom.p1)
-        num += w * (f0**alpha + f1**alpha)
-        den += w * (f0 + f1) ** alpha
-    with mpmath.workdps(50):
-        log_ratio = (
-            mpmath.log(num.numerator)
-            - mpmath.log(num.denominator)
-            - mpmath.log(den.numerator)
-            + mpmath.log(den.denominator)
-        )
-        return float(log_ratio / ((1 - alpha) * mpmath.log(2)))
+            w, a0, a1 = num_t(atom.weight), num_t(atom.p0), num_t(atom.p1)
+            # 0**a is exactly 0 for every order a > 0, rational or mpf
+            num += w * a0**a
+            num += w * a1**a
+            den += w * (a0 + a1) ** a
+        if num_t is Fraction:
+            # mpmath builds no mpf from a Fraction: take the logs of its parts
+            log_ratio = (
+                mpmath.log(num.numerator)
+                - mpmath.log(num.denominator)
+                - mpmath.log(den.numerator)
+                + mpmath.log(den.denominator)
+            )
+        else:
+            log_ratio = mpmath.log(num) - mpmath.log(den)
+        return float(log_ratio / ((1 - a) * mpmath.log(2)))
 
 
 class MinkowskiReport(NamedTuple):

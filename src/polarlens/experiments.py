@@ -147,12 +147,14 @@ def extreme_example_distribution(params: ExtremeExampleParams) -> JointDistribut
     split = lm1 + 1.0
     n = float(params.size)
     m = params.symbol_count
-    det_value = split / (n * m)
-    uni_value = (n - 1.0) * split / (2.0 * n * m * lm1)
+    # M = 2**size enters last: an exact power-of-two scaling that cannot
+    # overflow an intermediate product at sizes up to 1023
+    det_value = split / n / m
+    uni_value = (n - 1.0) * split / (2.0 * n * lm1) / m
     return make_from_atoms(
         [
             (det_value, 0.0, m / split),
-            (uni_value, uni_value, m * lm1 / split),
+            (uni_value, uni_value, m * (lm1 / split)),
         ]
     )
 

@@ -20,7 +20,6 @@ from polarlens import (
     minkowski_check,
     one_step_report,
     random_joint,
-    rational_conditional_renyi,
 )
 from polarlens.bruteforce import _logsumexp
 
@@ -108,6 +107,22 @@ def test_brute_force_matches_split_engine_random():
         assert np.max(np.abs(bf - sp.entries)) <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "orders",
+    [(math.inf, 2.0, 0.0, 0.5, 1.0, 2.0, 100.0), (0.0, 1.0, math.inf), (3.7, 0.5, 300.5)],
+    ids=["mixed-with-repeat", "limits-only", "finite-only"],
+)
+def test_brute_force_rows_match_one_order_calls(orders):
+    # every order reads the chunk's shared logs and sums; each row must be
+    # bitwise what the order gets on its own
+    d = random_joint(np.random.default_rng(191), min_symbols=3, max_symbols=3)
+    rows = brute_force_profile(d, 2, orders=orders)
+    assert rows.shape == (len(orders), 4)
+    for row, order in zip(rows, orders):
+        alone = brute_force_profile(d, 2, orders=(order,))[0]
+        assert row.tobytes() == alone.tobytes(), order
+
+
 def test_brute_force_state_cap():
     rng = np.random.default_rng(167)
     d = random_joint(rng, min_symbols=8, max_symbols=8)
@@ -135,7 +150,7 @@ def test_rational_conditional_exact_on_dyadics():
     # dyadic masses make the power sums exact rationals
     d = make_from_atoms([(0.375, 0.125, 1.0), (0.125, 0.375, 1.0)])
     for a in (2, 3, 5):
-        hr = rational_conditional_renyi(d, a)
+        hr = high_precision_conditional(d, a)
         num = Fraction(2) * (Fraction(3, 8) ** a + Fraction(1, 8) ** a)
         den = Fraction(2) * Fraction(1, 2) ** a
         want = (num / den).numerator, (num / den).denominator
@@ -144,10 +159,11 @@ def test_rational_conditional_exact_on_dyadics():
         assert conditional_renyi(d, float(a)) == pytest.approx(float(hr), abs=1e-12)
 
 
-def test_rational_conditional_requires_integral_order():
+def test_high_precision_conditional_rejects_limit_orders():
     d = make_bsc(0.25)
-    with pytest.raises(ValueError):
-        rational_conditional_renyi(d, 1)
+    for order in (0, 1, 1.0 + 1e-10, math.inf, "inf"):
+        with pytest.raises(ValueError, match="finite orders"):
+            high_precision_conditional(d, order)
 
 
 def test_minkowski_directions():

@@ -93,6 +93,14 @@ def test_extreme_distribution_matches_closed_form():
             )
 
 
+@pytest.mark.parametrize("alpha0", [1.5, 20.0])
+def test_extreme_distribution_at_largest_size(alpha0):
+    # M = 2**1023 is the largest finite power; no intermediate may overflow
+    rows = extreme_example_sweep(alpha0, [1023])
+    assert len(rows) == 2
+    assert max(r.abs_diff for r in rows) <= 1e-9
+
+
 def test_extreme_sweep_opposite_monotonicity():
     rows = extreme_example_sweep(2.0, range(8, 29))
     h2 = [r.closed_form for r in rows if r.order.alpha == 2.0]

@@ -54,3 +54,18 @@ def test_third_party_imports_match_declared_dependencies():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert imported - set(sys.stdlib_module_names) == _declared_dependencies()
+
+
+def test_oracle_imports_no_fast_path():
+    # the brute force checks transform.py's kernels, so it may share only
+    # the data types and the order dispatch with them
+    tree = ast.parse((SRC / "bruteforce.py").read_text(encoding="utf-8"))
+    relative = {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+    }
+    assert relative, "bruteforce.py imports nothing from the package"
+    assert {module for module, _ in relative} <= {"distributions", "entropy"}, relative
+    assert {name for module, name in relative if module == "entropy"} <= {"Order", "as_order"}
