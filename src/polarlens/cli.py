@@ -344,7 +344,7 @@ def _suite_lemma1(trials: int, seed: int) -> SuiteResult:
     for t in range(trials):
         a = random_joint(rng)
         b = a if t % 3 == 0 else random_joint(rng)
-        for rep in one_step_report(a, b, EXTENDED_ORDER_GRID):
+        for rep in one_step_report(a, b, orders=EXTENDED_ORDER_GRID):
             lo, hi = min(rep.parent_a, rep.parent_b), max(rep.parent_a, rep.parent_b)
             gaps = (
                 hi - rep.minus,  # minus must dominate both parents

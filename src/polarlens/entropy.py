@@ -29,10 +29,7 @@ ONE_BAND = 1e-9
 #: every log-domain term stays finite; use inf beyond this.
 MAX_FINITE_ORDER = 1e300
 
-#: Orders used by sweep commands unless the caller overrides them.
-DEFAULT_ORDER_GRID = (0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
-
-#: Default grid plus both closure points of the order axis.
+#: The paper's order grid plus both closure points of the order axis.
 EXTENDED_ORDER_GRID = (0.0, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0, math.inf)
 
 

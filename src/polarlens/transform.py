@@ -59,7 +59,6 @@ from .distributions import (
     _freeze,
 )
 from .entropy import (
-    DEFAULT_ORDER_GRID,
     ORDER_ONE,
     Order,
     as_order,
@@ -162,53 +161,6 @@ def transform_pair(
 
     post = canonicalize_orientation if canonical else dedup
     return TransformPair(post(minus), post(plus))
-
-
-@dataclass(frozen=True)
-class SubchannelIndex:
-    """Position of a synthetic channel: level n, index i in [1, 2^n].
-
-    The path to a subchannel is the binary expansion of i - 1, most
-    significant bit first; 0 selects the minus child, 1 the plus child.
-    """
-
-    level: int
-    index: int
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("level must be >= 0")
-        if not 1 <= self.index <= (1 << self.level):
-            raise ValueError(
-                f"index must lie in [1, {1 << self.level}] at level {self.level}"
-            )
-
-    def path(self) -> tuple[int, ...]:
-        bits = []
-        v = self.index - 1
-        for k in range(self.level - 1, -1, -1):
-            bits.append((v >> k) & 1)
-        return tuple(bits)
-
-
-def synthesize(
-    root: JointDistribution,
-    index: SubchannelIndex,
-    *,
-    atom_cap: int = DEFAULT_ATOM_CAP,
-) -> JointDistribution:
-    """Materialize the joint distribution of one subchannel.
-
-    Walks the path from the root, squaring the current channel at each
-    step.  Atom counts grow quadratically per level, so this is meant for
-    shallow levels and spot checks; deep profiles use the split evaluation
-    in :func:`level_profile` instead.
-    """
-    cur = canonicalize_orientation(root)
-    for bit in index.path():
-        pair = transform_pair(cur, atom_cap=atom_cap)
-        cur = pair.plus if bit else pair.minus
-    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -422,23 +374,8 @@ def _proxy_pair_sum(view: _RatioView, alpha: float) -> float:
 
 
 def _uses_moments(alpha: float) -> bool:
-    """True where :func:`minus_num_log2` runs the moment expansion, not a pair grid."""
+    """True where the minus child's power sum comes from the moment expansion."""
     return float(alpha).is_integer() and 2 <= alpha <= _MOMENT_MAX_ORDER
-
-
-def minus_num_log2(view: _RatioView, alpha: float) -> float:
-    """log2 of the minus child's joint power sum, with the view's scaling undone."""
-    if _uses_moments(alpha):
-        pair = _pair_moment_sum(view, int(alpha))
-    elif alpha <= _PROXY_MAX_ORDER:
-        pair = _proxy_pair_sum(view, alpha)
-    else:
-        pair = _pair_grid_sum(view.ratios, view.group_log2_sums(alpha), alpha)
-    return (
-        2.0 * math.log2(view.total_weight)
-        + 2.0 * alpha * math.log2(view.max_mass)
-        + pair
-    )
 
 
 def _xlog2x(values: np.ndarray) -> np.ndarray:
@@ -488,6 +425,39 @@ def _minus_shannon_joint(view: _RatioView) -> float:
     return -scale * (t_sum + 2.0 * math.log2(view.max_mass) * mass * mass)
 
 
+def _shannon_children(parent: JointDistribution, view: _RatioView) -> tuple[float, float]:
+    """H_1 of both children.
+
+    The minus child's joint entropy comes from the pair grid above; the
+    plus child's follows by conservation of the joint entropy.
+    """
+    w = parent.weight
+    joint = -float(np.sum(w * _xlog2x(parent.p0)) + np.sum(w * _xlog2x(parent.p1)))
+    symbol = -float(np.sum(w * _xlog2x(parent.symbol_mass)))
+    joint_minus = _minus_shannon_joint(view)
+    return joint_minus - 2.0 * symbol, 2.0 * joint - joint_minus
+
+
+def _renyi_children(
+    parent: JointDistribution, view: _RatioView, alpha: float, pair: float
+) -> tuple[float, float]:
+    """H_alpha of both children, given the log2 pair sum on the view's scale.
+
+    The pair sum is the minus child's joint power sum; every other power
+    sum of both children follows from the parent's own.
+    """
+    lognum, logden = power_sums(parent, alpha)
+    lognum_minus = (
+        2.0 * math.log2(view.total_weight)
+        + 2.0 * alpha * math.log2(view.max_mass)
+        + pair
+    )
+    return (
+        (lognum_minus - 2.0 * logden) / (1.0 - alpha),
+        (2.0 * lognum - lognum_minus) / (1.0 - alpha),
+    )
+
+
 def _support_triple(d: JointDistribution) -> tuple[float, float, float, float]:
     """Weighted counts (C0, C1, B, W): support of each input, both, and all."""
     c0 = float(np.sum(d.weight, where=d.p0 > 0.0))
@@ -531,6 +501,30 @@ def _infinity_children(d: JointDistribution) -> tuple[float, float]:
     return h_minus, h_plus
 
 
+def _split_kernel(parent: JointDistribution, view, o: Order):
+    """The split kernel of one order: (grid, run).
+
+    ``grid`` holds the ratio points that the kernel's pair grid streams,
+    None for kernels without one; ``run()`` gives the (minus, plus)
+    entropies.  ``view()`` returns the parent's ratio view, built once.
+    """
+    if o.kind == "zero":
+        return None, lambda: _zero_order_children(parent)
+    if o.kind == "infinity":
+        return None, lambda: _infinity_children(parent)
+    v = view()
+    if o.kind == "one":
+        return v.proxy_ratios, lambda: _shannon_children(parent, v)
+    a = o.alpha
+    if _uses_moments(a):
+        grid, pair = None, lambda: _pair_moment_sum(v, int(a))
+    elif a <= _PROXY_MAX_ORDER:
+        grid, pair = v.proxy_ratios, lambda: _proxy_pair_sum(v, a)
+    else:
+        grid, pair = v.ratios, lambda: _pair_grid_sum(v.ratios, v.group_log2_sums(a), a)
+    return grid, lambda: _renyi_children(parent, v, a, pair())
+
+
 def child_entropies(
     parent: JointDistribution,
     orders: Sequence,
@@ -548,59 +542,28 @@ def child_entropies(
     DistributionError
         If some atom has p1 > p0; see :func:`canonicalize_orientation`.
     CapacityError
-        If an order needs a full pair grid over the parent's ratio groups
-        and that grid exceeds ``_SPLIT_WORK_FACTOR * atom_cap`` elements.
+        Before any kernel runs, if the pair grid of some order, n points
+        square, has 2 n^2 > ``_SPLIT_WORK_FACTOR * atom_cap`` elements.
+        n counts the proxy points at order 1 and at non-integral orders
+        up to 32, and the parent's ratio groups at every other order
+        that streams a grid; closed-form and moment orders stream none.
         The grid is streamed, not stored, so its budget is time, not
         memory; raising ``atom_cap`` widens both budgets together.
     """
     if np.any(parent.p1 > parent.p0):
         raise DistributionError("parent must be canonical (p0 >= p1 per atom)")
     orders = [as_order(o) for o in orders]
-    out = np.empty((len(orders), 2))
-    finite = [o for o in orders if o.kind == "finite"]
-    need_one = any(o.kind == "one" for o in orders)
-    view = _RatioView(parent) if (finite or need_one) else None
-
-    grid_orders = need_one or any(not _uses_moments(o.alpha) for o in finite)
-    if grid_orders and view is not None:
-        groups = view.ratios.shape[0]
-        if 2 * groups * groups > _SPLIT_WORK_FACTOR * atom_cap:
+    view = functools.cache(lambda: _RatioView(parent))
+    kernels = [_split_kernel(parent, view, o) for o in orders]
+    for o, (grid, _) in zip(orders, kernels):
+        if grid is not None and 2 * grid.size * grid.size > _SPLIT_WORK_FACTOR * atom_cap:
             raise CapacityError(
-                f"pair grid over {groups} ratio groups exceeds work budget "
-                f"{_SPLIT_WORK_FACTOR} * {atom_cap}"
+                f"order {o}: pair grid over {grid.size} points exceeds "
+                f"work budget {_SPLIT_WORK_FACTOR} * {atom_cap}"
             )
-
-    if need_one:
-        w = parent.weight
-        joint = -float(
-            np.sum(w * _xlog2x(parent.p0)) + np.sum(w * _xlog2x(parent.p1))
-        )
-        symbol = -float(np.sum(w * _xlog2x(parent.symbol_mass)))
-        joint_minus = _minus_shannon_joint(view)
-        h1_minus = joint_minus - 2.0 * symbol
-        h1_plus = 2.0 * joint - joint_minus
-
-    zero_vals = inf_vals = None
-    for row, o in enumerate(orders):
-        if o.kind == "zero":
-            if zero_vals is None:
-                zero_vals = _zero_order_children(parent)
-            out[row] = zero_vals
-        elif o.kind == "infinity":
-            if inf_vals is None:
-                inf_vals = _infinity_children(parent)
-            out[row] = inf_vals
-        elif o.kind == "one":
-            out[row] = (h1_minus, h1_plus)
-        else:
-            a = o.alpha
-            lognum, logden = power_sums(parent, a)
-            lognum_minus = minus_num_log2(view, a)
-            out[row, 0] = (lognum_minus - 2.0 * logden) / (1.0 - a)
-            out[row, 1] = (2.0 * lognum - lognum_minus) / (1.0 - a)
-    for row in range(out.shape[0]):
-        out[row, 0] = snap_to_unit(out[row, 0])
-        out[row, 1] = snap_to_unit(out[row, 1])
+    out = np.empty((len(kernels), 2))
+    for row, (_, run) in enumerate(kernels):
+        out[row] = [snap_to_unit(h) for h in run()]
     return out
 
 
@@ -648,7 +611,7 @@ class PolarizationProfile:
 def level_profile(
     root: JointDistribution,
     level: int,
-    orders: Sequence = None,
+    orders: Sequence,
     *,
     atom_cap: int = DEFAULT_ATOM_CAP,
 ) -> PolarizationProfile:
@@ -666,7 +629,7 @@ def level_profile(
 def level_profile_sweep(
     root: JointDistribution,
     max_level: int,
-    orders: Sequence = None,
+    orders: Sequence,
     *,
     atom_cap: int = DEFAULT_ATOM_CAP,
 ) -> list[PolarizationProfile]:
@@ -683,8 +646,6 @@ def level_profile_sweep(
     """
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
-    if orders is None:
-        orders = DEFAULT_ORDER_GRID
     orders = tuple(as_order(o) for o in orders)
     root_entropy = np.array([conditional_renyi(root, o) for o in orders])
 
@@ -729,7 +690,8 @@ class OneStepReport(NamedTuple):
 def one_step_report(
     a: JointDistribution,
     b: JointDistribution | None = None,
-    orders: Sequence = None,
+    *,
+    orders: Sequence,
 ) -> list[OneStepReport]:
     """Evaluate one transform step directly and check its order inequalities.
 
@@ -739,8 +701,6 @@ def one_step_report(
     children, deliberately bypassing the split evaluation, so the two can
     be played against each other in tests.
     """
-    if orders is None:
-        orders = DEFAULT_ORDER_GRID
     if b is None:
         b = a
     slack = 1e-10

@@ -241,6 +241,25 @@ def test_verify_suites_pass(suite, trials, capsys):
     assert "violations=0" in out
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_writes_its_line_to_out(fmt, tmp_path, capsys):
+    path = tmp_path / f"v.{fmt}"
+    code = run(["verify", "--suite", "chain", "--trials", "3", "--seed", "1",
+                "--out", str(path), "--format", fmt])
+    assert code == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == f"wrote {path}\n"
+    printed = dict(kv.split("=") for kv in out.split()[2:-1])
+    (section,) = read_tables(str(path))
+    assert section.name == "verify"
+    assert list(section.columns) == ["suite", "trials", "checks", "violations", "worst"]
+    (row,) = section.rows
+    assert str(row[0]) == "chain"
+    for col in ("trials", "checks", "violations"):
+        assert int(row[section.columns.index(col)]) == int(printed[col])
+    assert float(row[4]) == pytest.approx(float(printed["worst"]), rel=1e-3)
+
+
 def test_verify_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--suite", "bogus"])

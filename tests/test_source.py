@@ -69,3 +69,29 @@ def test_oracle_imports_no_fast_path():
     assert relative, "bruteforce.py imports nothing from the package"
     assert {module for module, _ in relative} <= {"distributions", "entropy"}, relative
     assert {name for module, name in relative if module == "entropy"} <= {"Order", "as_order"}
+
+
+#: (module, attribute) pairs that perfbench/tracing.py's Tracer.install
+#: replaces with timed wrappers; a rename would break traced runs only.
+TRACED = [
+    ("transform", "child_entropies"),
+    ("transform", "transform_pair"),
+    ("transform", "canonicalize_orientation"),
+    *[(m, "conditional_renyi") for m in ("entropy", "transform", "experiments", "cli")],
+    *[(m, "log2_power_sum") for m in ("entropy", "transform")],
+    ("cli", "brute_force_profile"),
+    ("cli", "perturbation_sweep"),
+    ("cli", "extreme_example_sweep"),
+    ("cli", "render_tables"),
+]
+
+
+def test_traced_attributes_resolve():
+    import importlib
+
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in TRACED
+        if not callable(getattr(importlib.import_module(f"polarlens.{module}"), attr, None))
+    ]
+    assert missing == []

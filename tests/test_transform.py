@@ -1,4 +1,4 @@
-"""Basic transform step, split evaluation, profiles, addressing."""
+"""Basic transform step, split evaluation and profiles."""
 
 import math
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from polarlens import (
     CapacityError,
     DistributionError,
-    SubchannelIndex,
     child_entropies,
     conditional_renyi,
     dedup,
@@ -21,7 +20,6 @@ from polarlens import (
     make_from_atoms,
     one_step_report,
     random_joint,
-    synthesize,
     transform_pair,
 )
 
@@ -132,22 +130,17 @@ def test_child_entropies_rejects_non_canonical_parent():
     assert np.isfinite(vals).all()
 
 
-def test_subchannel_index_paths():
-    assert SubchannelIndex(0, 1).path() == ()
-    assert SubchannelIndex(3, 1).path() == (0, 0, 0)
-    assert SubchannelIndex(3, 8).path() == (1, 1, 1)
-    assert SubchannelIndex(3, 5).path() == (1, 0, 0)
-    with pytest.raises(ValueError):
-        SubchannelIndex(2, 5)
-    with pytest.raises(ValueError):
-        SubchannelIndex(2, 0)
-
-
 def test_synthesize_matches_profile_columns():
+    from polarlens.distributions import canonicalize_orientation
+
     root = make_bsc(0.2)
     prof = level_profile(root, 3, orders=ORDERS)
     for i in (1, 3, 6, 8):
-        sub = synthesize(root, SubchannelIndex(3, i))
+        # the path to subchannel i: bits of i - 1, most significant first,
+        # 0 for the minus child and 1 for the plus child
+        sub = canonicalize_orientation(root)
+        for k in (2, 1, 0):
+            sub = transform_pair(sub)[((i - 1) >> k) & 1]
         for row, a in enumerate(ORDERS):
             assert prof.entries[row, i - 1] == pytest.approx(
                 conditional_renyi(sub, a), abs=1e-12
@@ -197,7 +190,7 @@ def test_transform_capacity_error():
 
 def test_child_entropies_pair_grid_work_budget():
     from polarlens.distributions import canonicalize_orientation
-    from polarlens.transform import _SPLIT_WORK_FACTOR
+    from polarlens.transform import _SPLIT_WORK_FACTOR, _RatioView
 
     n = 60
     rng = np.random.default_rng(157)
@@ -206,22 +199,75 @@ def test_child_entropies_pair_grid_work_budget():
     parent = canonicalize_orientation(
         make_from_atoms(np.column_stack([p, np.ones(n)]))
     )
-    groups = parent.n_atoms
-    # budget one element short of the grid: non-integral orders refuse
-    tight = (2 * groups * groups - 1) // _SPLIT_WORK_FACTOR
+    view = _RatioView(parent)
+    groups, proxies = view.ratios.size, view.proxy_ratios.size
+    assert proxies < groups == parent.n_atoms
+
+    def tight(points):
+        # budget one element short of the 2 * points^2 grid
+        return (2 * points * points - 1) // _SPLIT_WORK_FACTOR
+
+    # order 1 and non-integral orders up to 32 stream the proxy grid
+    for a in (0.5, 1.0):
+        with pytest.raises(CapacityError):
+            child_entropies(parent, (a,), atom_cap=tight(proxies))
+        assert child_entropies(parent, (a,), atom_cap=tight(proxies) + 1).shape == (1, 2)
+    # higher non-integral orders stream the direct grid over the ratio groups
     with pytest.raises(CapacityError):
-        child_entropies(parent, (0.5,), atom_cap=tight)
+        child_entropies(parent, (40.5,), atom_cap=tight(groups))
+    vals = child_entropies(parent, (0.5, 1.0, 40.5), atom_cap=tight(groups) + 1)
+    assert vals.shape == (3, 2)
+    # integral orders ride the moment path and skip the pair grid; support
+    # and max-mass children are closed-form, no grid either
+    vals = child_entropies(parent, (0.0, 2.0, 512.0, math.inf), atom_cap=tight(proxies))
+    assert vals.shape == (4, 2)
+    # one order over budget refuses the whole call, whatever its position
     with pytest.raises(CapacityError):
-        child_entropies(parent, (1.0,), atom_cap=tight)
-    # integral orders ride the moment path and skip the pair grid
-    vals = child_entropies(parent, (2.0,), atom_cap=tight)
-    assert vals.shape == (1, 2)
-    # support and max-mass children are closed-form, no grid either
-    vals = child_entropies(parent, (0.0, math.inf), atom_cap=tight)
-    assert vals.shape == (2, 2)
-    # one more element of budget admits the grid
-    vals = child_entropies(parent, (0.5,), atom_cap=tight + 1)
-    assert vals.shape == (1, 2)
+        child_entropies(parent, (2.0, 0.5), atom_cap=tight(proxies))
+
+
+def test_child_entropies_budget_counts_the_streamed_grid():
+    # 60,000 ratio groups, but the proxy grid of orders 0.5 and 1 has 328
+    # points: the default budget admits them and refuses the direct grid
+    from polarlens.distributions import canonicalize_orientation
+
+    root = canonicalize_orientation(random_joint(np.random.default_rng(1), 60000, 60000))
+    vals = child_entropies(root, (0.5, 1.0, 2.0))
+    assert ((vals >= 0.0) & (vals <= 1.0)).all()
+    with pytest.raises(CapacityError):
+        child_entropies(root, (40.5,))
+
+
+SPLIT_ORDERS = (math.inf, 2.0, 0.0, 0.5, 1.0, 2.0, 40.5, 600.0)
+
+
+def _split_class(o):
+    from polarlens.transform import _MOMENT_MAX_ORDER
+
+    if o.kind in ("zero", "infinity", "one"):
+        return o.kind
+    return "moment" if o.is_integer and o.alpha <= _MOMENT_MAX_ORDER else "grid"
+
+
+@pytest.mark.parametrize("which", ["bsc-level4", "random"])
+def test_child_entropies_rows_do_not_depend_on_the_other_orders(which):
+    from polarlens import as_order
+    from polarlens.distributions import canonicalize_orientation
+
+    if which == "random":
+        parent = canonicalize_orientation(random_joint(np.random.default_rng(163)))
+    else:
+        parent = max(_levels(make_bsc(0.2), 4)[4], key=lambda p: p.n_atoms)
+    orders = [as_order(o) for o in SPLIT_ORDERS]
+    combined = child_entropies(parent, orders)
+    classes = {}
+    for k, o in enumerate(orders):
+        classes.setdefault(_split_class(o), []).append(k)
+        assert np.array_equal(child_entropies(parent, [o]), combined[[k]]), o
+    assert len(classes) == 5
+    for idx in classes.values():
+        assert np.array_equal(child_entropies(parent, [orders[k] for k in idx]), combined[idx])
+    assert np.array_equal(child_entropies(parent, orders[::-1]), combined[::-1])
 
 
 def test_dedup_before_transform_changes_nothing():
