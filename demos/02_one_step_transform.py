@@ -36,7 +36,7 @@ print(f"\ncompound step: BSC(0.1) with BSC(0.3)")
 a, b = make_bsc(0.1), make_bsc(0.3)
 print(f"  {'alpha':>6}  {'H(a)':>8}  {'H(b)':>8}  {'minus':>8}  {'plus':>8}")
 for r in one_step_report(a, b, orders=(0.5, 1.0, 2.0, math.inf)):
-    ok = r.minus_above_max and r.plus_below_min
+    ok = r.minus >= max(r.parent_a, r.parent_b) and r.plus <= min(r.parent_a, r.parent_b)
     print(
         f"  {str(r.order):>6}  {r.parent_a:8.4f}  {r.parent_b:8.4f}"
         f"  {r.minus:8.4f}  {r.plus:8.4f}   split ok: {ok}"

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import NamedTuple, Sequence
 
@@ -264,7 +265,7 @@ def cmd_example_extreme(ns) -> int:
     if not 2 <= ns.nmin < ns.nmax:
         print("example-extreme: need 2 <= nmin < nmax", file=sys.stderr)
         return EXIT_USAGE
-    orders = _parse_orders(ns.alpha) if ns.alpha else None
+    orders = _parse_orders(ns.alpha) if ns.alpha is not None else None
     rows = [
         [r.size, r.order, r.closed_form, r.direct, r.abs_diff]
         for r in extreme_example_sweep(ns.alpha0, range(ns.nmin, ns.nmax + 1), orders)
@@ -285,6 +286,8 @@ def cmd_perturb(ns) -> int:
         return EXIT_USAGE
     try:
         alphas = raw["alphas"] if "alphas" in raw else [raw["alpha"]]
+        if not alphas:
+            raise ValueError("alphas needs at least one order")
         halvings = int(ns.halvings if ns.halvings is not None else raw.get("halvings", 5))
         rows = []
         for alpha in alphas:
@@ -315,104 +318,66 @@ def cmd_perturb(ns) -> int:
 # ---------------------------------------------------------------------------
 
 
-class SuiteResult(NamedTuple):
-    suite: str
-    trials: int
-    checks: int
-    violations: int
-    worst: float
+# Each suite yields checks (deviation, bound) drawn from its seeded rng; a
+# check passes only if deviation <= bound, so a NaN deviation fails.
 
 
-def _suite_chain(trials: int, seed: int) -> SuiteResult:
+def _suite_chain(trials: int, seed: int):
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    checks = violations = 0
     for _ in range(trials):
         d = random_joint(rng)
         for order in EXTENDED_ORDER_GRID:
-            resid = abs(chain_rule_residual(d, order))
-            worst = max(worst, resid)
-            checks += 1
-            violations += resid > 1e-10
-    return SuiteResult("chain", trials, checks, violations, worst)
+            yield abs(chain_rule_residual(d, order)), 1e-10
 
 
-def _suite_lemma1(trials: int, seed: int) -> SuiteResult:
+def _suite_lemma1(trials: int, seed: int):
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    checks = violations = 0
     for t in range(trials):
         a = random_joint(rng)
         b = a if t % 3 == 0 else random_joint(rng)
         for rep in one_step_report(a, b, orders=EXTENDED_ORDER_GRID):
             lo, hi = min(rep.parent_a, rep.parent_b), max(rep.parent_a, rep.parent_b)
-            gaps = (
-                hi - rep.minus,  # minus must dominate both parents
-                rep.plus - lo,  # plus must trail both parents
-                abs(rep.conservation_residual),
-            )
-            worst = max(worst, *gaps)
-            checks += 3
-            violations += (gaps[0] > 1e-12) + (gaps[1] > 1e-12) + (gaps[2] > 1e-9)
-    return SuiteResult("lemma1", trials, checks, violations, worst)
+            yield hi - rep.minus, 1e-12  # minus must dominate both parents
+            yield rep.plus - lo, 1e-12  # plus must trail both parents
+            yield abs(rep.conservation_residual), 1e-9
 
 
-def _suite_martingale(trials: int, seed: int) -> SuiteResult:
+def _suite_martingale(trials: int, seed: int):
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    checks = violations = 0
     for _ in range(trials):
         d = random_joint(rng)
         for profile in level_profile_sweep(d, 3, EXTENDED_ORDER_GRID):
             for k, order in enumerate(profile.orders):
-                dev = abs(profile.average(order) - float(profile.root_entropy[k]))
-                worst = max(worst, dev)
-                checks += 1
-                violations += dev > 1e-6
-    return SuiteResult("martingale", trials, checks, violations, worst)
+                yield abs(profile.average(order) - float(profile.root_entropy[k])), 1e-6
 
 
-def _suite_oracle(trials: int, seed: int) -> SuiteResult:
+def _suite_oracle(trials: int, seed: int):
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    checks = violations = 0
-
-    def compare(root: JointDistribution, level: int):
-        nonlocal worst, checks, violations
+    cases = [(make_bsc(0.2), 2), (make_bsc(0.2), 3)]
+    for _ in range(trials):
+        cases += [(random_joint(rng, 2, 8), 2), (random_joint(rng, 2, 3), 3)]
+    for root, level in cases:
         fast = level_profile(root, level, EXTENDED_ORDER_GRID)
         slow = brute_force_profile(root, level, EXTENDED_ORDER_GRID)
-        dev = float(np.max(np.abs(fast.entries - slow)))
-        worst = max(worst, dev)
-        checks += slow.size
-        violations += dev > 1e-9
-
-    for level in (2, 3):
-        compare(make_bsc(0.2), level)
-    for _ in range(trials):
-        compare(random_joint(rng, 2, 8), 2)
-        compare(random_joint(rng, 2, 3), 3)
-    return SuiteResult("oracle", trials, checks, violations, worst)
+        for dev in np.abs(fast.entries - slow).ravel().tolist():
+            yield dev, 1e-9
 
 
-def _suite_minkowski(trials: int, seed: int) -> SuiteResult:
+def _suite_minkowski(trials: int, seed: int):
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    checks = violations = 0
     for t in range(trials):
         dim = int(rng.integers(1, 7))
         x = rng.exponential(size=dim)
         y = float(rng.exponential()) * x if t % 10 == 0 else rng.exponential(size=dim)
         p = float(rng.choice([0.3, 0.5, 0.9, 1.0, 1.5, 2.0, 3.0, 10.0]))
         rep = minkowski_check(x, y, p)
+        # minkowski_check's verdicts decide: bound inf if it held, NaN if not
         deficit = rep.lhs - rep.rhs if p >= 1 else rep.rhs - rep.lhs
-        worst = max(worst, deficit)
-        checks += 1
-        violations += not rep.satisfied
+        yield deficit, math.inf if rep.satisfied else math.nan
         if t % 10 == 0:
-            # positively dependent vectors must sit on the equality case
-            checks += 1
-            violations += not rep.near_equality
-    return SuiteResult("minkowski", trials, checks, violations, worst)
+            # positively dependent vectors must sit on the equality case;
+            # deviation 0.0 keeps this check out of the worst deviation
+            yield 0.0, math.inf if rep.near_equality else math.nan
 
 
 _SUITES = {
@@ -428,20 +393,26 @@ def cmd_verify(ns) -> int:
     if ns.trials < 1:
         print("verify: --trials must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    result = _SUITES[ns.suite](ns.trials, ns.seed)
-    status = "PASS" if result.violations == 0 else "FAIL"
+    checks = violations = 0
+    worst = 0.0
+    for deviation, bound in _SUITES[ns.suite](ns.trials, ns.seed):
+        checks += 1
+        violations += not (deviation <= bound)
+        if deviation > worst or math.isnan(deviation):
+            worst = deviation
+    status = "PASS" if violations == 0 else "FAIL"
     print(
-        f"suite {result.suite}: trials={result.trials} checks={result.checks} "
-        f"violations={result.violations} worst={result.worst:.3e} {status}"
+        f"suite {ns.suite}: trials={ns.trials} checks={checks} "
+        f"violations={violations} worst={worst:.3e} {status}"
     )
     if ns.out:
         section = make_section(
             "verify",
             ["suite", "trials", "checks", "violations", "worst"],
-            [[result.suite, result.trials, result.checks, result.violations, result.worst]],
+            [[ns.suite, ns.trials, checks, violations, worst]],
         )
         _emit([section], ns.out, ns.format)
-    return EXIT_OK if result.violations == 0 else EXIT_VIOLATION
+    return EXIT_OK if violations == 0 else EXIT_VIOLATION
 
 
 # ---------------------------------------------------------------------------

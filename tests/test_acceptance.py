@@ -29,7 +29,7 @@ from polarlens import (
     perturbation_sweep,
     random_joint,
 )
-from polarlens.cli import _suite_lemma1, _suite_oracle
+from polarlens import cli
 
 PAPER_GRID = (0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
 
@@ -37,6 +37,16 @@ PAPER_GRID = (0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
 def _report(n: int, ok: bool, detail: str = "") -> None:
     print(f"criterion {n}: {'PASS' if ok else 'FAIL'}" + (f"  ({detail})" if detail else ""))
     assert ok, f"criterion {n} failed: {detail}"
+
+
+def _verify(suite: str, trials: int, seed: int, tmp_path) -> dict:
+    """`polarlens verify` in-process: its exit status and its --out row."""
+    out = tmp_path / f"{suite}.csv"
+    code = cli.main(["verify", "--suite", suite, "--trials", str(trials),
+                     "--seed", str(seed), "--out", str(out)])
+    (section,) = cli.read_tables(str(out))
+    (row,) = section.rows
+    return {"code": code, **dict(zip(section.columns, row))}
 
 
 @lru_cache(maxsize=None)
@@ -77,25 +87,27 @@ def test_criterion_02_one_step_conservation():
     )
 
 
-def test_criterion_03_one_step_inequalities():
+def test_criterion_03_one_step_inequalities(tmp_path):
     t0 = time.perf_counter()
-    result = _suite_lemma1(1000, seed=3)
+    result = _verify("lemma1", 1000, 3, tmp_path)
     elapsed = time.perf_counter() - t0
     _report(
         3,
-        result.violations == 0 and elapsed < 30.0,
-        f"checks={result.checks} violations={result.violations} t={elapsed:.1f}s",
+        result["code"] == 0 and int(result["violations"]) == 0 and elapsed < 30.0,
+        f"checks={result['checks']} violations={result['violations']} t={elapsed:.1f}s",
     )
 
 
-def test_criterion_04_oracle_equivalence():
+def test_criterion_04_oracle_equivalence(tmp_path):
     t0 = time.perf_counter()
-    result = _suite_oracle(20, seed=7)
+    result = _verify("oracle", 20, 7, tmp_path)
     elapsed = time.perf_counter() - t0
+    worst = float(result["worst"])
     _report(
         4,
-        result.violations == 0 and result.worst <= 1e-9 and elapsed < 60.0,
-        f"worst={result.worst:.3e} t={elapsed:.1f}s",
+        result["code"] == 0 and int(result["violations"]) == 0 and worst <= 1e-9
+        and elapsed < 60.0,
+        f"worst={worst:.3e} t={elapsed:.1f}s",
     )
 
 

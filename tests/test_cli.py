@@ -1,12 +1,17 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
+import dataclasses
 import json
+import math
 
+import numpy as np
 import pytest
 
+from polarlens import cli
 from polarlens.cli import (
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VIOLATION,
     main,
     make_section,
     parse_tables,
@@ -140,10 +145,11 @@ def test_polarize_sort_shannon_needs_order_one(capsys):
         (["polarize", "--n", "30", "--delta", "0.7"], "band"),
         (["polarize", "--n", "30", "--delta", "0.1,0"], "band"),
         (["example-extreme", "--nmin", "1024", "--nmax", "1025"], "1023"),
+        (["example-extreme", "--alpha", ""], "--alpha"),
     ],
     ids=["trials-negative", "trials-zero", "polarize-no-order", "entropy-no-order",
          "entropy-blank-orders", "polarize-no-band", "polarize-band-above",
-         "polarize-band-zero", "extreme-size-overflow"],
+         "polarize-band-zero", "extreme-size-overflow", "extreme-no-order"],
 )
 def test_empty_or_negative_inputs_exit_2(args, topic, capsys):
     assert run(args) == EXIT_USAGE
@@ -227,6 +233,10 @@ def test_perturb_bad_spec(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.count("halvings must be >= 0") == 2
     assert len(err.splitlines()) == 2
+    spec.write_text(json.dumps({**good, "alphas": []}))
+    assert run(["perturb", "--spec", str(spec)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "alpha" in err
 
 
 @pytest.mark.parametrize(
@@ -258,6 +268,70 @@ def test_verify_writes_its_line_to_out(fmt, tmp_path, capsys):
     for col in ("trials", "checks", "violations"):
         assert int(row[section.columns.index(col)]) == int(printed[col])
     assert float(row[4]) == pytest.approx(float(printed["worst"]), rel=1e-3)
+
+
+def _corrupt_first(orig, corrupt):
+    """``orig`` with its first result passed through ``corrupt``."""
+    calls = []
+
+    def patched(*args, **kwargs):
+        result = orig(*args, **kwargs)
+        calls.append(result)
+        return corrupt(result) if len(calls) == 1 else result
+
+    return patched
+
+
+def _shift_first_entry(values, shift):
+    values = np.array(values, dtype=float)
+    values.flat[0] += shift
+    return values
+
+
+# per suite: the function it checks, and how to push one of its deviations
+# by ``shift`` (1.0 is past every bound; NaN must fail too)
+CORRUPTIONS = {
+    "chain": ("chain_rule_residual", lambda resid, shift: resid + shift),
+    "lemma1": (
+        "one_step_report",
+        lambda reps, shift: [reps[0]._replace(minus=reps[0].minus - shift)] + reps[1:],
+    ),
+    "martingale": (
+        "level_profile_sweep",
+        lambda profiles, shift: [
+            dataclasses.replace(
+                profiles[0], entries=_shift_first_entry(profiles[0].entries, shift)
+            )
+        ] + profiles[1:],
+    ),
+    "oracle": ("brute_force_profile", _shift_first_entry),
+    # the suite reads minkowski_check's verdicts, so a push is a failed verdict
+    "minkowski": (
+        "minkowski_check",
+        lambda rep, shift: rep._replace(lhs=rep.lhs + shift)
+        if math.isnan(shift) else rep._replace(satisfied=False),
+    ),
+}
+
+
+@pytest.mark.parametrize("shift", [1.0, math.nan], ids=["past-bound", "nan"])
+@pytest.mark.parametrize("suite", sorted(CORRUPTIONS))
+def test_verify_fails_on_one_bad_deviation(suite, shift, monkeypatch, tmp_path, capsys):
+    attr, corrupt = CORRUPTIONS[suite]
+    monkeypatch.setattr(cli, attr, _corrupt_first(getattr(cli, attr), lambda r: corrupt(r, shift)))
+    path = tmp_path / "v.csv"
+    code = run(["verify", "--suite", suite, "--trials", "10", "--seed", "3", "--out", str(path)])
+    out = capsys.readouterr().out
+    assert code == EXIT_VIOLATION and out.rstrip().endswith("FAIL")
+    printed = dict(kv.split("=") for kv in out.split()[2:-1])
+    assert int(printed["violations"]) >= 1
+    if math.isnan(shift):
+        assert printed["worst"] == "nan"
+    (section,) = read_tables(str(path))
+    row = dict(zip(section.columns, section.rows[0]))
+    for col in ("trials", "checks", "violations"):
+        assert int(row[col]) == int(printed[col])
+    assert f"{float(row['worst']):.3e}" == printed["worst"]
 
 
 def test_verify_unknown_suite():

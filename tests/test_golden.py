@@ -1,0 +1,63 @@
+"""Golden outputs: the exact bytes of a fixed set of commands.
+
+Each case runs ``polarlens`` in-process and compares its stdout, and for
+``verify`` also its ``--out`` CSV, with the files under ``tests/golden/``.
+A change that moves these bytes on purpose rewrites the files with
+``python tests/test_golden.py`` and says so in its change record.
+"""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from polarlens.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "polarize-bsc0.2-n7": ["polarize", "--channel", "bsc:0.2", "--n", "7",
+                           "--alpha", "0,0.1,0.5,1,2,10,100,inf"],
+    "polarize-bsc0.11-n5-sort-shannon": ["polarize", "--channel", "bsc:0.11", "--n", "5",
+                                         "--sort-shannon"],
+    "polarize-bsc0.2-n5": ["polarize", "--channel", "bsc:0.2", "--n", "5",
+                           "--alpha", "0.3,1,2.5,100"],
+    "entropy-bec0.35": ["entropy", "--channel", "bec:0.35"],
+    "example-extreme": ["example-extreme"],
+    **{
+        f"verify-{suite}": ["verify", "--suite", suite, "--trials", "20", "--seed", "5"]
+        for suite in ("chain", "lemma1", "martingale", "minkowski")
+    },
+    "verify-oracle": ["verify", "--suite", "oracle", "--trials", "2", "--seed", "5"],
+}
+
+
+def produce(name: str, workdir: Path) -> dict[str, bytes]:
+    """Run one case; map each golden file name to the bytes it should hold."""
+    argv = list(CASES[name])
+    out_file = workdir / f"{name}.csv"
+    if argv[0] == "verify":
+        argv += ["--out", str(out_file)]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == EXIT_OK
+    files = {f"{name}.txt": stdout.getvalue().encode()}
+    if argv[0] == "verify":
+        files[out_file.name] = out_file.read_bytes()
+    return files
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_output_matches_golden(name, tmp_path):
+    for file_name, got in produce(name, tmp_path).items():
+        assert got == (GOLDEN / file_name).read_bytes(), file_name
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in CASES:
+            for file_name, data in produce(case, Path(tmp)).items():
+                (GOLDEN / file_name).write_bytes(data)

@@ -74,8 +74,8 @@ def test_compound_pair_mass_and_conservation():
         rep = one_step_report(a, b, orders=ORDERS)
         for r in rep:
             assert abs(r.conservation_residual) <= 1e-9
-            assert r.minus_above_max
-            assert r.plus_below_min
+            assert r.minus >= max(r.parent_a, r.parent_b) - 1e-10
+            assert r.plus <= min(r.parent_a, r.parent_b) + 1e-10
 
 
 def test_one_step_bsc02_frozen_triples():
@@ -236,6 +236,14 @@ def test_child_entropies_budget_counts_the_streamed_grid():
     assert ((vals >= 0.0) & (vals <= 1.0)).all()
     with pytest.raises(CapacityError):
         child_entropies(root, (40.5,))
+
+
+def test_sweep_split_refusal_names_level_and_parent():
+    root = random_joint(np.random.default_rng(1), 60000, 60000)
+    with pytest.raises(CapacityError) as exc:
+        level_profile_sweep(root, 1, (40.5,))
+    message = str(exc.value)
+    assert "level 1" in message and "parent 1 of 1" in message and "order 40.5" in message
 
 
 SPLIT_ORDERS = (math.inf, 2.0, 0.0, 0.5, 1.0, 2.0, 40.5, 600.0)
