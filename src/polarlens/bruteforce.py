@@ -106,9 +106,13 @@ def brute_force_profile(
 
     Raises
     ------
+    ValueError
+        If ``level`` is negative.
     CapacityError
         If A**N * 2**N exceeds ``DEFAULT_STATE_CAP``.
     """
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
     orders = [as_order(o) for o in orders]
     finite = list(dict.fromkeys(o.alpha for o in orders if o.kind == "finite"))
     n = 1 << level
@@ -245,12 +249,12 @@ def minkowski_check(x, y, p: float) -> MinkowskiReport:
     linearly dependent.  This scalar fact drives the ordering of the minus
     child's entropy against its parents'.
     """
-    if p <= 0:
+    if not p > 0:
         raise ValueError("p must be positive")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if np.any(x < 0) or np.any(y < 0):
-        raise ValueError("vectors must be nonnegative")
+    if not (np.all(np.isfinite(x) & (x >= 0)) and np.all(np.isfinite(y) & (y >= 0))):
+        raise ValueError("vectors must be finite and nonnegative")
 
     def norm(v):
         vs = v[v > 0]

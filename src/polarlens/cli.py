@@ -289,19 +289,9 @@ def cmd_perturb(ns) -> int:
         if not alphas:
             raise ValueError("alphas needs at least one order")
         halvings = int(ns.halvings if ns.halvings is not None else raw.get("halvings", 5))
-        rows = []
-        for alpha in alphas:
-            spec = PerturbationSpec(
-                mode=raw["mode"],
-                base_weights=tuple(raw["base_weights"]),
-                deltas=tuple(raw["deltas"]),
-                order=as_order(alpha),
-            )
-            for row in perturbation_sweep(spec, halvings):
-                rows.append(
-                    [spec.mode, spec.order, row.scale, row.exact, row.approx, row.rel_error]
-                )
-    except (KeyError, TypeError, ValueError) as exc:
+        spec = PerturbationSpec(raw["mode"], raw["base_weights"], raw["deltas"])
+        rows = [[spec.mode, *row] for row in perturbation_sweep(spec, alphas, halvings)]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         print(f"perturb: malformed spec: {exc}", file=sys.stderr)
         return EXIT_USAGE
     section = make_section(

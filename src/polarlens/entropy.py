@@ -141,15 +141,18 @@ def renyi_entropy(probs, order, weights=None) -> float:
 
     ``weights`` are multiplicities: weight w at value p represents w symbols
     of probability p each, so the vector masses to sum(w * p) = 1.
-    Order 0 counts the positive entries.  A mass off 1 by more than
-    ``MASS_TOL`` raises DistributionError.
+    Order 0 counts the positive entries.  A negative entry, or a mass not
+    within ``MASS_TOL`` of 1 (as with any NaN or infinite entry), raises
+    DistributionError.
     """
     o = as_order(order)
     p = np.asarray(probs, dtype=np.float64).ravel()
     w = np.ones_like(p) if weights is None else np.asarray(weights, dtype=np.float64).ravel()
     err = abs(float(np.sum(w * p)) - 1.0)
-    if err > MASS_TOL:
+    if not err <= MASS_TOL:
         raise DistributionError(f"probability mass deviates from 1 by {err:.3e}")
+    if not np.minimum.reduce(np.minimum(p, w)) >= 0.0:
+        raise DistributionError("probabilities and weights must be nonnegative")
     if o.kind == "zero":
         return math.log2(float(np.sum(w[p > 0.0])))
     if o.kind == "one":

@@ -208,44 +208,34 @@ class PerturbationSpec:
 
     Both modes keep the output marginal exactly Q, so the deviation of the
     joint power sum from its unperturbed value isolates the entropy shift.
+    Every check is written so that NaN fails it.
     """
 
     mode: str
     base_weights: tuple[float, ...]
     deltas: tuple[float, ...]
-    order: Order
 
     def __post_init__(self):
         if self.mode not in ("uniform", "deterministic"):
             raise ValueError('mode must be "uniform" or "deterministic"')
+        if isinstance(self.base_weights, str) or isinstance(self.deltas, str):
+            raise TypeError("base_weights and deltas must be sequences, not strings")
         object.__setattr__(self, "base_weights", tuple(float(q) for q in self.base_weights))
         object.__setattr__(self, "deltas", tuple(float(v) for v in self.deltas))
-        object.__setattr__(self, "order", as_order(self.order))
         q = np.array(self.base_weights)
         dv = np.array(self.deltas)
         if q.size == 0 or q.size != dv.size:
             raise ValueError("base_weights and deltas must have equal positive length")
-        if np.any(q <= 0.0):
+        if not np.all(q > 0.0):
             raise ValueError("base weights must be positive")
-        if abs(float(q.sum()) - 1.0) > MASS_TOL:
+        if not abs(float(q.sum()) - 1.0) <= MASS_TOL:
             raise ValueError("base weights must sum to 1")
         if self.mode == "uniform":
-            if np.any(np.abs(dv) > q / 2.0):
+            if not np.all(np.abs(dv) <= q / 2.0):
                 raise ValueError("uniform mode needs |delta| <= Q/2 per symbol")
         else:
-            if np.any(dv < 0.0) or np.any(dv > q):
+            if not np.all((dv >= 0.0) & (dv <= q)):
                 raise ValueError("deterministic mode needs 0 <= delta <= Q per symbol")
-        if self.order.kind != "finite":
-            raise ValueError("perturbation study needs finite alpha > 0, != 1")
-
-    def scaled(self, factor: float) -> "PerturbationSpec":
-        """Same spec with every delta multiplied by ``factor``."""
-        return PerturbationSpec(
-            mode=self.mode,
-            base_weights=self.base_weights,
-            deltas=tuple(v * factor for v in self.deltas),
-            order=self.order,
-        )
 
 
 def perturbation_distribution(spec: PerturbationSpec) -> JointDistribution:
@@ -259,21 +249,21 @@ def perturbation_distribution(spec: PerturbationSpec) -> JointDistribution:
     return make_from_atoms(np.column_stack([p0, p1, np.ones_like(q)]))
 
 
-def _perturbation_deviations(spec: PerturbationSpec) -> tuple[float, float]:
-    """(exact, approx) deviations of the spec, from one pass over its symbols.
+def _perturbation_deviations(spec, order: Order, scale: float) -> tuple[float, float]:
+    """(exact, approx) deviations at one order, with every delta times ``scale``.
 
-    The number type carries the arithmetic policy perturbation_exact
-    states: Fraction for integral orders, 50-digit mpf for all others.
+    One pass over the symbols; the number type carries the arithmetic
+    policy perturbation_sweep states.
     """
-    if spec.order.is_integer:
-        num_t, a, precision = Fraction, int(spec.order.alpha), nullcontext()
+    if order.is_integer:
+        num_t, a, precision = Fraction, int(order.alpha), nullcontext()
     else:
-        num_t, a, precision = mpmath.mpf, mpmath.mpf(spec.order.alpha), mpmath.workdps(50)
+        num_t, a, precision = mpmath.mpf, mpmath.mpf(order.alpha), mpmath.workdps(50)
     with precision:
         num = den = acc = num_t(0)
         for qf, df in zip(spec.base_weights, spec.deltas):
             q = num_t(qf)
-            dv = num_t(df)
+            dv = num_t(df * scale)
             den += q**a
             if spec.mode == "uniform":
                 num += (q / 2 + dv) ** a + (q / 2 - dv) ** a
@@ -291,56 +281,54 @@ def _perturbation_deviations(spec: PerturbationSpec) -> tuple[float, float]:
         return float(num / den - 1), float(acc / den)
 
 
-def perturbation_exact(spec: PerturbationSpec) -> float:
-    """The exact power-sum deviation of the perturbed joint.
-
-    uniform:       Delta = sum[(Q/2+d)^a + (Q/2-d)^a] / (2^(1-a) sum Q^a) - 1
-    deterministic: Delta = sum[d^a + (Q-d)^a] / (sum Q^a) - 1
-
-    Integral orders are evaluated in exact rational arithmetic (binary64
-    inputs are exact rationals), everything else at 50 digits, so the
-    small-delta cancellation in the trailing "- 1" costs no precision.
-    """
-    return _perturbation_deviations(spec)[0]
-
-
-def perturbation_approx(spec: PerturbationSpec) -> float:
-    """The small-perturbation approximation of the deviation.
-
-    uniform:       2 a (a-1) sum[d^2 Q^(a-2)] / sum Q^a   (second order;
-                   terminates the expansion, so it is exact at a = 2, 3)
-    deterministic: (sum d^a - a sum[d Q^(a-1)]) / sum Q^a
-
-    Arithmetic policy matches perturbation_exact, so comparisons between
-    the two measure the approximation, not the evaluator.
-    """
-    return _perturbation_deviations(spec)[1]
-
-
 class PerturbationRow(NamedTuple):
+    order: Order
     scale: float
     exact: float
     approx: float
     rel_error: float
 
 
-def perturbation_sweep(spec: PerturbationSpec, halvings: int = 5) -> list[PerturbationRow]:
-    """exact vs approx deviation as the deltas are halved repeatedly.
+def perturbation_sweep(
+    spec: PerturbationSpec, orders: Sequence, halvings: int = 5
+) -> list[PerturbationRow]:
+    """exact vs approx deviation at each order as the deltas are halved.
 
-    Scale 1 is the spec as given; each subsequent row halves the deltas.
-    rel_error is |approx - exact| / |exact| (0 when both vanish).
+    Rows run order by order; within one, scale 1 is the spec as given and
+    each later row halves the deltas.  Every order must be finite, > 0 and
+    != 1, and all are checked before any is evaluated.
+
+    exact, the power-sum deviation of the perturbed joint:
+      uniform:       sum[(Q/2+d)^a + (Q/2-d)^a] / (2^(1-a) sum Q^a) - 1
+      deterministic: sum[d^a + (Q-d)^a] / (sum Q^a) - 1
+    approx, its small-perturbation approximation:
+      uniform:       2 a (a-1) sum[d^2 Q^(a-2)] / sum Q^a   (second order;
+                     terminates the expansion, so it is exact at a = 2, 3)
+      deterministic: (sum d^a - a sum[d Q^(a-1)]) / sum Q^a
+
+    Both are evaluated in exact rational arithmetic at integral orders
+    (binary64 inputs are exact rationals) and at 50 digits elsewhere, so
+    the small-delta cancellation in the trailing "- 1" costs no precision
+    and the rel_error |approx - exact| / |exact| (0 when both vanish)
+    measures the approximation, not the evaluator.
     """
+    if isinstance(orders, str):
+        raise TypeError(f"orders must be a sequence, not the string {orders!r}")
+    orders = [as_order(o) for o in orders]
+    if any(o.kind != "finite" for o in orders):
+        raise ValueError("perturbation study needs finite alpha > 0, != 1")
     if halvings < 0:
         raise ValueError(f"halvings must be >= 0, got {halvings}")
     rows = []
-    for k in range(halvings + 1):
-        scale = 0.5**k
-        exact, approx = _perturbation_deviations(spec.scaled(scale))
-        if exact == 0.0:
-            rel = 0.0 if approx == 0.0 else math.inf
-        else:
-            rel = abs(approx - exact) / abs(exact)
-        rows.append(PerturbationRow(scale, exact, approx, rel))
+    for order in orders:
+        for k in range(halvings + 1):
+            scale = 0.5**k
+            exact, approx = _perturbation_deviations(spec, order, scale)
+            if exact == 0.0:
+                rel = 0.0 if approx == 0.0 else math.inf
+            else:
+                rel = abs(approx - exact) / abs(exact)
+            rows.append(PerturbationRow(order, scale, exact, approx, rel))
     return rows
 
 

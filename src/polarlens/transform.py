@@ -373,11 +373,6 @@ def _proxy_pair_sum(view: _RatioView, alpha: float) -> float:
     return 2.0 * top + _pair_grid_sum(view.proxy_ratios, lu, alpha, np.sign(u))
 
 
-def _uses_moments(alpha: float) -> bool:
-    """True where the minus child's power sum comes from the moment expansion."""
-    return float(alpha).is_integer() and 2 <= alpha <= _MOMENT_MAX_ORDER
-
-
 def _xlog2x(values: np.ndarray) -> np.ndarray:
     """Elementwise v * log2(v), taking 0 * log2(0) as 0."""
     out = np.zeros_like(values)
@@ -516,7 +511,7 @@ def _split_kernel(parent: JointDistribution, view, o: Order):
     if o.kind == "one":
         return v.proxy_ratios, lambda: _shannon_children(parent, v)
     a = o.alpha
-    if _uses_moments(a):
+    if o.is_integer and a <= _MOMENT_MAX_ORDER:
         grid, pair = None, lambda: _pair_moment_sum(v, int(a))
     elif a <= _PROXY_MAX_ORDER:
         grid, pair = v.proxy_ratios, lambda: _proxy_pair_sum(v, a)

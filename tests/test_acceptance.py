@@ -24,8 +24,6 @@ from polarlens import (
     level_profile_sweep,
     make_bsc,
     one_step_report,
-    perturbation_approx,
-    perturbation_exact,
     perturbation_sweep,
     random_joint,
 )
@@ -191,24 +189,17 @@ def test_criterion_08_designed_source_sweep():
 
 def test_criterion_09_perturbation_accuracy():
     t0 = time.perf_counter()
-    uni2 = PerturbationSpec(
-        mode="uniform", base_weights=(1.0,), deltas=(0.01,), order=2.0
-    )
-    rel2 = [r.rel_error for r in perturbation_sweep(uni2, halvings=5)]
+    uni = PerturbationSpec(mode="uniform", base_weights=(1.0,), deltas=(0.01,))
+    rel2 = [r.rel_error for r in perturbation_sweep(uni, [2.0], halvings=5)]
     closed2 = all(
         abs(r.exact - 4.0 * (0.01 * r.scale) ** 2) <= 1e-12 * abs(r.exact)
-        for r in perturbation_sweep(uni2, halvings=5)
+        for r in perturbation_sweep(uni, [2.0], halvings=5)
     )
-    uni3 = PerturbationSpec(
-        mode="uniform", base_weights=(1.0,), deltas=(0.01,), order=3.0
-    )
-    rel3 = [r.rel_error for r in perturbation_sweep(uni3, halvings=5)]
+    rel3 = [r.rel_error for r in perturbation_sweep(uni, [3.0], halvings=5)]
     shrinking = all(b <= a for a, b in zip(rel3, rel3[1:]))
-    det = PerturbationSpec(
-        mode="deterministic", base_weights=(0.5, 0.5), deltas=(1e-4, 1e-4), order=0.5
-    )
-    exact = perturbation_exact(det)
-    approx = perturbation_approx(det)
+    det = PerturbationSpec(mode="deterministic", base_weights=(0.5, 0.5), deltas=(1e-4, 1e-4))
+    [row] = perturbation_sweep(det, [0.5], halvings=0)
+    exact, approx = row.exact, row.approx
     det_ok = (
         abs(exact - 0.014042) <= 1e-6
         and abs(approx - exact) / abs(exact) <= 1e-6

@@ -131,6 +131,11 @@ def test_brute_force_state_cap():
         brute_force_profile(d, 3, orders=(1.0,))
 
 
+def test_brute_force_rejects_negative_level():
+    with pytest.raises(ValueError, match="level"):
+        brute_force_profile(make_bsc(0.2), -1, orders=(1.0,))
+
+
 def test_brute_force_mass_guard():
     d = make_from_atoms([(0.25, 0.25, 1.0)], normalization_tol=None)
     with pytest.raises(DistributionError):
@@ -179,6 +184,18 @@ def test_minkowski_directions():
             assert rep.lhs <= rep.rhs + 1e-12
         else:
             assert rep.lhs >= rep.rhs - 1e-12
+
+
+def test_minkowski_rejects_nan_and_negative_inputs():
+    for x, y, p in (
+        ([math.nan, 1.0], [1.0, 1.0], 2.0),
+        ([1.0, 1.0], [1.0, math.inf], 2.0),
+        ([1.0, -1.0], [1.0, 1.0], 2.0),
+        ([1.0, 1.0], [1.0, 1.0], math.nan),
+        ([1.0, 1.0], [1.0, 1.0], 0.0),
+    ):
+        with pytest.raises(ValueError):
+            minkowski_check(x, y, p)
 
 
 def test_minkowski_equality_on_parallel_vectors():

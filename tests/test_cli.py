@@ -237,6 +237,21 @@ def test_perturb_bad_spec(tmp_path, capsys):
     assert run(["perturb", "--spec", str(spec)]) == EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1 and "alpha" in err
+    # a string is not a list of orders; NaN and Infinity are JSON to Python
+    for bad in (
+        {"alphas": "23"},
+        {"alphas": "2.5"},
+        {"base_weights": "1"},
+        {"alpha": 2.5, "deltas": [math.nan]},
+        {"alpha": 2.5, "base_weights": [0.5, math.nan], "deltas": [0.01, 0.0]},
+        {"alpha": 2.5, "deltas": [math.inf]},
+        {"halvings": math.inf},
+    ):
+        spec.write_text(json.dumps({**good, **bad}))
+        assert run(["perturb", "--spec", str(spec)]) == EXIT_USAGE, bad
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("perturb: malformed spec: ") == 1, bad
+        assert len(err.splitlines()) == 1, bad
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from polarlens import (
+    DistributionError,
     MAX_FINITE_ORDER,
     ORDER_INF,
     ORDER_ONE,
@@ -101,6 +102,17 @@ def test_renyi_entropy_uniform_and_deterministic():
 def test_renyi_entropy_mass_check():
     with pytest.raises(ValueError):
         renyi_entropy(np.array([0.3, 0.3]), 2.0)
+    # a negative entry with a mass of 1; a NaN or infinite entry, whose mass
+    # is NaN or infinite
+    for probs, weights in (
+        ([1.5, -0.5], None),
+        ([math.nan, 1.0], None),
+        ([1.0, math.inf], None),
+        ([0.5, 0.5], [3.0, -1.0]),
+        ([1.0, 0.0], [1.0, math.nan]),
+    ):
+        with pytest.raises(DistributionError):
+            renyi_entropy(probs, 2.0, weights)
 
 
 def test_bsc_conditional_frozen_values():

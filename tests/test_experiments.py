@@ -22,9 +22,7 @@ from polarlens import (
     high_entropy_indices,
     make_bsc,
     make_from_atoms,
-    perturbation_approx,
     perturbation_distribution,
-    perturbation_exact,
     perturbation_sweep,
 )
 from polarlens.distributions import _freeze
@@ -118,7 +116,7 @@ def test_extreme_closed_form_large_order_no_overflow():
 
 
 def test_perturbation_spec_validation():
-    ok = dict(mode="uniform", base_weights=(0.5, 0.5), deltas=(0.1, -0.1), order=2.0)
+    ok = dict(mode="uniform", base_weights=(0.5, 0.5), deltas=(0.1, -0.1))
     PerturbationSpec(**ok)
     with pytest.raises(ValueError):
         PerturbationSpec(**{**ok, "mode": "other"})
@@ -127,35 +125,40 @@ def test_perturbation_spec_validation():
     with pytest.raises(ValueError):
         PerturbationSpec(**{**ok, "base_weights": (0.5, 0.4)})  # sum != 1
     with pytest.raises(ValueError):
-        PerturbationSpec(**{**ok, "order": "inf"})
+        perturbation_sweep(PerturbationSpec(**ok), ["inf"])
     with pytest.raises(ValueError):
-        PerturbationSpec(
-            mode="deterministic", base_weights=(0.5, 0.5), deltas=(-0.1, 0.0), order=2.0
-        )
-    assert len(perturbation_sweep(PerturbationSpec(**ok), halvings=0)) == 1
+        PerturbationSpec(mode="deterministic", base_weights=(0.5, 0.5), deltas=(-0.1, 0.0))
+    assert len(perturbation_sweep(PerturbationSpec(**ok), [2.0], halvings=0)) == 1
     with pytest.raises(ValueError, match="halvings"):
-        perturbation_sweep(PerturbationSpec(**ok), halvings=-1)
+        perturbation_sweep(PerturbationSpec(**ok), [2.0], halvings=-1)
+    # every check fails on NaN, in either mode
+    for mode in ("uniform", "deterministic"):
+        for q, dv in (((1.0,), (math.nan,)), ((0.5, math.nan), (0.01, 0.0))):
+            with pytest.raises(ValueError):
+                PerturbationSpec(mode, q, dv)
+    # weights, deltas and orders are sequences; all orders are checked first
+    with pytest.raises(TypeError, match="strings"):
+        PerturbationSpec("uniform", "1", (0.01,))
+    for orders in ("23", "2.5"):
+        with pytest.raises(TypeError, match="string"):
+            perturbation_sweep(PerturbationSpec(**ok), orders)
+    with pytest.raises(ValueError, match="finite alpha"):
+        perturbation_sweep(PerturbationSpec(**ok), [2.0, 3.0, 1])
 
 
 def test_perturbation_distribution_marginals():
-    spec = PerturbationSpec(
-        mode="uniform", base_weights=(0.6, 0.4), deltas=(0.05, -0.02), order=2.0
-    )
+    spec = PerturbationSpec(mode="uniform", base_weights=(0.6, 0.4), deltas=(0.05, -0.02))
     d = perturbation_distribution(spec)
     assert d.symbol_mass.tolist() == pytest.approx([0.6, 0.4])
-    spec = PerturbationSpec(
-        mode="deterministic", base_weights=(0.5, 0.5), deltas=(0.1, 0.0), order=2.0
-    )
+    spec = PerturbationSpec(mode="deterministic", base_weights=(0.5, 0.5), deltas=(0.1, 0.0))
     d = perturbation_distribution(spec)
     assert d.symbol_mass.tolist() == pytest.approx([0.5, 0.5])
 
 
 def test_uniform_alpha2_approximation_is_exact():
     # expansion terminates at the quadratic term, so rel_error is literal 0
-    spec = PerturbationSpec(
-        mode="uniform", base_weights=(1.0,), deltas=(0.01,), order=2.0
-    )
-    for row in perturbation_sweep(spec, halvings=5):
+    spec = PerturbationSpec(mode="uniform", base_weights=(1.0,), deltas=(0.01,))
+    for row in perturbation_sweep(spec, [2.0], halvings=5):
         assert row.rel_error == 0.0
         q_delta = 0.01 * row.scale
         assert row.exact == pytest.approx(4.0 * q_delta**2, rel=1e-12)
@@ -163,48 +166,43 @@ def test_uniform_alpha2_approximation_is_exact():
 
 def test_uniform_alpha3_approximation_is_exact():
     spec = PerturbationSpec(
-        mode="uniform", base_weights=(0.5, 0.3, 0.2), deltas=(0.1, -0.05, 0.02), order=3.0
+        mode="uniform", base_weights=(0.5, 0.3, 0.2), deltas=(0.1, -0.05, 0.02)
     )
-    for row in perturbation_sweep(spec, halvings=5):
+    for row in perturbation_sweep(spec, [3.0], halvings=5):
         assert row.rel_error == 0.0
 
 
 def test_deterministic_alpha3_error_strictly_shrinks():
-    spec = PerturbationSpec(
-        mode="deterministic", base_weights=(0.5, 0.5), deltas=(0.01, 0.01), order=3.0
-    )
-    rows = perturbation_sweep(spec, halvings=5)
+    spec = PerturbationSpec(mode="deterministic", base_weights=(0.5, 0.5), deltas=(0.01, 0.01))
+    rows = perturbation_sweep(spec, [3.0], halvings=5)
     errs = [r.rel_error for r in rows]
     assert all(b < a for a, b in zip(errs, errs[1:])), errs
 
 
 def test_deterministic_half_order_spot_value():
-    spec = PerturbationSpec(
-        mode="deterministic", base_weights=(0.5, 0.5), deltas=(1e-4, 1e-4), order=0.5
-    )
-    exact = perturbation_exact(spec)
-    approx = perturbation_approx(spec)
+    spec = PerturbationSpec(mode="deterministic", base_weights=(0.5, 0.5), deltas=(1e-4, 1e-4))
+    [row] = perturbation_sweep(spec, [0.5], halvings=0)
+    exact, approx = row.exact, row.approx
     assert exact == pytest.approx(0.014042, abs=5e-6)
     assert abs(approx - exact) / abs(exact) <= 1e-6
 
 
 def test_mpmath_branch_agrees_with_direct_float():
-    spec = PerturbationSpec(
-        mode="uniform", base_weights=(0.7, 0.3), deltas=(0.01, -0.003), order=2.5
-    )
+    spec = PerturbationSpec(mode="uniform", base_weights=(0.7, 0.3), deltas=(0.01, -0.003))
     q = np.array(spec.base_weights)
     dv = np.array(spec.deltas)
     a = 2.5
     direct = float(
         np.sum((q / 2 + dv) ** a + (q / 2 - dv) ** a) / (2 ** (1 - a) * np.sum(q**a)) - 1
     )
-    assert perturbation_exact(spec) == pytest.approx(direct, rel=1e-10)
+    [row] = perturbation_sweep(spec, [a], halvings=0)
+    assert row.exact == pytest.approx(direct, rel=1e-10)
 
 
-def _reference_deviations(spec):
+def _reference_deviations(spec, order, scale):
     """One loop per number type and form, as before the evaluators merged."""
-    a_ord = spec.order
-    pairs = list(zip(spec.base_weights, spec.deltas))
+    a_ord = as_order(order)
+    pairs = [(q, d * scale) for q, d in zip(spec.base_weights, spec.deltas)]
     if a_ord.kind == "finite" and float(a_ord.alpha).is_integer() and a_ord.alpha >= 2.0:
         a = int(a_ord.alpha)
         num = den = acc = Fraction(0)
@@ -262,23 +260,24 @@ def test_perturbation_evaluator_matches_per_type_reference_bitwise():
         # the zero delta hits 0**a at non-integral orders
         ("deterministic", (0.4, 0.3, 0.2, 0.1), (0.01, 0.0, 0.002, 0.0005)),
     )
+    alphas = (2.0, 3.0, 0.5, 2.5, 7.5)
+    scales = (1.0, 0.5, 0.25, 0.125)
     for mode, q, dv in specs:
-        for alpha in (2.0, 3.0, 0.5, 2.5, 7.5):
-            spec = PerturbationSpec(mode=mode, base_weights=q, deltas=dv, order=alpha)
-            rows = perturbation_sweep(spec, halvings=3)
-            for row in rows:
-                want = _reference_deviations(spec.scaled(row.scale))
-                assert (row.exact, row.approx) == want, (mode, alpha, row.scale)
-            assert perturbation_exact(spec) == rows[0].exact
-            assert perturbation_approx(spec) == rows[0].approx
+        spec = PerturbationSpec(mode=mode, base_weights=q, deltas=dv)
+        rows = perturbation_sweep(spec, alphas, halvings=3)
+        # order by order, and scale by scale within each order
+        assert [(r.order, r.scale) for r in rows] == [
+            (as_order(a), s) for a in alphas for s in scales
+        ]
+        for row in rows:
+            want = _reference_deviations(spec, row.order, row.scale)
+            assert (row.exact, row.approx) == want, (mode, row.order, row.scale)
 
 
 def test_exact_matches_entropy_shift_direction():
     # positive deviation of the joint power sum at a > 1 lowers the entropy
-    spec = PerturbationSpec(
-        mode="uniform", base_weights=(0.5, 0.5), deltas=(0.05, 0.05), order=2.0
-    )
-    assert perturbation_exact(spec) > 0.0
+    spec = PerturbationSpec(mode="uniform", base_weights=(0.5, 0.5), deltas=(0.05, 0.05))
+    assert perturbation_sweep(spec, [2.0], halvings=0)[0].exact > 0.0
     d = perturbation_distribution(spec)
     assert conditional_renyi(d, 2.0) < 1.0
 
