@@ -9,8 +9,10 @@ channel and a better "plus" channel.  At every order alpha the pair obeys
 
 so each step spreads entropies toward the endpoints while the total is
 conserved.  The script shows the transformed atoms for a small channel,
-then the entropy split at several orders, including a compound step that
-combines two different channels.
+in canonical orientation (p0 >= p1, with bitwise-equal atoms merged, so
+the mirror-image atoms of BSC(0.2)'s children show up once at double
+weight), then the entropy split at several orders, including a compound
+step that combines two different channels.
 """
 
 import math
@@ -18,7 +20,7 @@ import math
 from polarlens import make_bsc, one_step_report, transform_pair
 
 d = make_bsc(0.2)
-pair = transform_pair(d, canonical=False)
+pair = transform_pair(d)
 
 print("BSC(0.2) atoms:", [(a.p0, a.p1, a.weight) for a in d.atoms()])
 print("minus atoms:   ", [(round(a.p0, 4), round(a.p1, 4), a.weight) for a in pair.minus.atoms()])

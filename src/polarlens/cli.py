@@ -288,7 +288,7 @@ def cmd_perturb(ns) -> int:
         alphas = raw["alphas"] if "alphas" in raw else [raw["alpha"]]
         if not alphas:
             raise ValueError("alphas needs at least one order")
-        halvings = int(ns.halvings if ns.halvings is not None else raw.get("halvings", 5))
+        halvings = ns.halvings if ns.halvings is not None else raw.get("halvings", 5)
         spec = PerturbationSpec(raw["mode"], raw["base_weights"], raw["deltas"])
         rows = [[spec.mode, *row] for row in perturbation_sweep(spec, alphas, halvings)]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -16,6 +16,7 @@ downstream are not invariant under that operation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -116,7 +117,7 @@ def _from_arrays(
     d = JointDistribution(_freeze(p0), _freeze(p1), _freeze(weight))
     if normalization_tol is not None:
         err = abs(d.mass - 1.0)
-        if err > normalization_tol:
+        if not err <= normalization_tol:
             raise DistributionError(
                 f"total mass deviates from 1 by {err:.3e} "
                 f"(tolerance {normalization_tol:.1e})"
@@ -142,12 +143,16 @@ def make_from_atoms(
     Raises
     ------
     DistributionError
-        On negative or non-finite entries, non-positive weights,
-        zero-mass atoms, or a normalization failure.
+        On an atom that is not a pair or triple of numbers, negative or
+        non-finite entries, non-positive weights, zero-mass atoms, or a
+        normalization failure.
     """
     rows = []
     for atom in atoms:
-        t = tuple(float(v) for v in atom)
+        try:
+            t = tuple(float(v) for v in atom)
+        except (TypeError, ValueError):
+            t = ()  # not a sequence of numbers: refused below
         if len(t) == 2:
             t = (*t, 1.0)
         if len(t) != 3:
@@ -224,52 +229,41 @@ def random_joint(
     return _from_arrays(raw[0], raw[1], np.ones(k))
 
 
-def _sort_and_group(p0: np.ndarray, p1: np.ndarray, weight: np.ndarray):
-    """Lexsort atoms by (p0, p1) and sum weights over bitwise-equal pairs."""
-    order = np.lexsort((p1, p0))
-    p0, p1, weight = p0[order], p1[order], weight[order]
-    boundary = np.empty(p0.shape[0], dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (p0[1:] != p0[:-1]) | (p1[1:] != p1[:-1])
-    starts = np.flatnonzero(boundary)
-    return p0[starts], p1[starts], np.add.reduceat(weight, starts)
-
-
-def dedup(d: JointDistribution) -> JointDistribution:
-    """Merge bitwise-identical atoms by summing their weights.
-
-    The result is sorted by (p0, p1), which also makes downstream output
-    deterministic.  Every weighted sum over atoms, and hence every entropy
-    computed from them, is preserved exactly up to float summation order.
-    """
-    p0, p1, w = _sort_and_group(d.p0, d.p1, d.weight)
-    return JointDistribution(_freeze(p0), _freeze(p1), _freeze(w))
-
-
 def canonicalize_orientation(d: JointDistribution) -> JointDistribution:
-    """Reorient every atom so p0 >= p1, then dedup.
+    """Reorient every atom so p0 >= p1, then merge bitwise-equal atoms.
 
     Flipping the input label per output symbol changes the joint law of
     (X, Y) but no conditional entropy of it or of any transform descendant,
     because the one-step construction commutes with per-symbol flips.
     Canonical orientation exposes many more bitwise duplicates, which is
-    what keeps deep synthesis tractable.
+    what keeps deep synthesis tractable.  Merged atoms sum their weights,
+    and the result is sorted by (p0, p1), so it does not depend on the
+    order of the input atoms.
     """
     hi = np.maximum(d.p0, d.p1)
     lo = np.minimum(d.p0, d.p1)
-    p0, p1, w = _sort_and_group(hi, lo, d.weight)
-    return JointDistribution(_freeze(p0), _freeze(p1), _freeze(w))
+    order = np.lexsort((lo, hi))
+    p0, p1, weight = hi[order], lo[order], d.weight[order]
+    boundary = np.empty(p0.shape[0], dtype=bool)
+    boundary[0] = True
+    boundary[1:] = (p0[1:] != p0[:-1]) | (p1[1:] != p1[:-1])
+    starts = np.flatnonzero(boundary)
+    return JointDistribution(
+        _freeze(p0[starts]), _freeze(p1[starts]), _freeze(np.add.reduceat(weight, starts))
+    )
 
 
 def from_json_dict(obj: dict) -> JointDistribution:
     """Build a distribution from the JSON file schema.
 
     Expected shape: {"atoms": [[p0, p1, weight], ...]} with an optional
-    "normalization_tol" override of ``MASS_TOL``.
+    "normalization_tol" override of ``MASS_TOL``, a finite number >= 0.
     """
-    if not isinstance(obj, dict) or "atoms" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("atoms"), list):
         raise DistributionError('distribution JSON must contain an "atoms" list')
-    tol = float(obj.get("normalization_tol", MASS_TOL))
+    tol = obj.get("normalization_tol", MASS_TOL)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < math.inf:
+        raise DistributionError(f'"normalization_tol" must be a finite number >= 0, not {tol!r}')
     return make_from_atoms(obj["atoms"], normalization_tol=tol)
 
 

@@ -9,6 +9,7 @@ can be driven equally from tests, scripts, or the command line.
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
@@ -296,7 +297,8 @@ def perturbation_sweep(
 
     Rows run order by order; within one, scale 1 is the spec as given and
     each later row halves the deltas.  Every order must be finite, > 0 and
-    != 1, and all are checked before any is evaluated.
+    != 1, and all are checked before any is evaluated; ``halvings`` must be
+    an integer >= 0.
 
     exact, the power-sum deviation of the perturbed joint:
       uniform:       sum[(Q/2+d)^a + (Q/2-d)^a] / (2^(1-a) sum Q^a) - 1
@@ -317,6 +319,8 @@ def perturbation_sweep(
     orders = [as_order(o) for o in orders]
     if any(o.kind != "finite" for o in orders):
         raise ValueError("perturbation study needs finite alpha > 0, != 1")
+    if isinstance(halvings, bool) or not isinstance(halvings, numbers.Integral):
+        raise TypeError(f"halvings must be an integer, got {halvings!r}")
     if halvings < 0:
         raise ValueError(f"halvings must be >= 0, got {halvings}")
     rows = []

@@ -15,12 +15,12 @@ pair of parent atoms (a0, a1, wa) and (b0, b1, wb):
 Plus atoms of zero mass (both coordinates zero) are dropped; they are
 output symbols that never occur.
 
-When a channel is combined with itself and the children are put in
-canonical orientation, the product is a symmetric triangle rather than a
-full square: pair (j, i) gives bitwise the same minus atom as (i, j),
-and the same plus atoms up to an input flip.  So only pairs i <= j are
-built, off-diagonal ones at weight 2*wi*wj, and canonical dedup sorts
-half as many atoms.
+Children always come out in canonical orientation (p0 >= p1 per atom,
+bitwise-equal atoms merged).  When a channel is combined with itself the
+product is then a symmetric triangle rather than a full square: pair
+(j, i) gives bitwise the same minus atom as (i, j), and the same plus
+atoms up to an input flip.  So only pairs i <= j are built, off-diagonal
+ones at weight 2*wi*wj, and the canonical merge sorts half as many atoms.
 
 Materializing subchannels squares the atom count per level, so deep
 profiles are computed without building the final level.  For a parent
@@ -55,7 +55,6 @@ from .distributions import (
     DistributionError,
     JointDistribution,
     canonicalize_orientation,
-    dedup,
     _freeze,
 )
 from .entropy import (
@@ -68,7 +67,7 @@ from .entropy import (
     snap_to_unit,
 )
 
-#: Refuse transforms whose raw (pre-dedup) output would exceed this many atoms.
+#: Refuse transforms whose raw (pre-merge) output would exceed this many atoms.
 DEFAULT_ATOM_CAP = 50_000_000
 
 #: Split evaluation streams its pair grids in constant memory, so its work
@@ -98,26 +97,26 @@ def transform_pair(
     b: JointDistribution | None = None,
     *,
     atom_cap: int = DEFAULT_ATOM_CAP,
-    canonical: bool = True,
 ) -> TransformPair:
     """Apply one polar step to two independent parents (b defaults to a).
 
-    Outputs are deduplicated; with ``canonical`` they are additionally
-    reoriented so p0 >= p1 per atom, which shrinks them further without
-    touching any entropy of theirs or of their descendants.
+    Both children come out in canonical orientation (see
+    :func:`canonicalize_orientation`): every atom has p0 >= p1, and
+    bitwise-equal atoms are merged.  No entropy of the children or of
+    their descendants depends on the orientation.
 
-    A canonical step of a channel with itself builds only the atom pairs
-    (i, j) with j >= i, giving off-diagonal pairs weight 2 wi wj: pair
-    (j, i) yields bitwise the same minus atom and the same plus atoms up
-    to an input flip, which canonical orientation folds.  Every other
-    call builds the full outer product.
+    A step of a channel with itself (``b`` is None or ``a`` itself) builds
+    only the atom pairs (i, j) with j >= i, giving off-diagonal pairs
+    weight 2 wi wj: pair (j, i) yields bitwise the same minus atom and the
+    same plus atoms up to an input flip, which the orientation folds.  Two
+    distinct parents get the full outer product.
 
     Raises
     ------
     CapacityError
         If the raw product would exceed ``atom_cap`` atoms.
     """
-    triangle = canonical and (b is None or b is a)
+    triangle = b is None or b is a
     if b is None:
         b = a
     na, nb = a.n_atoms, b.n_atoms
@@ -158,9 +157,7 @@ def transform_pair(
     parts = [build(s) for s in range(0, na, rows)]
     minus = _stack_atoms([p[0] for p in parts])
     plus = _stack_atoms([p[1] for p in parts] + [p[2] for p in parts])
-
-    post = canonicalize_orientation if canonical else dedup
-    return TransformPair(post(minus), post(plus))
+    return TransformPair(canonicalize_orientation(minus), canonicalize_orientation(plus))
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +609,7 @@ def level_profile(
 ) -> PolarizationProfile:
     """Entropies of all 2**level subchannels of ``root``.
 
-    Internal levels 0 .. level-1 are materialized (deduplicated, canonical);
+    Internal levels 0 .. level-1 are materialized (canonical, merged);
     the final level is evaluated by the split rules, so the quadratic blowup
     of the last transform never happens.  Subchannel i's parent is
     ceil(i / 2): children (2j - 1, 2j) of parent j are its minus and plus
@@ -671,7 +668,7 @@ def level_profile_sweep(
         if lvl < max_level:
             nxt = []
             for parent in current:
-                nxt.extend(transform_pair(parent, atom_cap=atom_cap, canonical=True))
+                nxt.extend(transform_pair(parent, atom_cap=atom_cap))
             current = nxt
     return profiles
 
@@ -703,7 +700,7 @@ def one_step_report(
     """
     if b is None:
         b = a
-    pair = transform_pair(a, b, canonical=False)
+    pair = transform_pair(a, b)
     reports = []
     for o in (as_order(x) for x in orders):
         ha = conditional_renyi(a, o)

@@ -1,11 +1,15 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarlens import cli
 from polarlens.cli import (
@@ -246,6 +250,9 @@ def test_perturb_bad_spec(tmp_path, capsys):
         {"alpha": 2.5, "base_weights": [0.5, math.nan], "deltas": [0.01, 0.0]},
         {"alpha": 2.5, "deltas": [math.inf]},
         {"halvings": math.inf},
+        {"halvings": 1.9},
+        {"halvings": True},
+        {"halvings": "2"},
     ):
         spec.write_text(json.dumps({**good, **bad}))
         assert run(["perturb", "--spec", str(spec)]) == EXIT_USAGE, bad
@@ -374,6 +381,84 @@ def test_bad_channel_exit_codes(capsys):
     assert run(["entropy", "--channel", "bsc:1.5"]) == EXIT_USAGE
     assert run(["entropy", "--channel", "file:/does/not/exist.json"]) == EXIT_USAGE
     assert "polarlens:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        # NaN passed the mass check and printed entries outside [0, 1]
+        {"atoms": [[0.3, 0.1, 1], [0.1, 0.1, 1]], "normalization_tol": math.nan},
+        {"atoms": [[0.45, 0.05, 1], [0.05, 0.45, 1]], "normalization_tol": -1e-9},
+        {"atoms": [[0.45, 0.05, 1], [0.05, 0.45, 1]], "normalization_tol": None},
+        {"atoms": [[0.45, 0.05, 1], [0.05, 0.45, 1]], "normalization_tol": [1]},
+        {"atoms": 5},
+        {"atoms": [0.5]},
+    ],
+    ids=["tol-nan", "tol-negative", "tol-null", "tol-list", "atoms-number", "atom-number"],
+)
+def test_malformed_distribution_file_exits_2(blob, tmp_path, capsys):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(blob))
+    code = run(["polarize", "--channel", f"file:{path}", "--n", "1", "--alpha", "0.5,1,2"])
+    assert code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("polarlens: ")
+    assert ("normalization_tol" if "normalization_tol" in blob else "atom") in err
+
+
+#: Valid inputs of the two JSON files the CLI reads; the fuzz below swaps
+#: one value for a small JSON value and wants exit 0, or 2 with one line.
+FUZZ_BASES = {
+    "perturb": {
+        "mode": "uniform",
+        "base_weights": [0.5, 0.5],
+        "deltas": [0.01, -0.02],
+        "alphas": [2, 2.5],
+        "halvings": 1,
+    },
+    "entropy": {
+        "atoms": [[0.45, 0.05, 1.0], [0.05, 0.2, 1.0], [0.125, 0.125, 1.0]],
+        "normalization_tol": 1e-9,
+    },
+}
+
+# integers stay small: a large valid halvings count is slow, not wrong
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 8),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1.9]),
+)
+_JSON_VALUES = st.one_of(
+    _JSON_SCALARS,
+    st.text(max_size=3),
+    st.lists(_JSON_SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=2), _JSON_SCALARS, max_size=2),
+)
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZ_BASES))
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_json_inputs_exit_0_or_2(kind, data, tmp_path_factory):
+    blob = dict(FUZZ_BASES[kind])
+    key = data.draw(st.sampled_from(sorted(blob)), label="key")
+    blob[key] = data.draw(_JSON_VALUES, label="value")
+    path = tmp_path_factory.getbasetemp() / f"fuzz-{kind}.json"
+    path.write_text(json.dumps(blob))
+    if kind == "perturb":
+        args = ["perturb", "--spec", str(path)]
+    else:
+        args = ["entropy", "--channel", f"file:{path}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(args)
+    assert code in (EXIT_OK, EXIT_USAGE)
+    if code == EXIT_USAGE:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1 and "Traceback" not in err.getvalue()
+    else:
+        assert out.getvalue() != ""
 
 
 def test_capacity_exit_code(tmp_path, capsys):

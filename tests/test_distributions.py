@@ -1,4 +1,4 @@
-"""Atom container: construction, validation, dedup, canonicalization, JSON."""
+"""Atom container: construction, validation, canonical merging, JSON."""
 
 import json
 import math
@@ -11,7 +11,6 @@ from polarlens import (
     JointDistribution,
     canonicalize_orientation,
     conditional_renyi,
-    dedup,
     from_json_dict,
     level_profile,
     load_file,
@@ -85,6 +84,8 @@ def test_make_from_atoms_with_weights():
         [(0.5, 0.5, 0.0)],
         [(0.0, 0.0, 1.0)],
         [(0.3, 0.3, 1.0)],
+        [0.5],
+        [(0.5, None, 1.0)],
     ],
 )
 def test_rejects_bad_atoms(atoms):
@@ -115,7 +116,7 @@ def test_dedup_groups_bitwise_equal_atoms():
         [(0.2, 0.05, 1.0), (0.2, 0.05, 2.0), (0.25, 0.25, 1.0)],
         normalization_tol=None,
     )
-    g = dedup(d)
+    g = canonicalize_orientation(d)
     assert g.n_atoms == 2
     row = [a for a in g.atoms() if a.p0 == 0.2][0]
     assert row.weight == 3.0
@@ -125,9 +126,9 @@ def test_dedup_idempotent_and_mass_preserving():
     rng = np.random.default_rng(11)
     for _ in range(40):
         d = random_joint(rng)
-        g = dedup(d)
+        g = canonicalize_orientation(d)
         assert g.mass == pytest.approx(d.mass, abs=1e-12)
-        gg = dedup(g)
+        gg = canonicalize_orientation(g)
         assert gg.n_atoms == g.n_atoms
         assert np.array_equal(gg.p0, g.p0)
         assert np.array_equal(gg.weight, g.weight)
@@ -136,10 +137,12 @@ def test_dedup_idempotent_and_mass_preserving():
 def test_dedup_order_invariant():
     rng = np.random.default_rng(5)
     base = [(0.11, 0.07, 1.0), (0.11, 0.07, 1.0), (0.31, 0.02, 2.0), (0.155, 0.155, 1.0)]
-    ref = dedup(make_from_atoms(base, normalization_tol=None))
+    ref = canonicalize_orientation(make_from_atoms(base, normalization_tol=None))
     for _ in range(10):
         perm = rng.permutation(len(base))
-        d = dedup(make_from_atoms([base[i] for i in perm], normalization_tol=None))
+        d = canonicalize_orientation(
+            make_from_atoms([base[i] for i in perm], normalization_tol=None)
+        )
         assert np.array_equal(d.p0, ref.p0)
         assert np.array_equal(d.p1, ref.p1)
         assert np.array_equal(d.weight, ref.weight)

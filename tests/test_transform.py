@@ -12,7 +12,6 @@ from polarlens import (
     DistributionError,
     child_entropies,
     conditional_renyi,
-    dedup,
     level_profile,
     level_profile_sweep,
     make_bec,
@@ -31,17 +30,15 @@ def _atom_set(d):
 
 
 def test_transform_pair_raw_atoms():
-    # hand-expanded pair rule on the uncanonicalized BSC(0.2)
+    # hand-expanded pair rule on BSC(0.2); the mirror pairs merge canonically
     d = make_bsc(0.2)
-    pair = transform_pair(d, canonical=False)
+    pair = transform_pair(d)
     assert _atom_set(pair.minus) == [
-        (pytest.approx(0.08), pytest.approx(0.17), 2.0),
-        (pytest.approx(0.17), pytest.approx(0.08), 2.0),
+        (pytest.approx(0.17), pytest.approx(0.08), 4.0),
     ]
     assert _atom_set(pair.plus) == [
-        (pytest.approx(0.01), pytest.approx(0.16), 2.0),
         (pytest.approx(0.04), pytest.approx(0.04), 4.0),
-        (pytest.approx(0.16), pytest.approx(0.01), 2.0),
+        (pytest.approx(0.16), pytest.approx(0.01), 4.0),
     ]
     assert pair.minus.mass == pytest.approx(1.0, abs=1e-12)
     assert pair.plus.mass == pytest.approx(1.0, abs=1e-12)
@@ -49,11 +46,27 @@ def test_transform_pair_raw_atoms():
 
 def test_transform_drops_massless_plus_atoms():
     d = make_from_atoms([(1.0, 0.0, 1.0)])
-    pair = transform_pair(d, canonical=False)
+    pair = transform_pair(d)
     # the (a1*b0, a0*b1) branch of a noiseless pair carries no mass
     assert pair.plus.n_atoms == 1
     assert (pair.plus.p0 + pair.plus.p1 > 0).all()
     assert pair.minus.n_atoms == 1
+
+
+def test_compound_step_children_are_canonical():
+    # hand-expanded pair rule on BSC(0.1) x BSC(0.3): every minus atom is
+    # (0.165, 0.085) up to a flip, and the plus atoms are two mirror pairs
+    pair = transform_pair(make_bsc(0.1), make_bsc(0.3))
+    assert _atom_set(pair.minus) == [(pytest.approx(0.165), pytest.approx(0.085), 4.0)]
+    assert _atom_set(pair.plus) == [
+        (pytest.approx(0.0675), pytest.approx(0.0175), 4.0),
+        (pytest.approx(0.1575), pytest.approx(0.0075), 4.0),
+    ]
+    for child in pair:
+        assert (child.p0 >= child.p1).all()
+        keys = list(zip(child.p0, child.p1))
+        assert all(x < y for x, y in zip(keys, keys[1:]))
+        assert child.mass == pytest.approx(1.0, abs=1e-12)
 
 
 def test_noiseless_and_pure_noise_are_fixed_points():
@@ -99,7 +112,7 @@ def test_child_entropies_match_materialized_children():
     for _ in range(25):
         parent = canonicalize_orientation(random_joint(rng))
         got = child_entropies(parent, ORDERS)
-        pair = transform_pair(parent, canonical=False)
+        pair = transform_pair(parent, _copy(parent))
         for row, a in enumerate(ORDERS):
             assert got[row, 0] == pytest.approx(
                 conditional_renyi(pair.minus, a), abs=1e-12
@@ -279,6 +292,8 @@ def test_child_entropies_rows_do_not_depend_on_the_other_orders(which):
 
 
 def test_dedup_before_transform_changes_nothing():
+    from polarlens.distributions import canonicalize_orientation
+
     rng = np.random.default_rng(151)
     for _ in range(10):
         d = random_joint(rng)
@@ -291,7 +306,7 @@ def test_dedup_before_transform_changes_nothing():
             )
         )
         for a in ORDERS:
-            assert conditional_renyi(dedup(doubled), a) == pytest.approx(
+            assert conditional_renyi(canonicalize_orientation(doubled), a) == pytest.approx(
                 conditional_renyi(d, a), abs=1e-12
             )
 
@@ -424,7 +439,7 @@ def test_self_paired_blocks_and_threads_do_not_change_bytes(monkeypatch):
         pair = transform_pair(parent, **kwargs)
         return [x for d in pair for x in (d.p0, d.p1, d.weight)]
 
-    for kwargs in ({}, {"canonical": False}):
+    for kwargs in ({}, {"b": _copy(parent)}):
         # 64 elements per block: two rows of the 27-atom parent per block
         single = arrays(1 << 30, **kwargs)
         blocked = arrays(64, **kwargs)
