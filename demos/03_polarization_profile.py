@@ -7,20 +7,15 @@ sub-channels look good, and how many, depends on the order alpha: the
 level average equals H_a(X|Y), which shrinks as alpha grows, so high
 orders see fewer good-looking indices.
 
-Run time: about ten seconds for the full n=7 sweep at eight orders.
+Run time: 1.1-1.4 s for the full n=7 sweep at eight orders, as a whole
+process on a shared 2-core Xeon host (Python 3.11, numpy 2.4).
 """
 
 import math
 
 import numpy as np
 
-from polarlens import (
-    conditional_renyi,
-    extremal_fractions,
-    high_entropy_indices,
-    level_profile_sweep,
-    make_bsc,
-)
+from polarlens import conditional_renyi, level_profile_sweep, make_bsc
 
 ORDERS = (0.0, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0, math.inf)
 root = make_bsc(0.2)
@@ -37,10 +32,7 @@ for a in ORDERS:
 print("\nfraction of sub-channels within 0.1 of an endpoint, by level")
 print(f"  {'alpha':>6}  " + "  ".join(f"  n={p.level}" for p in sweep))
 for a in (0.5, 1.0, 2.0):
-    fracs = []
-    for p in sweep:
-        f = [x for x in extremal_fractions(p, 0.1) if x.order.alpha == a][0]
-        fracs.append(f.frac_low + f.frac_high)
+    fracs = [sum(p.extreme_fractions(a, 0.1)) for p in sweep]
     print(f"  {a:>6}  " + "  ".join(f"{v:5.3f}" for v in fracs))
 
 prof7 = sweep[-1]
@@ -48,8 +40,9 @@ print("\nalpha=0 row: every entry is exactly", set(prof7.row(0.0).tolist()))
 print("(no sub-channel ever becomes truly noiseless at finite depth -")
 print(" the max-entropy order sees full support forever)")
 
-low = set(high_entropy_indices(prof7, 0.1).tolist())
-high = set(high_entropy_indices(prof7, 100.0).tolist())
+# 1-based indices of the sub-channels with entropy above 1/2
+low = set((np.flatnonzero(prof7.row(0.1) > 0.5) + 1).tolist())
+high = set((np.flatnonzero(prof7.row(100.0) > 0.5) + 1).tolist())
 print(f"\nindices with H > 0.5 at n=7: {len(low)} at alpha=0.1, {len(high)} at alpha=100")
 print(f"in the alpha=0.1 set but not alpha=100: {sorted(low - high)[:10]} ...")
 print("a sub-channel ranking computed at one order does not carry to another")

@@ -57,15 +57,12 @@ from .bruteforce import (
 )
 from .experiments import (
     EffectiveSetReport,
-    ExtremalFractions,
     ExtremeExampleParams,
     PerturbationSpec,
     effective_set,
-    extremal_fractions,
     extreme_example_closed_form,
     extreme_example_distribution,
     extreme_example_sweep,
-    high_entropy_indices,
     perturbation_distribution,
     perturbation_sweep,
 )
@@ -114,15 +111,12 @@ __all__ = [
     "high_precision_conditional",
     "minkowski_check",
     "EffectiveSetReport",
-    "ExtremalFractions",
     "ExtremeExampleParams",
     "PerturbationSpec",
     "effective_set",
-    "extremal_fractions",
     "extreme_example_closed_form",
     "extreme_example_distribution",
     "extreme_example_sweep",
-    "high_entropy_indices",
     "perturbation_distribution",
     "perturbation_sweep",
     "__version__",

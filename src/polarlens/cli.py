@@ -44,15 +44,10 @@ from .entropy import (
     joint_renyi,
     output_renyi,
 )
-from .experiments import (
-    PerturbationSpec,
-    check_band,
-    extreme_example_sweep,
-    extremal_fractions,
-    perturbation_sweep,
-)
+from .experiments import PerturbationSpec, extreme_example_sweep, perturbation_sweep
 from .transform import (
     DEFAULT_ATOM_CAP,
+    check_band,
     level_profile,
     level_profile_sweep,
     one_step_report,
@@ -205,20 +200,16 @@ def cmd_polarize(ns) -> int:
             rows.append(row)
     entries = make_section("entries", columns, rows)
 
+    # entries polarize toward {0, 1} with a conserved level mean, so
+    # frac_high tends to the root entropy and frac_low to its complement:
+    # those limits are the predicted columns
     summary_rows = []
     for band in bands:
-        for k, frac in enumerate(extremal_fractions(profile, band)):
+        for k, order in enumerate(profile.orders):
+            low, high = profile.extreme_fractions(order, band)
+            root = float(profile.root_entropy[k])
             summary_rows.append(
-                [
-                    frac.order,
-                    band,
-                    frac.frac_low,
-                    frac.frac_high,
-                    frac.predicted_low,
-                    frac.predicted_high,
-                    profile.average(frac.order),
-                    float(profile.root_entropy[k]),
-                ]
+                [order, band, low, high, 1.0 - root, root, profile.average(order), root]
             )
     summary = make_section(
         "summary",

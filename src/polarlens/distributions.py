@@ -253,18 +253,31 @@ def canonicalize_orientation(d: JointDistribution) -> JointDistribution:
     )
 
 
+def _is_json_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def from_json_dict(obj: dict) -> JointDistribution:
     """Build a distribution from the JSON file schema.
 
-    Expected shape: {"atoms": [[p0, p1, weight], ...]} with an optional
-    "normalization_tol" override of ``MASS_TOL``, a finite number >= 0.
+    Expected shape: {"atoms": [[p0, p1, weight], ...]} whose entries are
+    numbers, with an optional "normalization_tol" override of ``MASS_TOL``,
+    a finite number >= 0.  A file admitted with a mass off 1 by more than
+    ``MASS_TOL`` has its weights divided by that mass, so it is evaluated
+    as its unit-mass law; a file within ``MASS_TOL`` keeps its weights.
     """
     if not isinstance(obj, dict) or not isinstance(obj.get("atoms"), list):
         raise DistributionError('distribution JSON must contain an "atoms" list')
     tol = obj.get("normalization_tol", MASS_TOL)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < math.inf:
+    if not _is_json_number(tol) or not 0 <= tol < math.inf:
         raise DistributionError(f'"normalization_tol" must be a finite number >= 0, not {tol!r}')
-    return make_from_atoms(obj["atoms"], normalization_tol=tol)
+    for atom in obj["atoms"]:
+        if not isinstance(atom, list) or not all(_is_json_number(v) for v in atom):
+            raise DistributionError(f"atom {atom!r} is not a list of numbers")
+    d = make_from_atoms(obj["atoms"], normalization_tol=tol)
+    if abs(d.mass - 1.0) <= MASS_TOL:
+        return d
+    return _from_arrays(d.p0, d.p1, d.weight / d.mass)
 
 
 def load_file(path: str) -> JointDistribution:

@@ -1,8 +1,8 @@
-"""Experiment layer: polarization fractions, designed counterexamples,
-perturbation accuracy studies, and the dominant-symbol diagnostic.
+"""Experiment layer: designed counterexamples, perturbation accuracy
+studies, and the dominant-symbol diagnostic.
 
 These are the headline computations the library exists for; each one is a
-thin, pure composition of the distribution/entropy/transform layers, so it
+thin, pure composition of the distribution and entropy layers, so it
 can be driven equally from tests, scripts, or the command line.
 """
 
@@ -13,67 +13,13 @@ import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import mpmath
 import numpy as np
 
 from .distributions import MASS_TOL, JointDistribution, make_from_atoms, _freeze
 from .entropy import Order, as_order, conditional_renyi
-from .transform import PolarizationProfile
-
-
-# ---------------------------------------------------------------------------
-# Extremal fractions of a polarization profile
-# ---------------------------------------------------------------------------
-
-
-class ExtremalFractions(NamedTuple):
-    """How much of one level sits near the entropy endpoints at one order.
-
-    The level averages are conserved and entries polarize toward {0, 1},
-    so frac_high tends to the root entropy and frac_low to its complement;
-    those limits are reported as the predicted columns.
-    """
-
-    order: Order
-    frac_high: float
-    frac_low: float
-    predicted_high: float
-    predicted_low: float
-
-
-def check_band(band: float) -> float:
-    """Return ``band`` if it is an extremal band width in (0, 0.5)."""
-    if not 0.0 < band < 0.5:
-        raise ValueError("band must lie in (0, 0.5)")
-    return band
-
-
-def extremal_fractions(
-    profile: PolarizationProfile, band: float
-) -> list[ExtremalFractions]:
-    """Per-order fractions of entries above 1 - band and below band."""
-    check_band(band)
-    out = []
-    for k, order in enumerate(profile.orders):
-        low, high = profile.extreme_fractions(order, band)
-        root = float(profile.root_entropy[k])
-        out.append(
-            ExtremalFractions(
-                order=order,
-                frac_high=high,
-                frac_low=low,
-                predicted_high=root,
-                predicted_low=1.0 - root,
-            )
-        )
-    return out
-
-
-def high_entropy_indices(profile: PolarizationProfile, order) -> np.ndarray:
-    """1-based subchannel indices whose entropy exceeds 1/2."""
-    return np.flatnonzero(profile.row(order) > 0.5) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +165,17 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.mode not in ("uniform", "deterministic"):
             raise ValueError('mode must be "uniform" or "deterministic"')
-        if isinstance(self.base_weights, str) or isinstance(self.deltas, str):
-            raise TypeError("base_weights and deltas must be sequences, not strings")
-        object.__setattr__(self, "base_weights", tuple(float(q) for q in self.base_weights))
-        object.__setattr__(self, "deltas", tuple(float(v) for v in self.deltas))
+        for name in ("base_weights", "deltas"):
+            values = getattr(self, name)
+            if isinstance(values, (str, Mapping)):
+                raise TypeError(
+                    "base_weights and deltas must be sequences, not strings or mappings"
+                )
+            values = tuple(values)
+            for v in values:
+                if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                    raise TypeError(f"{name} entries must be real numbers, not {v!r}")
+            object.__setattr__(self, name, tuple(float(v) for v in values))
         q = np.array(self.base_weights)
         dv = np.array(self.deltas)
         if q.size == 0 or q.size != dv.size:
@@ -314,8 +267,8 @@ def perturbation_sweep(
     and the rel_error |approx - exact| / |exact| (0 when both vanish)
     measures the approximation, not the evaluator.
     """
-    if isinstance(orders, str):
-        raise TypeError(f"orders must be a sequence, not the string {orders!r}")
+    if isinstance(orders, (str, Mapping)):
+        raise TypeError(f"orders must be a sequence, not a string or mapping: {orders!r}")
     orders = [as_order(o) for o in orders]
     if any(o.kind != "finite" for o in orders):
         raise ValueError("perturbation study needs finite alpha > 0, != 1")

@@ -559,6 +559,13 @@ def child_entropies(
     return out
 
 
+def check_band(band: float) -> float:
+    """Return ``band`` if it is an extremal band width in (0, 0.5)."""
+    if not 0.0 < band < 0.5:
+        raise ValueError("band must lie in (0, 0.5)")
+    return band
+
+
 @dataclass(frozen=True)
 class PolarizationProfile:
     """Conditional entropies of every level-n subchannel, for a set of orders.
@@ -586,7 +593,11 @@ class PolarizationProfile:
         return float(np.mean(self.row(order)))
 
     def extreme_fractions(self, order, delta: float) -> tuple[float, float]:
-        """Fractions of subchannels with entropy < delta and > 1 - delta."""
+        """Fractions of subchannels with entropy < delta and > 1 - delta.
+
+        ``delta`` must lie in (0, 0.5), so the two bands never overlap.
+        """
+        check_band(delta)
         row = self.row(order)
         n = row.shape[0]
         return float(np.sum(row < delta) / n), float(np.sum(row > 1.0 - delta) / n)

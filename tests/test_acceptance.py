@@ -17,10 +17,8 @@ from polarlens import (
     PerturbationSpec,
     chain_rule_residual,
     conditional_renyi,
-    extremal_fractions,
     extreme_example_closed_form,
     extreme_example_sweep,
-    high_entropy_indices,
     level_profile_sweep,
     make_bsc,
     one_step_report,
@@ -150,17 +148,13 @@ def test_criterion_07_polarization_trends():
     for a in (0.5, 1.0, 2.0):
         pooled = []
         for prof in sweep[3:7]:  # levels 4..7
-            frac = [
-                f
-                for f in extremal_fractions(prof, 0.1)
-                if f.order == prof.orders[prof.order_index(a)]
-            ][0]
-            pooled.append(frac.frac_low + frac.frac_high)
+            frac_low, frac_high = prof.extreme_fractions(a, 0.1)
+            pooled.append(frac_low + frac_high)
         ok = ok and pooled[-1] >= pooled[0]
         detail.append(f"a={a}:{pooled[0]:.3f}->{pooled[-1]:.3f}")
     prof7 = sweep[-1]
-    low_set = set(high_entropy_indices(prof7, 0.1).tolist())
-    high_set = set(high_entropy_indices(prof7, 100.0).tolist())
+    low_set = set((np.flatnonzero(prof7.row(0.1) > 0.5) + 1).tolist())
+    high_set = set((np.flatnonzero(prof7.row(100.0) > 0.5) + 1).tolist())
     differ = len(low_set ^ high_set) > 0
     _report(7, ok and differ, "; ".join(detail) + f" symdiff={len(low_set ^ high_set)}")
 

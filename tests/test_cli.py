@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarlens import cli
+from polarlens import cli, from_json_dict
 from polarlens.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -253,6 +253,11 @@ def test_perturb_bad_spec(tmp_path, capsys):
         {"halvings": 1.9},
         {"halvings": True},
         {"halvings": "2"},
+        # a JSON object is not a list, and bools and strings are not numbers
+        {"base_weights": {"1": 0}},
+        {"alphas": {"2": 0}},
+        {"base_weights": [True]},
+        {"deltas": ["0.01"]},
     ):
         spec.write_text(json.dumps({**good, **bad}))
         assert run(["perturb", "--spec", str(spec)]) == EXIT_USAGE, bad
@@ -393,8 +398,12 @@ def test_bad_channel_exit_codes(capsys):
         {"atoms": [[0.45, 0.05, 1], [0.05, 0.45, 1]], "normalization_tol": [1]},
         {"atoms": 5},
         {"atoms": [0.5]},
+        # bools and strings were coerced by float(): all zeros, and 1.0
+        {"atoms": [[True, False]]},
+        {"atoms": [["0.5", "0.5"]]},
     ],
-    ids=["tol-nan", "tol-negative", "tol-null", "tol-list", "atoms-number", "atom-number"],
+    ids=["tol-nan", "tol-negative", "tol-null", "tol-list", "atoms-number", "atom-number",
+         "atom-bools", "atom-strings"],
 )
 def test_malformed_distribution_file_exits_2(blob, tmp_path, capsys):
     path = tmp_path / "d.json"
@@ -404,6 +413,28 @@ def test_malformed_distribution_file_exits_2(blob, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("polarlens: ")
     assert ("normalization_tol" if "normalization_tol" in blob else "atom") in err
+
+
+def _polarize_entries(blob, tmp_path, capsys) -> np.ndarray:
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(blob))
+    code = run(["polarize", "--channel", f"file:{path}", "--n", "1", "--alpha", "0.5,1,2"])
+    assert code == EXIT_OK
+    entries = parse_tables(capsys.readouterr().out)[0]
+    return np.array([float(row[3]) for row in entries.rows])
+
+
+def test_file_mass_off_one_is_evaluated_at_unit_mass(tmp_path, capsys):
+    # mass 0.6 admitted by its tolerance printed Shannon entries -0.44 and 1.49
+    loose = {"atoms": [[0.3, 0.1, 1], [0.1, 0.1, 1]], "normalization_tol": 0.5}
+    got = _polarize_entries(loose, tmp_path, capsys)
+    unit = {"atoms": [[0.3, 0.1, 1 / 0.6], [0.1, 0.1, 1 / 0.6]]}
+    want = _polarize_entries(unit, tmp_path, capsys)
+    assert np.all((0.0 <= got) & (got <= 1.0))
+    assert np.max(np.abs(got - want)) <= 1e-12
+    # a mass within the default tolerance keeps its weights bit for bit
+    atoms = [[0.3, 0.1, 1], [0.1, 0.1, 3.0000000004]]
+    assert from_json_dict({"atoms": atoms}).weight.tolist() == [1.0, 3.0000000004]
 
 
 #: Valid inputs of the two JSON files the CLI reads; the fuzz below swaps

@@ -15,11 +15,9 @@ from polarlens import (
     as_order,
     conditional_renyi,
     effective_set,
-    extremal_fractions,
     extreme_example_closed_form,
     extreme_example_distribution,
     extreme_example_sweep,
-    high_entropy_indices,
     make_bsc,
     make_from_atoms,
     perturbation_distribution,
@@ -37,23 +35,18 @@ def _tiny_profile():
 
 
 def test_extremal_fractions_counting():
-    rep = extremal_fractions(_tiny_profile(), 0.1)[0]
-    assert rep.frac_high == 0.5
-    assert rep.frac_low == 0.25
-    assert rep.predicted_high == 0.6
-    assert rep.predicted_low == pytest.approx(0.4)
+    prof = _tiny_profile()
+    assert prof.extreme_fractions(2.0, 0.1) == (0.25, 0.5)
+    root = float(prof.root_entropy[0])
+    assert root == 0.6
+    assert 1.0 - root == pytest.approx(0.4)
 
 
 def test_extremal_fractions_band_validation():
     prof = _tiny_profile()
-    for bad in (0.0, 0.5, -0.1, 1.0):
+    for bad in (0.0, 0.5, -0.1, 1.0, math.nan):
         with pytest.raises(ValueError):
-            extremal_fractions(prof, bad)
-
-
-def test_high_entropy_indices_one_based():
-    idx = high_entropy_indices(_tiny_profile(), 2.0)
-    assert idx.tolist() == [1, 4]
+            prof.extreme_fractions(2.0, bad)
 
 
 def test_extreme_params_validation():
@@ -139,7 +132,11 @@ def test_perturbation_spec_validation():
     # weights, deltas and orders are sequences; all orders are checked first
     with pytest.raises(TypeError, match="strings"):
         PerturbationSpec("uniform", "1", (0.01,))
-    for orders in ("23", "2.5"):
+    # a mapping would be read as its keys; bools and strings are not numbers
+    for q, dv in (({1.0: 0}, (0.01,)), ((True,), (0.01,)), ((1.0,), ("0.01",))):
+        with pytest.raises(TypeError):
+            PerturbationSpec("uniform", q, dv)
+    for orders in ("23", "2.5", {2.0: 0}):
         with pytest.raises(TypeError, match="string"):
             perturbation_sweep(PerturbationSpec(**ok), orders)
     with pytest.raises(ValueError, match="finite alpha"):

@@ -1,7 +1,8 @@
 """Golden outputs: the exact bytes of a fixed set of commands.
 
 Each case runs ``polarlens`` in-process and compares its stdout, and for
-``verify`` also its ``--out`` CSV, with the files under ``tests/golden/``.
+``verify`` also its ``--out`` CSV, with the files under ``tests/golden/``;
+the input files some cases read are under ``tests/data/``.
 A change that moves these bytes on purpose rewrites the files with
 ``python tests/test_golden.py`` and says so in its change record.
 """
@@ -16,6 +17,7 @@ import pytest
 from polarlens.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+DATA = Path(__file__).resolve().parent / "data"
 
 CASES = {
     "polarize-bsc0.2-n7": ["polarize", "--channel", "bsc:0.2", "--n", "7",
@@ -31,6 +33,10 @@ CASES = {
         for suite in ("chain", "lemma1", "martingale", "minkowski")
     },
     "verify-oracle": ["verify", "--suite", "oracle", "--trials", "2", "--seed", "5"],
+    "perturb-readme-spec": ["perturb", "--spec", str(DATA / "readme-spec.json"),
+                            "--halvings", "3"],
+    "polarize-four-atoms-n3": ["polarize", "--channel", f"file:{DATA / 'four-atoms.json'}",
+                               "--n", "3", "--alpha", "0.5,1,2"],
 }
 
 
