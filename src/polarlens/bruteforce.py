@@ -9,7 +9,9 @@ as little machinery with it as possible (natural-log accumulation through
 its own log-sum-exp, plain supports and maxima for the limit orders).
 Each chunk of output tuples is read in one pass that serves every
 requested order.  One exact evaluator, :func:`high_precision_conditional`,
-gives a third opinion in rational or 50-digit arithmetic.
+gives a third opinion in rational or 50-digit arithmetic, and
+:func:`bec_reference_profile` runs the erasure channel's scalar
+recursions at 60 digits, to any depth.
 
 Cost is A**N * 2**N joint entries for an A-atom root at level n (N = 2**n),
 so this is for shallow levels only; the cap guards against surprises.
@@ -24,7 +26,7 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 
-from .distributions import CapacityError, DistributionError, JointDistribution
+from .distributions import CapacityError, DistributionError, JointDistribution, make_bec
 from .entropy import as_order
 
 #: Maximum number of joint entries (output tuples times input words).
@@ -229,6 +231,78 @@ def high_precision_conditional(d: JointDistribution, alpha) -> float:
         else:
             log_ratio = mpmath.log(num) - mpmath.log(den)
         return float(log_ratio / ((1 - a) * mpmath.log(2)))
+
+
+def _erasure_maps(root: JointDistribution, order):
+    """(start, minus, plus, value) of the scalar erasure recursion at one order."""
+    erased = (root.p1 == root.p0).tolist()
+    # the larger entry of each output: P(X=0, y) after an input flip
+    p0 = [mpmath.mpf(v) for v in np.maximum(root.p0, root.p1).tolist()]
+    w = [mpmath.mpf(v) for v in root.weight.tolist()]
+
+    def class_sum(power, keep):
+        return mpmath.fsum(wi * pi**power for wi, pi, k in zip(w, p0, erased) if k == keep)
+
+    if order.kind == "one":
+        z = 2 * class_sum(1, True) / (2 * class_sum(1, True) + class_sum(1, False))
+        return z, (lambda z: 2 * z - z * z), (lambda z: z * z), (lambda z: z)
+    if order.kind == "infinity":
+        s = max(p for p, k in zip(p0, erased) if k) / max(p for p, k in zip(p0, erased) if not k)
+        return (
+            s,
+            lambda s: max(s, 2 * s * s),
+            lambda s: s * s / max(1, s),
+            lambda s: mpmath.log(max(1, 2 * s), 2) - mpmath.log(max(1, s), 2),
+        )
+    a = mpmath.mpf(order.alpha)
+    scale = mpmath.power(2, a)
+    return (
+        class_sum(a, True) / class_sum(a, False),
+        lambda t: 2 * t + scale * t * t,
+        lambda t: 2 * t * t / (1 + 4 * t),
+        lambda t: mpmath.log((1 + 2 * t) / (1 + scale * t), 2) / (1 - a),
+    )
+
+
+def bec_reference_profile(erasure: float, level: int, orders) -> np.ndarray:
+    """Entropies of all subchannels of ``make_bec(erasure)`` at 60 digits.
+
+    Returns shape (len(orders), 2**level), subchannel i in column i - 1, as
+    :func:`brute_force_profile` does.  The root's atoms are taken at face
+    value (exact binary rationals).  With a uniform prior every output is
+    clean (P(X=1, y) = 0 up to an input flip) or erased (P(X=0, y) =
+    P(X=1, y)), and each subchannel is one path of a scalar recursion,
+    run in mpmath:
+
+    * order 1: the erasure probability z, z -> 2z - z^2 (minus) and
+      z -> z^2 (plus), whose value is z itself (Arikan 2009);
+    * other finite orders, 0 included: t = mu(erased) / mu(clean), where
+      mu sums w * P(X=0, y)^alpha over a class of outputs (at order 0 it
+      counts them); t -> 2t + 2^alpha t^2 and t -> 2t^2 / (1 + 4t), with
+      value log2((1 + 2t) / (1 + 2^alpha t)) / (1 - alpha);
+    * order inf: s, the largest P(X=0, y) of the erased class over that of
+      the clean class; s -> max(s, 2s^2) and s -> s^2 / max(1, s), with
+      value log2 max(1, 2s) - log2 max(1, s).
+
+    BEC(0) and BEC(1) stay noiseless and useless at every depth: all their
+    entries are 0 and 1.  Cost is 2**(level + 1) scalar steps per order.
+    """
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
+    root = make_bec(erasure)
+    orders = [as_order(o) for o in orders]
+    out = np.empty((len(orders), 1 << level))
+    if erasure in (0.0, 1.0):
+        out.fill(erasure)
+        return out
+    with mpmath.workdps(60):
+        for row, order in enumerate(orders):
+            start, minus, plus, value = _erasure_maps(root, order)
+            states = [start]
+            for _ in range(level):
+                states = [f(x) for x in states for f in (minus, plus)]
+            out[row] = [float(value(x)) for x in states]
+    return out
 
 
 class MinkowskiReport(NamedTuple):

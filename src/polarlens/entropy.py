@@ -175,13 +175,17 @@ def output_renyi(d: JointDistribution, order) -> float:
     return renyi_entropy(d.symbol_mass, order, d.weight)
 
 
-def snap_to_unit(value: float) -> float:
+def snap_to_unit(value):
     """Snap rounding-scale excursions outside [0, 1] back onto the interval.
 
     Conditional entropies of a binary input provably lie in [0, 1]; float
     evaluation can land a hair outside near the endpoints.  Violations
-    beyond 1e-9 are left alone so real defects stay visible.
+    beyond 1e-9 are left alone so real defects stay visible.  An array is
+    snapped elementwise into a new array.
     """
+    if isinstance(value, np.ndarray):
+        value = np.where((-1e-9 <= value) & (value < 0.0), 0.0, value)
+        return np.where((1.0 < value) & (value <= 1.0 + 1e-9), 1.0, value)
     if -1e-9 <= value < 0.0:
         return 0.0
     if 1.0 < value <= 1.0 + 1e-9:

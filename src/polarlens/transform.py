@@ -39,6 +39,21 @@ replaced by 24 Chebyshev points carrying barycentric Lagrange weights,
 which is exact up to rounding because the pair kernels are analytic on
 every such box.  Higher orders run the grid over the groups themselves,
 in the log domain, so no order overflows or underflows it.
+
+Erasure-type roots never need atoms past the root.  When every canonical
+atom has p1 = 0 or p1 = p0 (odds ratio 0 or 1, as a BEC with a uniform
+prior), both polar maps keep that ratio set, so at order alpha a
+subchannel is fixed by t = mu(1) / mu(0), with mu(r) = sum w p0^alpha over
+its atoms of ratio r, and at order inf by the ratio s of the largest p0 of
+each class.  The maps act on these in closed form:
+
+    minus   t -> 2t + 2^alpha t^2      s -> max(s, 2 s^2)
+    plus    t -> 2t^2 / (1 + 4t)       s -> s^2 / max(1, s)
+
+the Renyi counterparts of the erasure recursion z -> 2z - z^2, z^2
+(Arikan, IEEE T-IT 2009) and of the likelihood-ratio law of density
+evolution (Mori & Tanaka, IEEE Comm. Letters 2009).  Sweeps of such roots
+carry one number per subchannel and order, exact up to rounding.
 """
 
 from __future__ import annotations
@@ -48,6 +63,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+import mpmath
 import numpy as np
 
 from .distributions import (
@@ -611,6 +627,168 @@ class PolarizationProfile:
         return np.argsort(self.row(ORDER_ONE), kind="stable")
 
 
+# ---------------------------------------------------------------------------
+# Erasure-type roots: a two-point ratio state per subchannel and order.
+# ---------------------------------------------------------------------------
+
+#: Finite orders up to this evaluate a state through expm1(ln 2 * (alpha - 1)),
+#: which stays finite to alpha 1025; higher ones go through the log domain.
+_EXPM1_MAX_ORDER = 1000.0
+
+_LN2 = math.log(2.0)
+
+
+def _is_erasure_type(d: JointDistribution) -> bool:
+    """True if every atom of canonical ``d`` has odds ratio 0 or 1."""
+    return bool(np.all((d.p1 == 0.0) | (d.p1 == d.p0)))
+
+
+def _erasure_start(root: JointDistribution, o: Order) -> tuple[float, float]:
+    """The state of an erasure-type root at order ``o``: log2 of it, split.
+
+    Finite orders (0 and 1 included) carry t = mu(1) / mu(0), where
+    mu(r) = sum w p0^alpha over the atoms of ratio r; order inf carries
+    s = max p0 over the ratio-1 atoms / max p0 over the ratio-0 atoms.
+    The log2 comes as (whole, frac): an integral float and a fraction in
+    [-1/2, 1/2], so that t keeps full relative precision however far it
+    is from 1; an empty ratio class gives whole = -inf or +inf.  It is
+    summed at 40 digits: p0^alpha multiplies the relative error of a
+    double by alpha, and the recursion doubles it at every level.
+    """
+    erased = (root.p1 == root.p0).tolist()
+    with mpmath.workdps(40):
+        p0 = [mpmath.mpf(v) for v in root.p0.tolist()]
+        w = [mpmath.mpf(v) for v in root.weight.tolist()]
+        if o.kind == "infinity":
+            sides = [
+                max((p for p, e in zip(p0, erased) if e == side), default=0)
+                for side in (True, False)
+            ]
+        else:
+            a = mpmath.mpf(o.alpha)
+            sides = [
+                mpmath.fsum(wi * p**a for wi, p, e in zip(w, p0, erased) if e == side)
+                for side in (True, False)
+            ]
+        if not sides[0] or not sides[1]:
+            return (math.inf if sides[0] else -math.inf), 0.0
+        log_t = mpmath.log(sides[0] / sides[1], 2)
+        whole = float(mpmath.nint(log_t))
+        return whole, float(log_t - whole)
+
+
+def _erasure_children(
+    whole: np.ndarray, frac: np.ndarray, o: Order
+) -> tuple[np.ndarray, np.ndarray]:
+    """Children of every state, minus and plus interleaved, split as the states.
+
+    Both polar maps keep the ratio set {0, 1}: a minus atom has ratio
+    (ri + rj) / (1 + ri rj) and mass mu_i mu_j (1 + ri rj)^alpha, the plus
+    atoms ratios ri rj and min/max(ri, rj).  So with l = log2 t:
+
+    * minus, t -> 2t + 2^alpha t^2: l -> max(1 + l, alpha + 2l) + log2(1 + 2^-|d|),
+      d = 1 - alpha - l;
+    * plus, t -> 2t^2 / (1 + 4t): l -> min(l - 1, 2l + 1) - log2(1 + 2^-|y|),
+      y = -2 - l;
+
+    and order inf has s -> max(s, 2s^2) and s -> s^2 / max(1, s), whose
+    logs are exact in the split form.  The integral parts add exactly;
+    d and y are rounded only inside the small log2(1 + 2^-|.|) terms.
+    """
+    out_whole = np.empty(2 * whole.size)
+    out_frac = np.empty(2 * whole.size)
+    if o.kind == "infinity":
+        up = (whole + frac) > -1.0
+        out_whole[0::2] = np.where(up, 2.0 * whole + 1.0, whole)
+        out_frac[0::2] = np.where(up, 2.0 * frac, frac)
+        down = (whole + frac) < 0.0
+        out_whole[1::2] = np.where(down, 2.0 * whole, whole)
+        out_frac[1::2] = np.where(down, 2.0 * frac, frac)
+    else:
+        big = math.floor(o.alpha)
+        rest = o.alpha - big
+        d = (1.0 - big - whole) - (rest + frac)
+        first = d >= 0.0
+        out_whole[0::2] = np.where(first, whole + 1.0, 2.0 * whole + big)
+        out_frac[0::2] = np.where(first, frac, 2.0 * frac + rest) + np.logaddexp2(0.0, -np.abs(d))
+        y = (-2.0 - whole) - frac
+        first = y <= 0.0
+        out_whole[1::2] = np.where(first, whole - 1.0, 2.0 * whole + 1.0)
+        out_frac[1::2] = np.where(first, frac, 2.0 * frac) - np.logaddexp2(0.0, -np.abs(y))
+    shift = np.rint(out_frac)  # back to a fraction in [-1/2, 1/2], exactly
+    return out_whole + shift, out_frac - shift
+
+
+def _erasure_entropy(whole: np.ndarray, frac: np.ndarray, o: Order) -> np.ndarray:
+    """H_o of every state.
+
+    Order inf: log2 max(1, 2s) - log2 max(1, s).  Finite orders:
+    H = log2((1 + 2t) / (1 + 2^alpha t)) / (1 - alpha); with
+    q = 2t / (1 + 2t), p = 1 - q and c = (alpha - 1) ln 2 that is
+    log1p(q expm1(c)) / c, and also 1 + log1p(p expm1(-c)) / c.  The first
+    form serves q <= 1/2, the second q > 1/2, so both ends come out exact;
+    order 1 is their c = 0 case, H = q.
+    """
+    if o.kind == "infinity":
+        return np.clip((1.0 + whole) + frac, 0.0, 1.0)
+    x = (whole + 1.0) + frac  # log2(2t)
+    low = x <= 0.0
+    # log2 q = (whole + 1) + q_frac on the low half, log2 p = -(whole + 1)
+    # + p_frac on the high half; q and p are at most 1/2 there, and 1/2
+    # stands in elsewhere.  Exponents are clamped so that nothing overflows.
+    q_frac = frac - np.logaddexp2(0.0, np.minimum(x, 0.0))
+    p_frac = -frac - np.logaddexp2(0.0, -np.maximum(x, 0.0))
+    q = np.ldexp(np.exp2(q_frac), np.clip(whole, -1100.0, 0.0).astype(np.int64) + 1)
+    p = np.ldexp(np.exp2(p_frac), -1 - np.clip(whole, -1.0, 1100.0).astype(np.int64))
+    q, p = np.where(low, q, 0.5), np.where(low, 0.5, p)
+    if o.kind == "one":
+        return np.where(low, q, 1.0 - p)
+    eps = o.alpha - 1.0
+    if o.alpha <= _EXPM1_MAX_ORDER:
+        c = eps * _LN2
+        h_low = np.log1p(q * math.expm1(c)) / c
+        h_high = 1.0 + np.log1p(p * math.expm1(-c)) / c
+    else:
+        # the same two forms, log2((1 - q) + q 2^eps) kept in the log domain
+        big = math.floor(o.alpha)
+        rest = o.alpha - big
+        h_low = np.logaddexp2(np.log1p(-q) / _LN2, (big + whole) + (rest + q_frac)) / eps
+        h_high = 1.0 + np.logaddexp2(np.log1p(-p) / _LN2, (p_frac - rest) - (big + whole)) / eps
+    return snap_to_unit(np.where(low, h_low, h_high))
+
+
+def _erasure_sweep(
+    root: JointDistribution,
+    max_level: int,
+    orders: tuple[Order, ...],
+    root_entropy: np.ndarray,
+    atom_cap: int,
+) -> list[PolarizationProfile]:
+    """Profiles of a canonical erasure-type root by its two-point states.
+
+    Refuses, before any work, a sweep whose entries over all levels exceed
+    ``atom_cap``, naming the first level over that budget.
+    """
+    total = 0
+    for lvl in range(1, max_level + 1):
+        total += len(orders) << lvl
+        if total > atom_cap:
+            raise CapacityError(
+                f"level {lvl}: profiles through level {lvl} hold {total} entries "
+                f"over {len(orders)} orders (cap {atom_cap}); raise atom_cap to allow it"
+            )
+    entries = [np.empty((len(orders), 1 << lvl)) for lvl in range(1, max_level + 1)]
+    for k, o in enumerate(orders):
+        whole, frac = (np.array([v]) for v in _erasure_start(root, o))
+        for rows in entries:
+            whole, frac = _erasure_children(whole, frac, o)
+            rows[k] = _erasure_entropy(whole, frac, o)
+    return [
+        PolarizationProfile(lvl, orders, _freeze(rows), _freeze(root_entropy.copy()))
+        for lvl, rows in enumerate(entries, 1)
+    ]
+
+
 def level_profile(
     root: JointDistribution,
     level: int,
@@ -620,11 +798,9 @@ def level_profile(
 ) -> PolarizationProfile:
     """Entropies of all 2**level subchannels of ``root``.
 
-    Internal levels 0 .. level-1 are materialized (canonical, merged);
-    the final level is evaluated by the split rules, so the quadratic blowup
-    of the last transform never happens.  Subchannel i's parent is
-    ceil(i / 2): children (2j - 1, 2j) of parent j are its minus and plus
-    outputs.
+    Subchannel i's parent is ceil(i / 2): children (2j - 1, 2j) of parent
+    j are its minus and plus outputs.  See :func:`level_profile_sweep` for
+    how the levels are computed and what is refused.
     """
     return level_profile_sweep(root, level, orders, atom_cap=atom_cap)[-1]
 
@@ -638,24 +814,40 @@ def level_profile_sweep(
 ) -> list[PolarizationProfile]:
     """Profiles for every level 1 .. max_level in one walk.
 
-    Level k entropies come from split evaluation of the materialized level
-    k-1 parents, so the sweep costs barely more than the deepest profile.
+    An erasure-type root, one whose canonical atoms all have p1 = 0 or
+    p1 = p0 (odds ratio 0 or 1, as a BEC with a uniform prior), keeps
+    that ratio set at every level, since both polar maps take {0, 1}
+    into itself.  Every subchannel is then fixed at every order by two
+    numbers: the summed p0^alpha of each ratio class, or at order inf
+    the largest p0 of each.  Their quotient follows the polar maps in
+    closed form, so these sweeps run on that one number per subchannel
+    and order, exactly up to rounding and with no atoms.
+
+    Every other root is materialized level by level (canonical, merged)
+    and level k entropies come from split evaluation of the level k-1
+    parents, so the deepest level is never built and the sweep costs
+    barely more than the deepest profile.
 
     Raises
     ------
     CapacityError
-        Before any work on a level whose materialization would exceed
-        ``atom_cap`` raw atoms for one of its parents, or when a parent's
-        split exceeds its work budget; the message names the level and the
-        parent.
+        For an erasure-type root, before any work, when the profiles'
+        sum over levels L of 2^L * len(orders) entries exceeds
+        ``atom_cap``; the message names the first level over it.  For
+        other roots, before any work on a level whose materialization
+        would exceed ``atom_cap`` raw atoms for one of its parents, or
+        when a parent's split exceeds its work budget; the message names
+        the level and the parent.
     """
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
     orders = tuple(as_order(o) for o in orders)
     root_entropy = np.array([conditional_renyi(root, o) for o in orders])
+    current = [canonicalize_orientation(root)]
+    if _is_erasure_type(current[0]):
+        return _erasure_sweep(current[0], max_level, orders, root_entropy, atom_cap)
 
     profiles: list[PolarizationProfile] = []
-    current = [canonicalize_orientation(root)]
     for lvl in range(1, max_level + 1):
         # the cap of transform_pair, checked for the whole level up front
         for i, parent in enumerate(current):

@@ -10,11 +10,13 @@ import pytest
 from polarlens import (
     CapacityError,
     DistributionError,
+    bec_reference_profile,
     brute_force_profile,
     conditional_renyi,
     generator_matrix,
     high_precision_conditional,
     level_profile,
+    make_bec,
     make_bsc,
     make_from_atoms,
     minkowski_check,
@@ -169,6 +171,37 @@ def test_high_precision_conditional_rejects_limit_orders():
     for order in (0, 1, 1.0 + 1e-10, math.inf, "inf"):
         with pytest.raises(ValueError, match="finite orders"):
             high_precision_conditional(d, order)
+
+
+@pytest.mark.parametrize("erasure,level", [(0.35, 3), (0.1, 3), (0.5, 2), (0.8, 1)])
+def test_bec_reference_matches_brute_force(erasure, level):
+    # two independent routes to the same entries: enumeration of the
+    # length-2^n code and the scalar erasure recursions at 60 digits
+    orders = ORDERS + (3.0, 300.0)
+    slow = brute_force_profile(make_bec(erasure), level, orders)
+    ref = bec_reference_profile(erasure, level, orders)
+    assert ref.shape == (len(orders), 2**level)
+    assert np.max(np.abs(ref - slow)) <= 1e-9
+
+
+def test_bec_reference_order_one_is_the_erasure_probability():
+    # Arikan's z recursion at level 2: z- = 2z - z^2, z+ = z^2, each twice
+    z = 0.35
+    zm, zp = 2 * z - z * z, z * z
+    want = [2 * zm - zm * zm, zm * zm, 2 * zp - zp * zp, zp * zp]
+    assert bec_reference_profile(z, 2, [1.0])[0] == pytest.approx(want, abs=1e-15)
+
+
+def test_bec_reference_levels_and_limits():
+    assert np.array_equal(bec_reference_profile(0.0, 3, ORDERS), np.zeros((8, 8)))
+    assert np.array_equal(bec_reference_profile(1.0, 3, ORDERS), np.ones((8, 8)))
+    # level 0 is the root itself
+    root = [conditional_renyi(make_bec(0.35), a) for a in ORDERS]
+    assert bec_reference_profile(0.35, 0, ORDERS)[:, 0] == pytest.approx(root, abs=1e-15)
+    with pytest.raises(ValueError):
+        bec_reference_profile(0.35, -1, ORDERS)
+    with pytest.raises(DistributionError):
+        bec_reference_profile(1.5, 2, ORDERS)
 
 
 def test_minkowski_directions():

@@ -122,6 +122,27 @@ def test_polarize_order_range_contract(channel, alpha, capsys):
     assert abs(sum(values) / len(values) - root) <= 1e-6
 
 
+def test_polarize_erasure_order_one_at_depth(capsys):
+    # BEC(0.5) at n=9 overflowed total_weight**2 in the atom engine's
+    # Shannon kernel: exit 1 with an OverflowError traceback
+    code = run(["polarize", "--channel", "bec:0.5", "--n", "9", "--alpha", "1"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_OK and err == ""
+    entries, _ = parse_tables(out)
+    values = [float(r[3]) for r in entries.rows]
+    assert len(values) == 2**9
+    assert all(0.0 <= v <= 1.0 for v in values)
+
+
+def test_polarize_erasure_depth_is_bounded_by_its_output(capsys):
+    # no atoms bound an erasure sweep, so the entries of all its levels do
+    code = run(["polarize", "--channel", "bec:0.35", "--n", "30"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("polarlens: resource limit: level 22: ")
+
+
 def test_polarize_rejects_orders_too_large_to_evaluate(capsys):
     code = run(["polarize", "--channel", "bsc:0.49", "--n", "4", "--alpha", "1e307"])
     out, err = capsys.readouterr()

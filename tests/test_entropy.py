@@ -212,3 +212,6 @@ def test_snap_to_unit():
     # beyond tolerance: left alone so real defects surface
     assert snap_to_unit(-2e-9) == -2e-9
     assert snap_to_unit(1.1) == 1.1
+    # an array is snapped elementwise, by the same rule
+    values = np.array([-5e-10, 1.0 + 5e-10, 0.5, 0.0, 1.0, -2e-9, 1.1])
+    assert np.array_equal(snap_to_unit(values), [0.0, 1.0, 0.5, 0.0, 1.0, -2e-9, 1.1])

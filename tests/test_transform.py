@@ -540,3 +540,137 @@ def test_proxy_map_passes_small_boxes_through():
     assert np.array_equal(view.proxy_ratios, view.ratios)
     values = np.array([0.3, 0.7])
     assert np.array_equal(view.to_proxies(values), values)
+
+
+# ---------------------------------------------------------------------------
+# Erasure-type roots: the two-point state sweep against its references.
+# ---------------------------------------------------------------------------
+
+#: Orders whose entries must be within 1e-14 of the 60-digit reference.
+STATE_ORDERS = (0.0, 0.1, 0.5, 0.999999, 1.0, 1.000001, 2.0, 3.0, 10.0, 37.0, 100.0)
+#: Orders held to 1e-13: high finite orders, and order inf, whose doubling
+#: map multiplies the start's rounding (at most 2^-54) by up to 2^level.
+STATE_HIGH_ORDERS = (100.5, 300.0, 512.0, 1000.0, 1001.0, 1e4, 1e5, math.inf)
+
+
+@pytest.mark.parametrize("erasure", [0.35, 0.45, 0.5])
+def test_erasure_sweep_matches_60_digit_reference(erasure):
+    from polarlens import bec_reference_profile
+
+    sweep = level_profile_sweep(make_bec(erasure), 10, STATE_ORDERS + STATE_HIGH_ORDERS)
+    k = len(STATE_ORDERS)
+    for level in (1, 2, 3, 5, 7, 10):
+        ref = bec_reference_profile(erasure, level, STATE_ORDERS + STATE_HIGH_ORDERS)
+        dev = np.abs(sweep[level - 1].entries - ref)
+        assert dev[:k].max() <= 1e-14, (level, dev[:k].max(axis=1))
+        assert dev[k:].max() <= 1e-13, (level, dev[k:].max(axis=1))
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(erasure=st.floats(0.05, 0.95), alpha=st.floats(0.0, 100.0))
+def test_erasure_sweep_reference_property(erasure, alpha):
+    from polarlens import bec_reference_profile
+
+    got = level_profile(make_bec(erasure), 8, [alpha]).entries
+    assert np.max(np.abs(got - bec_reference_profile(erasure, 8, [alpha]))) <= 1e-14
+
+
+@pytest.mark.parametrize("erasure", [0.35, 0.5])
+def test_erasure_sweep_matches_atom_engine(erasure):
+    # the atom engine run directly: materialized parents, then split children
+    levels = _levels(make_bec(erasure), 5)
+    sweep = level_profile_sweep(make_bec(erasure), 6, ORDERS)
+    for level, profile in enumerate(sweep, 1):
+        atoms = np.hstack([child_entropies(p, ORDERS) for p in levels[level - 1]])
+        assert np.max(np.abs(profile.entries - atoms)) <= 1e-13, level
+
+
+def test_erasure_type_roots_beyond_the_bec():
+    # several clean and erased symbols of different masses: still two ratio
+    # classes, so the state sweep runs; the atom engine and the oracle agree
+    from polarlens import brute_force_profile
+
+    root = make_from_atoms(
+        [(0.2, 0.0, 1.0), (0.0, 0.15, 1.0), (0.1, 0.0, 2.0), (0.1, 0.1, 1.0), (0.125, 0.125, 1.0)]
+    )
+    sweep = level_profile_sweep(root, 5, ORDERS)
+    levels = _levels(root, 4)
+    for level, profile in enumerate(sweep, 1):
+        atoms = np.hstack([child_entropies(p, ORDERS) for p in levels[level - 1]])
+        assert np.max(np.abs(profile.entries - atoms)) <= 1e-13, level
+    slow = brute_force_profile(root, 2, ORDERS)
+    assert np.max(np.abs(sweep[1].entries - slow)) <= 1e-9
+
+
+def test_erasure_state_path_is_taken_only_for_ratios_zero_and_one(monkeypatch):
+    import polarlens.transform as transform
+
+    calls = []
+    real = transform.child_entropies
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transform, "child_entropies", counted)
+    level_profile_sweep(make_bec(0.35), 4, ORDERS)
+    level_profile_sweep(make_from_atoms([(0.5, 0.0), (0.125, 0.125, 2.0)]), 4, ORDERS)
+    assert calls == []
+    # a non-uniform prior moves the erased ratio off 1: atoms again
+    level_profile_sweep(make_bec(0.35, prior0=0.3), 2, ORDERS)
+    assert len(calls) == 1 + 2
+
+
+@pytest.mark.parametrize("erasure", [0.0, 1.0])
+def test_erasure_roots_with_one_ratio_class_are_exact(erasure):
+    import warnings
+
+    orders = ORDERS + (0.999999, 1.000001, 1e4, 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sweep = level_profile_sweep(make_bec(erasure), 10, orders)
+    for profile in sweep:
+        assert np.all(profile.entries == erasure)
+        assert not np.any(np.signbit(profile.entries))  # no -0.0 in the output
+
+
+def test_erasure_near_order_one_stays_in_range():
+    # the atom engine's ratio form left [0, 1] by 2.2e-8 here
+    from polarlens import bec_reference_profile
+
+    orders = (0.999999, 1.000001)
+    entries = level_profile(make_bec(0.35), 7, orders).entries
+    assert ((entries >= 0.0) & (entries <= 1.0)).all()
+    assert np.max(np.abs(entries - bec_reference_profile(0.35, 7, orders))) <= 1e-14
+
+
+def test_moment_kernel_on_deep_erasure_parents():
+    # the state sweep takes BEC roots away from child_entropies; this keeps
+    # the moment kernel's power-of-two shift covered on the parents whose
+    # squared moments fall far below the float range
+    orders = (300.0, 512.0)
+    parents = _levels(make_bec(0.5), 5)[5]
+    split = np.hstack([child_entropies(p, orders) for p in parents])
+    assert ((split >= 0.0) & (split <= 1.0)).all()
+    state = level_profile(make_bec(0.5), 6, orders).entries
+    assert np.max(np.abs(split - state)) <= 1e-12
+
+
+def test_erasure_sweep_refuses_an_output_over_budget(monkeypatch):
+    import polarlens.transform as transform
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("no state may be computed before the budget check")
+
+    monkeypatch.setattr(transform, "_erasure_children", no_work)
+    # three orders: levels 1 to 3 hold 3 * (2 + 4 + 8) = 42 entries
+    with pytest.raises(CapacityError) as err:
+        level_profile_sweep(make_bec(0.35), 4, (0.5, 2.0, math.inf), atom_cap=42)
+    assert str(err.value) == (
+        "level 4: profiles through level 4 hold 90 entries over 3 orders "
+        "(cap 42); raise atom_cap to allow it"
+    )
+    with pytest.raises(CapacityError, match="^level 3: "):
+        level_profile_sweep(make_bec(0.35), 30, (0.5, 2.0, math.inf), atom_cap=41)
+    monkeypatch.undo()
+    assert len(level_profile_sweep(make_bec(0.35), 3, (0.5, 2.0, math.inf), atom_cap=42)) == 3
