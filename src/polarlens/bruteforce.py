@@ -37,6 +37,12 @@ _CHUNK_TUPLES = 2048
 
 _LN2 = math.log(2.0)
 
+#: Finite orders within this of 1 take the eps form of brute_force_profile:
+#: on level 3 of BEC(0.35) and BEC(0.5) it was at most 3.6e-15 off the 60-digit
+#: reference from 0.75 to 1.25 (the log-sum-exp ratio: up to 1.5e-14), but
+#: its q expm1(eps ln q) terms cancel beyond (9.4e-15 at 1.4).
+_EPS_FORM_BAND = 0.25
+
 
 def generator_matrix(level: int) -> np.ndarray:
     """Binary generator of the length-2**level transform, x = u @ G mod 2.
@@ -104,7 +110,11 @@ def brute_force_profile(
     tuples is read in one pass: per subchannel, the weights, supports,
     maxima and the logs of the joint and symbol columns are taken once,
     and every requested order reads from them.  Finite orders keep one
-    log-sum-exp part per chunk and combine the parts at the end.
+    log-sum-exp part per chunk and combine the parts at the end.  Near
+    order 1, whose log-sum-exp difference over 1 - alpha loses digits,
+    alpha = 1 + eps also sums num - den = sum w [sum_x q_x expm1(eps ln
+    q_x) - s expm1(eps ln s)] directly (q ln q over eps at eps = 0) and
+    gives -log1p((num - den) / den) / (eps ln 2).
 
     Raises
     ------
@@ -117,6 +127,8 @@ def brute_force_profile(
         raise ValueError(f"level must be >= 0, got {level}")
     orders = [as_order(o) for o in orders]
     finite = list(dict.fromkeys(o.alpha for o in orders if o.kind == "finite"))
+    near = [a - 1.0 for a in finite if abs(a - 1.0) <= _EPS_FORM_BAND]
+    near += [0.0] if any(o.kind == "one" for o in orders) else []
     n = 1 << level
     a_count = root.n_atoms
     tuple_count = a_count**n
@@ -138,7 +150,7 @@ def brute_force_profile(
 
     # running state per subchannel: row 0 the joint columns, row 1 the symbols
     support = np.zeros((2, n))
-    plogp = np.zeros((2, n))
+    excess = np.zeros((len(near), n))  # num - den of the eps form
     peak = np.zeros((2, n))
     chunk_count = -(-tuple_count // _CHUNK_TUPLES)
     lse_parts = np.empty((2, len(finite), n, chunk_count))
@@ -168,10 +180,12 @@ def brute_force_profile(
                 lse_parts[0, f, i, c] = _logsumexp(a * lq + lw[:, None])
                 lse_parts[1, f, i, c] = _logsumexp(a * ls + lw)
             w = np.repeat(w_tuple, 1 << i)
-            qlq = np.multiply(q, lq, out=np.zeros_like(q), where=q > 0.0).sum(axis=1)
-            sls = np.multiply(s, ls, out=np.zeros_like(s), where=s > 0.0)
+            for f, e in enumerate(near):
+                eq, es = (np.expm1(e * lq), np.expm1(e * ls)) if e else (lq, ls)
+                qe = np.multiply(q, eq, out=np.zeros_like(q), where=q > 0.0).sum(axis=1)
+                se = np.multiply(s, es, out=np.zeros_like(s), where=s > 0.0)
+                excess[f, i] += np.sum(w * (qe - se))
             support[:, i] += (np.sum(w * (q > 0.0).sum(axis=1)), np.sum(w, where=s > 0.0))
-            plogp[:, i] += (np.sum(w * qlq), np.sum(w * sls))
             peak[:, i] = np.maximum(peak[:, i], (q.max(initial=0.0), s.max(initial=0.0)))
 
     if abs(mass - 1.0) > 1e-9:
@@ -181,16 +195,20 @@ def brute_force_profile(
     out = np.empty((len(orders), n))
     for row, order in enumerate(orders):
         for i in range(n):
+            eps = order.alpha - 1.0
             if order.kind == "zero":
                 h = math.log2(support[0, i] / support[1, i])
-            elif order.kind == "one":
-                h = (plogp[1, i] - plogp[0, i]) / _LN2
             elif order.kind == "infinity":
                 h = math.log2(peak[1, i] / peak[0, i])
+            elif eps == 0.0:
+                h = -excess[near.index(eps), i] / (mass * _LN2)
             else:
                 f = finite.index(order.alpha)
-                log_ratio = _logsumexp(lse_parts[0, f, i]) - _logsumexp(lse_parts[1, f, i])
-                h = log_ratio / ((1.0 - order.alpha) * _LN2)
+                log_den = _logsumexp(lse_parts[1, f, i])
+                if eps in near:
+                    h = -math.log1p(excess[near.index(eps), i] / math.exp(log_den)) / (eps * _LN2)
+                else:
+                    h = (_logsumexp(lse_parts[0, f, i]) - log_den) / (-eps * _LN2)
             out[row, i] = h
     return out
 

@@ -128,7 +128,7 @@ def _from_arrays(
 def make_from_atoms(
     atoms: Sequence | np.ndarray,
     *,
-    normalization_tol: float = MASS_TOL,
+    normalization_tol: float | None = MASS_TOL,
 ) -> JointDistribution:
     """Build a distribution from (p0, p1, weight) triples.
 
@@ -137,8 +137,10 @@ def make_from_atoms(
     atoms : sequence of triples or (n, 3) array
         Joint columns with multiplicities.  A bare (p0, p1) pair gets
         weight 1.
-    normalization_tol : float
-        Accepted deviation of the total mass from 1.
+    normalization_tol : float or None
+        Accepted deviation of the total mass from 1.  A mass admitted off 1
+        by more than ``MASS_TOL`` is divided out of the weights, so the law
+        has unit mass; None admits any mass and keeps the weights as given.
 
     Raises
     ------
@@ -161,7 +163,10 @@ def make_from_atoms(
     if not rows:
         raise DistributionError("a distribution needs at least one atom")
     arr = np.array(rows, dtype=np.float64)
-    return _from_arrays(arr[:, 0], arr[:, 1], arr[:, 2], normalization_tol=normalization_tol)
+    d = _from_arrays(arr[:, 0], arr[:, 1], arr[:, 2], normalization_tol=normalization_tol)
+    if normalization_tol is None or abs(d.mass - 1.0) <= MASS_TOL:
+        return d
+    return _from_arrays(d.p0, d.p1, d.weight / d.mass)
 
 
 def make_bsc(crossover: float, prior0: float = 0.5) -> JointDistribution:
@@ -262,9 +267,7 @@ def from_json_dict(obj: dict) -> JointDistribution:
 
     Expected shape: {"atoms": [[p0, p1, weight], ...]} whose entries are
     numbers, with an optional "normalization_tol" override of ``MASS_TOL``,
-    a finite number >= 0.  A file admitted with a mass off 1 by more than
-    ``MASS_TOL`` has its weights divided by that mass, so it is evaluated
-    as its unit-mass law; a file within ``MASS_TOL`` keeps its weights.
+    a finite number >= 0, passed to :func:`make_from_atoms`.
     """
     if not isinstance(obj, dict) or not isinstance(obj.get("atoms"), list):
         raise DistributionError('distribution JSON must contain an "atoms" list')
@@ -274,10 +277,7 @@ def from_json_dict(obj: dict) -> JointDistribution:
     for atom in obj["atoms"]:
         if not isinstance(atom, list) or not all(_is_json_number(v) for v in atom):
             raise DistributionError(f"atom {atom!r} is not a list of numbers")
-    d = make_from_atoms(obj["atoms"], normalization_tol=tol)
-    if abs(d.mass - 1.0) <= MASS_TOL:
-        return d
-    return _from_arrays(d.p0, d.p1, d.weight / d.mass)
+    return make_from_atoms(obj["atoms"], normalization_tol=tol)
 
 
 def load_file(path: str) -> JointDistribution:

@@ -22,23 +22,18 @@ product is then a symmetric triangle rather than a full square: pair
 atoms up to an input flip.  So only pairs i <= j are built, off-diagonal
 ones at weight 2*wi*wj, and the canonical merge sorts half as many atoms.
 
-Materializing subchannels squares the atom count per level, so deep
-profiles are computed without building the final level.  For a parent
-channel with power sums num = sum w * (p0^a + p1^a) and
-den = sum w * (p0 + p1)^a, the self-paired children satisfy exactly
-
-    den(minus) = den^2      num(plus) = num^2      den(plus) = num(minus)
-
-leaving num(minus), a genuine pairwise sum, as the only new quantity per
-parent.  It is evaluated by grouping atoms on their exact odds ratio
-p1/p0, which collapses the pair grid by orders of magnitude, and by a
-binomial moment expansion when the order is a small-to-moderate integer.
-Up to order 32, and for the Shannon limit, the pair grid then runs over
-proxy points: each dyadic box of ratios with more than 24 groups is
-replaced by 24 Chebyshev points carrying barycentric Lagrange weights,
-which is exact up to rounding because the pair kernels are analytic on
-every such box.  Higher orders run the grid over the groups themselves,
-in the log domain, so no order overflows or underflows it.
+Materializing subchannels squares the atom count per level, so the final
+level is never built: its minus child is a pair grid over the parent's
+atoms grouped on their exact odds ratio p1/p0, and its plus child follows
+by conservation (den(minus) = den^2, num(plus) = num^2, den(plus) =
+num(minus) for the power sums of the ratio form).  Order 1 and the
+non-integral orders up to POSTERIOR_MAX_ORDER run the posterior kernel of
+:mod:`polarlens.entropy` on that grid; other orders sum num(minus) on it,
+or by a binomial moment expansion at small-to-moderate integral orders.
+Up to order 32 the grid runs over proxy points: each dyadic box of ratios
+with more than 24 groups becomes 24 Chebyshev points carrying barycentric
+Lagrange weights, exact up to rounding as the pair kernels are analytic on
+every such box.  Higher orders run it over the groups, in the log domain.
 
 Erasure-type roots never need atoms past the root.  When every canonical
 atom has p1 = 0 or p1 = p0 (odds ratio 0 or 1, as a BEC with a uniform
@@ -79,6 +74,9 @@ from .entropy import (
     as_order,
     conditional_renyi,
     log2_power_sum,  # noqa: F401  perfbench/tracing.py patches this attribute
+    posterior_entropy,
+    posterior_eps,
+    posterior_kernel,
     power_sums,
     snap_to_unit,
 )
@@ -117,15 +115,11 @@ def transform_pair(
     """Apply one polar step to two independent parents (b defaults to a).
 
     Both children come out in canonical orientation (see
-    :func:`canonicalize_orientation`): every atom has p0 >= p1, and
-    bitwise-equal atoms are merged.  No entropy of the children or of
-    their descendants depends on the orientation.
-
-    A step of a channel with itself (``b`` is None or ``a`` itself) builds
-    only the atom pairs (i, j) with j >= i, giving off-diagonal pairs
-    weight 2 wi wj: pair (j, i) yields bitwise the same minus atom and the
-    same plus atoms up to an input flip, which the orientation folds.  Two
-    distinct parents get the full outer product.
+    :func:`canonicalize_orientation`), on which no entropy of them or of
+    their descendants depends.  A step of a channel with itself (``b`` is
+    None or ``a`` itself) builds only the atom pairs (i, j) with j >= i,
+    as the module docstring explains; two distinct parents get the full
+    outer product.
 
     Raises
     ------
@@ -227,17 +221,22 @@ class _RatioView:
         order = np.argsort(r, kind="stable")
         self.p0 = p0[order]
         self.w = w[order]
-        self.atom_ratios = r[order]
+        r = r[order]
         boundary = np.empty(r.shape[0], dtype=bool)
         boundary[0] = True
-        boundary[1:] = self.atom_ratios[1:] != self.atom_ratios[:-1]
+        boundary[1:] = r[1:] != r[:-1]
         self.starts = np.flatnonzero(boundary)
         self.group = np.cumsum(boundary) - 1  # group index of every atom
-        self.ratios = self.atom_ratios[self.starts]
+        self.ratios = r[self.starts]
 
     def group_sum(self, values: np.ndarray) -> np.ndarray:
         """Sum an atom-aligned array within each ratio group."""
         return np.add.reduceat(values, self.starts)
+
+    def symbol_weights(self, alpha: float) -> np.ndarray:
+        """sum w s^alpha within each ratio group x, s = p0 (1 + x), largest 1."""
+        nu = self.group_log2_sums(alpha) + alpha * np.log2(1.0 + self.ratios)
+        return np.exp2(nu - nu.max())
 
     def group_log2_sums(self, alpha: float) -> np.ndarray:
         """log2 of sum w p0^alpha within each ratio group, in the log domain.
@@ -386,64 +385,35 @@ def _proxy_pair_sum(view: _RatioView, alpha: float) -> float:
     return 2.0 * top + _pair_grid_sum(view.proxy_ratios, lu, alpha, np.sign(u))
 
 
-def _xlog2x(values: np.ndarray) -> np.ndarray:
-    """Elementwise v * log2(v), taking 0 * log2(0) as 0."""
-    out = np.zeros_like(values)
-    np.log2(values, out=out, where=values > 0.0)
-    out *= values
-    return out
+def _posterior_pair_sum(ratios: np.ndarray, weights: np.ndarray, eps: float) -> float:
+    """sum_{x,y} w_x w_y K(x, y), K the :func:`posterior_kernel` of a pair.
 
-
-def _shannon_pair_sum(r: np.ndarray, e: np.ndarray, l2: np.ndarray) -> float:
-    """sum_{a,b} q (E_a L_b + L_a E_b + E_a E_b log2 q), q in {1 + r_a r_b, r_a + r_b}."""
-    n = r.shape[0]
-    rows = max(1, _PAIR_CHUNK // (4 * n))
-
-    def work(s: int) -> float:
-        rc = r[s : s + rows, None]
-        ec = e[s : s + rows, None]
-        lc = l2[s : s + rows, None]
-        q0 = 1.0 + rc * r
-        q1 = rc + r
-        el = ec * l2 + lc * e
-        ee = ec * e
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lq1 = np.where(q1 > 0.0, np.log2(q1), 0.0)
-        t = q0 * (el + ee * np.log2(q0)) + q1 * (el + ee * lq1)
-        return float(np.sum(t))
-
-    return math.fsum(work(s) for s in range(0, n, rows))
-
-
-def _minus_shannon_joint(view: _RatioView) -> float:
-    """Shannon entropy (bits) of the minus child's full joint law.
-
-    Grouped like the power sums: with E(a) = sum w~ p0~ and
-    L(a) = sum w~ p0~ log2 p0~ per ratio group, every pair block reduces
-    to closed form in (E, L) and the pair's combined ratio terms.  Both
-    are carried onto the view's proxy points before the pair sum.
+    Ratios (x, y) make a minus-child symbol of posterior a = (1 + xy) c,
+    b = (x + y) c, c = 1 / ((1 + x)(1 + y)).  K is symmetric, so a block of
+    rows meets only the columns from its first row on: its own square
+    counts once, the columns past it twice.
     """
-    e = view.group_sum(view.w * view.p0)
-    with np.errstate(divide="ignore"):
-        lg = np.where(view.p0 > 0.0, np.log2(view.p0), 0.0)
-    l2 = view.group_sum(view.w * view.p0 * lg)
-    t_sum = _shannon_pair_sum(view.proxy_ratios, view.to_proxies(e), view.to_proxies(l2))
-    mass = float(np.sum(view.w * view.p0 * (1.0 + view.atom_ratios)))
-    scale = view.total_weight**2 * view.max_mass**2
-    return -scale * (t_sum + 2.0 * math.log2(view.max_mass) * mass * mass)
+    n = ratios.shape[0]
+    inv = 1.0 / (1.0 + ratios)
+    rows = max(1, min(_PAIR_CHUNK // n, -(-n // 8)))  # eighths: near the triangle's cost
+    parts = []
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        x, c = ratios[s:e, None], inv[s:e, None] * inv[s:]
+        kernel = posterior_kernel((x * ratios[s:] + 1.0) * c, (x + ratios[s:]) * c, eps)
+        cols = weights[s:].copy()
+        cols[e - s :] *= 2.0
+        parts.append(float(np.sum(weights[s:e] * np.einsum("ij,j->i", kernel, cols))))
+    return math.fsum(parts)
 
 
-def _shannon_children(parent: JointDistribution, view: _RatioView) -> tuple[float, float]:
-    """H_1 of both children.
-
-    The minus child's joint entropy comes from the pair grid above; the
-    plus child's follows by conservation of the joint entropy.
-    """
-    w = parent.weight
-    joint = -float(np.sum(w * _xlog2x(parent.p0)) + np.sum(w * _xlog2x(parent.p1)))
-    symbol = -float(np.sum(w * _xlog2x(parent.symbol_mass)))
-    joint_minus = _minus_shannon_joint(view)
-    return joint_minus - 2.0 * symbol, 2.0 * joint - joint_minus
+def _posterior_children(parent: JointDistribution, view: _RatioView, o: Order) -> tuple[float, float]:
+    """H of both children: minus by the posterior pair grid, plus by conservation."""
+    eps = posterior_eps(o)
+    nu = view.symbol_weights(o.alpha)
+    mean = _posterior_pair_sum(view.proxy_ratios, view.to_proxies(nu), eps) / float(np.sum(nu)) ** 2
+    h_minus = posterior_entropy(mean, eps)
+    return h_minus, 2.0 * conditional_renyi(parent, o) - h_minus
 
 
 def _renyi_children(
@@ -466,22 +436,18 @@ def _renyi_children(
     )
 
 
-def _support_triple(d: JointDistribution) -> tuple[float, float, float, float]:
-    """Weighted counts (C0, C1, B, W): support of each input, both, and all."""
-    c0 = float(np.sum(d.weight, where=d.p0 > 0.0))
-    c1 = float(np.sum(d.weight, where=d.p1 > 0.0))
-    b = float(np.sum(d.weight, where=(d.p0 > 0.0) & (d.p1 > 0.0)))
-    return c0, c1, b, float(np.sum(d.weight))
-
-
 def _zero_order_children(d: JointDistribution) -> tuple[float, float]:
     """H_0 of both children from the parent's support counts alone.
 
     Which child entries are positive depends only on which parent entries
     are, so inclusion-exclusion over the pair grid gives exact weighted
-    support sizes without building it.
+    support sizes without building it: C0, C1, B and W weigh the support
+    of each input, of both, and all atoms.
     """
-    c0, c1, b, w = _support_triple(d)
+    c0 = float(np.sum(d.weight, where=d.p0 > 0.0))
+    c1 = float(np.sum(d.weight, where=d.p1 > 0.0))
+    b = float(np.sum(d.weight, where=(d.p0 > 0.0) & (d.p1 > 0.0)))
+    w = float(np.sum(d.weight))
     minus_c0 = c0 * c0 + c1 * c1 - b * b
     minus_c1 = 2.0 * c0 * c1 - b * b
     plus_c0 = c0 * c0 + c1 * c0
@@ -521,8 +487,8 @@ def _split_kernel(parent: JointDistribution, view, o: Order):
     if o.kind == "infinity":
         return None, lambda: _infinity_children(parent)
     v = view()
-    if o.kind == "one":
-        return v.proxy_ratios, lambda: _shannon_children(parent, v)
+    if posterior_eps(o) is not None:
+        return v.proxy_ratios, lambda: _posterior_children(parent, v, o)
     a = o.alpha
     if o.is_integer and a <= _MOMENT_MAX_ORDER:
         grid, pair = None, lambda: _pair_moment_sum(v, int(a))
@@ -552,9 +518,9 @@ def child_entropies(
     CapacityError
         Before any kernel runs, if the pair grid of some order, n points
         square, has 2 n^2 > ``_SPLIT_WORK_FACTOR * atom_cap`` elements.
-        n counts the proxy points at order 1 and at non-integral orders
-        up to 32, and the parent's ratio groups at every other order
-        that streams a grid; closed-form and moment orders stream none.
+        n counts the proxy points at order 1 and non-integral orders to
+        32 (posterior kernel or not), and the ratio groups at every other
+        order that streams a grid; closed-form and moment orders stream none.
         The grid is streamed, not stored, so its budget is time, not
         memory; raising ``atom_cap`` widens both budgets together.
     """
@@ -814,14 +780,10 @@ def level_profile_sweep(
 ) -> list[PolarizationProfile]:
     """Profiles for every level 1 .. max_level in one walk.
 
-    An erasure-type root, one whose canonical atoms all have p1 = 0 or
-    p1 = p0 (odds ratio 0 or 1, as a BEC with a uniform prior), keeps
-    that ratio set at every level, since both polar maps take {0, 1}
-    into itself.  Every subchannel is then fixed at every order by two
-    numbers: the summed p0^alpha of each ratio class, or at order inf
-    the largest p0 of each.  Their quotient follows the polar maps in
-    closed form, so these sweeps run on that one number per subchannel
-    and order, exactly up to rounding and with no atoms.
+    An erasure-type root, one whose canonical atoms all have odds ratio 0
+    or 1 (as a BEC with a uniform prior), runs on one number per
+    subchannel and order (see the module docstring), exactly up to
+    rounding and with no atoms.
 
     Every other root is materialized level by level (canonical, merged)
     and level k entropies come from split evaluation of the level k-1

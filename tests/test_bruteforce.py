@@ -184,6 +184,14 @@ def test_bec_reference_matches_brute_force(erasure, level):
     assert np.max(np.abs(ref - slow)) <= 1e-9
 
 
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_brute_force_near_order_one_matches_bec_reference(level):
+    # the eps form; the log-sum-exp difference over 1 - alpha was 1.06e-9 off
+    orders = (0.999999, 1.000001)
+    slow = brute_force_profile(make_bec(0.35), level, orders)
+    assert np.max(np.abs(slow - bec_reference_profile(0.35, level, orders))) <= 1e-12
+
+
 def test_bec_reference_order_one_is_the_erasure_probability():
     # Arikan's z recursion at level 2: z- = 2z - z^2, z+ = z^2, each twice
     z = 0.35

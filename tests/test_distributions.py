@@ -98,6 +98,19 @@ def test_normalization_tol_none_accepts_subnormalized():
     assert d.mass == pytest.approx(0.5)
 
 
+def test_admitted_mass_off_one_is_divided_out():
+    # at mass 0.6 the order-1 entries of this law were -0.4418 and 1.4908
+    loose = make_from_atoms([[0.3, 0.1, 1], [0.1, 0.1, 1]], normalization_tol=0.5)
+    assert loose.mass == pytest.approx(1.0, abs=1e-15)
+    unit = make_from_atoms([[0.3, 0.1, 1 / 0.6], [0.1, 0.1, 1 / 0.6]])
+    orders = (0.5, 1.0, 2.0)
+    got = level_profile(loose, 1, orders).entries
+    assert ((got >= 0.0) & (got <= 1.0)).all()
+    assert got == pytest.approx(level_profile(unit, 1, orders).entries, abs=1e-15)
+    # a mass within MASS_TOL keeps its weights bit for bit
+    assert make_from_atoms([[0.5, 0.5 + 5e-10, 1.0]]).weight.tolist() == [1.0]
+
+
 def test_crossover_bounds():
     with pytest.raises((DistributionError, ValueError)):
         make_bsc(1.5)

@@ -4,11 +4,14 @@ Each case runs ``polarlens`` in-process and compares its stdout, and for
 ``verify`` also its ``--out`` CSV, with the files under ``tests/golden/``;
 the input files some cases read are under ``tests/data/``.
 A change that moves these bytes on purpose rewrites the files with
-``python tests/test_golden.py`` and says so in its change record.
+``python tests/test_golden.py`` and says so in its change record; that
+command prints, for each file it rewrites, how many numeric cells moved
+and the largest absolute move.
 """
 
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -61,9 +64,44 @@ def test_output_matches_golden(name, tmp_path):
         assert got == (GOLDEN / file_name).read_bytes(), file_name
 
 
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def moved_cells(old: bytes, new: bytes) -> str:
+    """How the cells of ``new`` differ from those of ``old``, in one line.
+
+    Cells are the runs between commas, brackets, colons and whitespace.
+    Numeric cells are compared by value, the others as text.
+    """
+    split = re.compile(r"[\s,\[\]{}:]+")
+    before, after = (split.split(text.decode()) for text in (old, new))
+    if len(before) != len(after):
+        return f"{len(before)} -> {len(after)} cells"
+    moved, text, largest = 0, 0, 0.0
+    for a, b in zip(before, after):
+        x, y = _number(a), _number(b)
+        if x is not None and y is not None:
+            if a != b:
+                moved += 1
+                largest = max(largest, abs(x - y))
+        elif a != b:
+            text += 1
+    line = f"{moved} numeric cells moved, largest move {largest:.3g}"
+    return line + (f", {text} other cells changed" if text else "")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
             for file_name, data in produce(case, Path(tmp)).items():
-                (GOLDEN / file_name).write_bytes(data)
+                path = GOLDEN / file_name
+                old = path.read_bytes() if path.exists() else None
+                if old == data:
+                    continue
+                path.write_bytes(data)
+                print(f"{file_name}: " + ("new file" if old is None else moved_cells(old, data)))

@@ -263,10 +263,13 @@ SPLIT_ORDERS = (math.inf, 2.0, 0.0, 0.5, 1.0, 2.0, 40.5, 600.0)
 
 
 def _split_class(o):
+    from polarlens.entropy import posterior_eps
     from polarlens.transform import _MOMENT_MAX_ORDER
 
-    if o.kind in ("zero", "infinity", "one"):
+    if o.kind in ("zero", "infinity"):
         return o.kind
+    if posterior_eps(o) is not None:
+        return "posterior"
     return "moment" if o.is_integer and o.alpha <= _MOMENT_MAX_ORDER else "grid"
 
 
@@ -450,7 +453,7 @@ def test_self_paired_blocks_and_threads_do_not_change_bytes(monkeypatch):
 # Proxy-point pair grids against the direct grid over the ratio groups.
 # ---------------------------------------------------------------------------
 
-PROXY_ORDERS = (1e-3, 0.1, 0.5, 0.999, 1.001, 3.7, 31.9, 32.0)
+PROXY_ORDERS = (1e-3, 0.1, 0.5, 0.999, 1.0, 1.001, 3.7, 31.9, 32.0)
 
 
 #: Odds draws: uniform on [0, 1]; log-uniform down to 2^-1000, which leaves
@@ -475,22 +478,26 @@ def _ratio_view(seed, groups, draw):
 
 
 def _proxy_errors(view, orders):
-    """Relative difference of every proxy pair sum from the direct grid."""
-    from polarlens.transform import (
-        _pair_grid_sum,
-        _proxy_pair_sum,
-        _shannon_pair_sum,
-    )
+    """Difference of every proxy pair sum from the direct grid over the groups.
+
+    Orders the posterior kernel serves compare the minus child's entropy;
+    the others compare the log2 pair sum, as a relative difference.
+    """
+    from polarlens.entropy import as_order, posterior_entropy, posterior_eps
+    from polarlens.transform import _pair_grid_sum, _posterior_pair_sum, _proxy_pair_sum
 
     errs = {}
     for a in orders:
-        direct = _pair_grid_sum(view.ratios, view.group_log2_sums(a), a)
-        errs[a] = abs(_proxy_pair_sum(view, a) - direct) * math.log(2.0)
-    e = view.group_sum(view.w * view.p0)
-    l2 = view.group_sum(view.w * view.p0 * np.log2(view.p0))
-    direct = _shannon_pair_sum(view.ratios, e, l2)
-    proxy = _shannon_pair_sum(view.proxy_ratios, view.to_proxies(e), view.to_proxies(l2))
-    errs["shannon"] = abs(proxy - direct) / abs(direct)
+        eps = posterior_eps(as_order(a))
+        if eps is None:
+            direct = _pair_grid_sum(view.ratios, view.group_log2_sums(a), a)
+            errs[a] = abs(_proxy_pair_sum(view, a) - direct) * math.log(2.0)
+            continue
+        nu = view.symbol_weights(a)
+        scale = float(np.sum(nu)) ** 2
+        direct = _posterior_pair_sum(view.ratios, nu, eps) / scale
+        proxy = _posterior_pair_sum(view.proxy_ratios, view.to_proxies(nu), eps) / scale
+        errs[a] = abs(posterior_entropy(proxy, eps) - posterior_entropy(direct, eps))
     return errs
 
 
@@ -540,6 +547,59 @@ def test_proxy_map_passes_small_boxes_through():
     assert np.array_equal(view.proxy_ratios, view.ratios)
     values = np.array([0.3, 0.7])
     assert np.array_equal(view.to_proxies(values), values)
+
+
+# ---------------------------------------------------------------------------
+# Orders near 1 on roots that materialize: the posterior kernel at 40 digits.
+# ---------------------------------------------------------------------------
+
+NEAR_ONE_ORDERS = (0.1, 0.5, 0.999999, 1.0, 1.000001, 1.5)
+
+
+def _reference_entropy(d, alpha):
+    """H_alpha of a materialized distribution, summed in mpmath at 40 digits.
+
+    Order 1 is the limit of the ratio form, so it is divided by the mass.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        cols = [[mpmath.mpf(v) for v in c.tolist()] for c in (d.p0, d.p1, d.weight)]
+        atoms = [(w, x, y, x + y) for x, y, w in zip(*cols)]
+        if alpha == 1.0:
+
+            def xlnx(v):
+                return v * mpmath.log(v) if v else v
+
+            h = mpmath.fsum(w * (xlnx(s) - xlnx(x) - xlnx(y)) for w, x, y, s in atoms)
+            return float(h / (mpmath.fsum(w * s for w, _, _, s in atoms) * mpmath.log(2)))
+        a = mpmath.mpf(alpha)
+        num = mpmath.fsum(w * (x**a + y**a) for w, x, y, _ in atoms)
+        den = mpmath.fsum(w * s**a for w, _, _, s in atoms)
+        return float(mpmath.log(num / den, 2) / (1 - a))
+
+
+@pytest.mark.parametrize(
+    "root,level",
+    [
+        (make_bsc(0.49), 4),
+        (make_bsc(0.49), 5),
+        (make_bsc(0.2), 4),
+        (make_bsc(0.2), 5),
+        (make_bec(0.35, 0.3), 2),
+        (make_bec(0.35, 0.3), 3),
+    ],
+    ids=["bsc0.49-n4", "bsc0.49-n5", "bsc0.2-n4", "bsc0.2-n5", "bec0.35-prior0.3-n2",
+         "bec0.35-prior0.3-n3"],
+)
+def test_near_order_one_matches_40_digit_reference(root, level):
+    # the ratio form was up to 9.7e-9 off here, and BSC(0.49) left [0, 1]
+    entries = level_profile(root, level, NEAR_ONE_ORDERS).entries
+    assert ((entries >= 0.0) & (entries <= 1.0)).all()
+    children = _levels(root, level)[level]
+    for k, a in enumerate(NEAR_ONE_ORDERS):
+        ref = [_reference_entropy(d, a) for d in children]
+        assert np.max(np.abs(entries[k] - ref)) <= 1e-14, a
 
 
 # ---------------------------------------------------------------------------
