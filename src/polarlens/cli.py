@@ -187,7 +187,9 @@ def cmd_polarize(ns) -> int:
     columns = ["n", "index", "alpha", "entropy"]
     ranks = None
     if ns.sort_shannon:
-        ranks = np.argsort(profile.presentation_permutation())  # the inverse permutation
+        perm = profile.presentation_permutation()
+        ranks = np.empty(perm.shape[0], dtype=np.int64)
+        ranks[perm] = np.arange(perm.shape[0])
         columns.append("shannon_rank")
     rows = []
     for i in range(1 << ns.n):
@@ -209,19 +211,37 @@ def cmd_polarize(ns) -> int:
             summary_rows.append(
                 [order, band, low, high, 1.0 - root, root, profile.average(order), root]
             )
-    header = "alpha,band,frac_low,frac_high,predicted_low,predicted_high,level_mean,root_entropy"
-    summary = make_section("summary", header.split(","), summary_rows)
+    summary = make_section(
+        "summary",
+        [
+            "alpha",
+            "band",
+            "frac_low",
+            "frac_high",
+            "predicted_low",
+            "predicted_high",
+            "level_mean",
+            "root_entropy",
+        ],
+        summary_rows,
+    )
     _emit([entries, summary], ns.out, ns.format)
     return EXIT_OK
 
 
 def cmd_entropy(ns) -> int:
     root = resolve_channel(ns.channel, ns.prior0)
-    rows = [
-        [o, conditional_renyi(root, o), output_renyi(root, o), joint_renyi(root, o),
-         chain_rule_residual(root, o)]
-        for o in _parse_orders(ns.alpha)
-    ]
+    rows = []
+    for order in _parse_orders(ns.alpha):
+        rows.append(
+            [
+                order,
+                conditional_renyi(root, order),
+                output_renyi(root, order),
+                joint_renyi(root, order),
+                chain_rule_residual(root, order),
+            ]
+        )
     section = make_section(
         "entropies", ["alpha", "conditional", "output", "joint", "chain_residual"], rows
     )

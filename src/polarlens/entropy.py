@@ -44,8 +44,7 @@ MAX_FINITE_ORDER = 1e300
 #: on one root), and behind the ratio form from 7.5 on (2.0e-14 to 1.1e-14).
 POSTERIOR_MAX_ORDER = 6.0
 
-#: Posteriors below the smallest normal double enter the kernel at it, so no
-#: term overflows; that moves a term by less than 2^(-1022 a).
+#: Smallest normal double: the posterior kernel clamps its logs here.
 _TINY = np.finfo(np.float64).tiny
 
 #: The paper's order grid plus both closure points of the order axis.
@@ -148,15 +147,29 @@ def posterior_kernel(u: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
     Its weighted mean is num / den - 1 of the ratio form, and at eps = 0,
     where that vanishes, its derivative in eps.
     """
-    lu = np.log(np.maximum(u, _TINY))
-    lv = np.log(np.maximum(v, _TINY))
-    if eps != 0.0:
-        np.expm1(np.multiply(lu, eps, out=lu), out=lu)
-        np.expm1(np.multiply(lv, eps, out=lv), out=lv)
-    u *= lu
-    v *= lv
+    _posterior_term(u, eps)
+    _posterior_term(v, eps)
     u += v
     return u
+
+
+def _posterior_term(x: np.ndarray, eps: float) -> None:
+    """x expm1(eps ln x), and x ln x at eps = 0, into ``x``; 0 stays 0.
+
+    ln x is clamped at the smallest normal double, where expm1 cannot
+    overflow for any eps > -1.  Positive x below it (subnormal) then take
+    exp((1 + eps) ln x) - x instead, which cannot overflow either.
+    """
+    low = (x > 0.0) & (x < _TINY) if np.min(x) < _TINY else None
+    sub = x[low] if low is not None else None
+    lx = np.maximum(x, _TINY)
+    np.log(lx, out=lx)
+    if eps != 0.0:
+        np.expm1(np.multiply(lx, eps, out=lx), out=lx)
+    x *= lx
+    if sub is not None and sub.size:
+        ls = np.log(sub)
+        x[low] = np.exp((1.0 + eps) * ls) - sub if eps != 0.0 else sub * ls
 
 
 def posterior_entropy(mean: float, eps: float) -> float:
@@ -168,7 +181,9 @@ def posterior_entropy(mean: float, eps: float) -> float:
 
 def power_sums(d: JointDistribution, alpha: float) -> tuple[float, float]:
     """(log2 num, log2 den): num = sum w (p0^a + p1^a), den = sum w (p0 + p1)^a."""
-    num = log2_power_sum(np.concatenate([d.p0, d.p1]), alpha, np.concatenate([d.weight] * 2))
+    num = log2_power_sum(
+        np.concatenate([d.p0, d.p1]), alpha, np.concatenate([d.weight, d.weight])
+    )
     den = log2_power_sum(d.symbol_mass, alpha, d.weight)
     return num, den
 
@@ -178,14 +193,16 @@ def renyi_entropy(probs, order, weights=None) -> float:
 
     ``weights`` are multiplicities: weight w at value p represents w symbols
     of probability p each, so the vector masses to sum(w * p) = 1.
-    Order 0 counts the positive entries.  A negative entry, or a mass not
-    within ``MASS_TOL`` of 1 (as with any NaN or infinite entry), raises
-    DistributionError.
+    Order 0 counts the positive entries; order 1 divides its sum by the
+    mass, as :func:`conditional_renyi` does.  A negative entry, or a mass
+    not within ``MASS_TOL`` of 1 (as with any NaN or infinite entry),
+    raises DistributionError.
     """
     o = as_order(order)
     p = np.asarray(probs, dtype=np.float64).ravel()
     w = np.ones_like(p) if weights is None else np.asarray(weights, dtype=np.float64).ravel()
-    err = abs(float(np.sum(w * p)) - 1.0)
+    mass = float(np.sum(w * p))
+    err = abs(mass - 1.0)
     if not err <= MASS_TOL:
         raise DistributionError(f"probability mass deviates from 1 by {err:.3e}")
     if not np.minimum.reduce(np.minimum(p, w)) >= 0.0:
@@ -194,7 +211,7 @@ def renyi_entropy(probs, order, weights=None) -> float:
         return math.log2(float(np.sum(w[p > 0.0])))
     if o.kind == "one":
         p, w = p[p > 0.0], w[p > 0.0]
-        return float(-np.sum(w * p * np.log2(p)))
+        return float(-np.sum(w * p * np.log2(p))) / mass
     if o.kind == "infinity":
         return -math.log2(float(p.max()))
     return log2_power_sum(p, o.alpha, w) / (1.0 - o.alpha)
@@ -202,7 +219,10 @@ def renyi_entropy(probs, order, weights=None) -> float:
 
 def joint_renyi(d: JointDistribution, order) -> float:
     """H_a(X, Y): Renyi entropy of the full joint law."""
-    return renyi_entropy(np.concatenate([d.p0, d.p1]), order, np.concatenate([d.weight] * 2))
+    o = as_order(order)
+    p = np.concatenate([d.p0, d.p1])
+    w = np.concatenate([d.weight, d.weight])
+    return renyi_entropy(p, o, w)
 
 
 def output_renyi(d: JointDistribution, order) -> float:

@@ -22,18 +22,26 @@ product is then a symmetric triangle rather than a full square: pair
 atoms up to an input flip.  So only pairs i <= j are built, off-diagonal
 ones at weight 2*wi*wj, and the canonical merge sorts half as many atoms.
 
-Materializing subchannels squares the atom count per level, so the final
-level is never built: its minus child is a pair grid over the parent's
-atoms grouped on their exact odds ratio p1/p0, and its plus child follows
-by conservation (den(minus) = den^2, num(plus) = num^2, den(plus) =
-num(minus) for the power sums of the ratio form).  Order 1 and the
-non-integral orders up to POSTERIOR_MAX_ORDER run the posterior kernel of
-:mod:`polarlens.entropy` on that grid; other orders sum num(minus) on it,
-or by a binomial moment expansion at small-to-moderate integral orders.
-Up to order 32 the grid runs over proxy points: each dyadic box of ratios
-with more than 24 groups becomes 24 Chebyshev points carrying barycentric
-Lagrange weights, exact up to rounding as the pair kernels are analytic on
-every such box.  Higher orders run it over the groups, in the log domain.
+Materializing subchannels squares the atom count per level, so deep
+profiles are computed without building the final level.  For a parent
+channel with power sums num = sum w * (p0^a + p1^a) and
+den = sum w * (p0 + p1)^a, the self-paired children satisfy exactly
+
+    den(minus) = den^2      num(plus) = num^2      den(plus) = num(minus)
+
+leaving num(minus), a genuine pairwise sum, as the only new quantity per
+parent.  It is evaluated by grouping atoms on their exact odds ratio
+p1/p0, which collapses the pair grid by orders of magnitude, and by a
+binomial moment expansion when the order is a small-to-moderate integer.
+Order 1 and the non-integral orders up to POSTERIOR_MAX_ORDER instead
+sum the posterior kernel of :mod:`polarlens.entropy` on that grid, and
+the plus child follows from H(plus) = 2 H(parent) - H(minus).  Up to
+order 32 the pair grid runs over proxy points: each dyadic box of ratios
+with more than 24 groups is replaced by 24 Chebyshev points carrying
+barycentric Lagrange weights, which is exact up to rounding because the
+pair kernels are analytic on every such box.  Higher orders run the
+grid over the groups themselves, in the log domain, so no order
+overflows or underflows it.
 
 Erasure-type roots never need atoms past the root.  When every canonical
 atom has p1 = 0 or p1 = p0 (odds ratio 0 or 1, as a BEC with a uniform
@@ -115,11 +123,15 @@ def transform_pair(
     """Apply one polar step to two independent parents (b defaults to a).
 
     Both children come out in canonical orientation (see
-    :func:`canonicalize_orientation`), on which no entropy of them or of
-    their descendants depends.  A step of a channel with itself (``b`` is
-    None or ``a`` itself) builds only the atom pairs (i, j) with j >= i,
-    as the module docstring explains; two distinct parents get the full
-    outer product.
+    :func:`canonicalize_orientation`): every atom has p0 >= p1, and
+    bitwise-equal atoms are merged.  No entropy of the children or of
+    their descendants depends on the orientation.
+
+    A step of a channel with itself (``b`` is None or ``a`` itself) builds
+    only the atom pairs (i, j) with j >= i, giving off-diagonal pairs
+    weight 2 wi wj: pair (j, i) yields bitwise the same minus atom and the
+    same plus atoms up to an input flip, which the orientation folds.  Two
+    distinct parents get the full outer product.
 
     Raises
     ------
@@ -436,18 +448,22 @@ def _renyi_children(
     )
 
 
+def _support_triple(d: JointDistribution) -> tuple[float, float, float, float]:
+    """Weighted counts (C0, C1, B, W): support of each input, both, and all."""
+    c0 = float(np.sum(d.weight, where=d.p0 > 0.0))
+    c1 = float(np.sum(d.weight, where=d.p1 > 0.0))
+    b = float(np.sum(d.weight, where=(d.p0 > 0.0) & (d.p1 > 0.0)))
+    return c0, c1, b, float(np.sum(d.weight))
+
+
 def _zero_order_children(d: JointDistribution) -> tuple[float, float]:
     """H_0 of both children from the parent's support counts alone.
 
     Which child entries are positive depends only on which parent entries
     are, so inclusion-exclusion over the pair grid gives exact weighted
-    support sizes without building it: C0, C1, B and W weigh the support
-    of each input, of both, and all atoms.
+    support sizes without building it.
     """
-    c0 = float(np.sum(d.weight, where=d.p0 > 0.0))
-    c1 = float(np.sum(d.weight, where=d.p1 > 0.0))
-    b = float(np.sum(d.weight, where=(d.p0 > 0.0) & (d.p1 > 0.0)))
-    w = float(np.sum(d.weight))
+    c0, c1, b, w = _support_triple(d)
     minus_c0 = c0 * c0 + c1 * c1 - b * b
     minus_c1 = 2.0 * c0 * c1 - b * b
     plus_c0 = c0 * c0 + c1 * c0
@@ -518,9 +534,10 @@ def child_entropies(
     CapacityError
         Before any kernel runs, if the pair grid of some order, n points
         square, has 2 n^2 > ``_SPLIT_WORK_FACTOR * atom_cap`` elements.
-        n counts the proxy points at order 1 and non-integral orders to
-        32 (posterior kernel or not), and the ratio groups at every other
-        order that streams a grid; closed-form and moment orders stream none.
+        n counts the proxy points at order 1 and at non-integral orders
+        up to 32 (the posterior kernel's orders among them), and the
+        parent's ratio groups at every other order that streams a grid;
+        closed-form and moment orders stream none.
         The grid is streamed, not stored, so its budget is time, not
         memory; raising ``atom_cap`` widens both budgets together.
     """
@@ -780,10 +797,14 @@ def level_profile_sweep(
 ) -> list[PolarizationProfile]:
     """Profiles for every level 1 .. max_level in one walk.
 
-    An erasure-type root, one whose canonical atoms all have odds ratio 0
-    or 1 (as a BEC with a uniform prior), runs on one number per
-    subchannel and order (see the module docstring), exactly up to
-    rounding and with no atoms.
+    An erasure-type root, one whose canonical atoms all have p1 = 0 or
+    p1 = p0 (odds ratio 0 or 1, as a BEC with a uniform prior), keeps
+    that ratio set at every level, since both polar maps take {0, 1}
+    into itself.  Every subchannel is then fixed at every order by two
+    numbers: the summed p0^alpha of each ratio class, or at order inf
+    the largest p0 of each.  Their quotient follows the polar maps in
+    closed form, so these sweeps run on that one number per subchannel
+    and order, exactly up to rounding and with no atoms.
 
     Every other root is materialized level by level (canonical, merged)
     and level k entropies come from split evaluation of the level k-1

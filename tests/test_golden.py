@@ -74,10 +74,10 @@ def _number(cell: str):
 def moved_cells(old: bytes, new: bytes) -> str:
     """How the cells of ``new`` differ from those of ``old``, in one line.
 
-    Cells are the runs between commas, brackets, colons and whitespace.
-    Numeric cells are compared by value, the others as text.
+    Cells are the runs between commas, brackets, colons, equals signs and
+    whitespace.  Numeric cells are compared by value, the others as text.
     """
-    split = re.compile(r"[\s,\[\]{}:]+")
+    split = re.compile(r"[\s,\[\]{}:=]+")
     before, after = (split.split(text.decode()) for text in (old, new))
     if len(before) != len(after):
         return f"{len(before)} -> {len(after)} cells"

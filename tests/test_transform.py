@@ -602,6 +602,93 @@ def test_near_order_one_matches_40_digit_reference(root, level):
         assert np.max(np.abs(entries[k] - ref)) <= 1e-14, a
 
 
+def _mp_split_reference(view, alpha):
+    """H_alpha of the minus child of a view's parent, at 40 digits.
+
+    Sums over pairs of ratio groups (x, y): the pair's symbols have
+    posterior u = (1 + xy) / S, v = (x + y) / S, S = (1 + x)(1 + y), and
+    mass weight m_x m_y S, with m = sum w p0 per group; at order a the
+    weight is M_x M_y S^a, with M = sum w p0^a.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        ratios = [mpmath.mpf(x) for x in view.ratios.tolist()]
+        p0 = [mpmath.mpf(x) for x in view.p0.tolist()]
+        w = [mpmath.mpf(x) for x in view.w.tolist()]
+        a = mpmath.mpf(alpha)
+        group_sums = [mpmath.mpf(0)] * len(ratios)
+        for g, p, m in zip(view.group.tolist(), p0, w):
+            group_sums[g] += m * p**a
+        total = mpmath.mpf(0)
+        norm = mpmath.fsum(m * (1 + x) ** a for m, x in zip(group_sums, ratios)) ** 2
+        for mx, x in zip(group_sums, ratios):
+            for my, y in zip(group_sums, ratios):
+                s = (1 + x) * (1 + y)
+                u, v = (1 + x * y) / s, (x + y) / s
+                if alpha == 1.0:
+                    total += mx * my * s * sum(t * mpmath.log(t) for t in (u, v) if t)
+                else:
+                    total += mx * my * s**a * (u**a + v**a)
+        if alpha == 1.0:
+            return -total / (norm * mpmath.log(2))
+        return mpmath.log(total / norm, 2) / (1 - a)
+
+
+def test_posterior_proxy_path_matches_40_digit_reference():
+    # the smallest level-6 BSC(0.2) parent whose ratios fill a dyadic box
+    # with more than 24 groups, so the pair grid runs over proxy points
+    import mpmath
+
+    from polarlens.transform import _RatioView
+
+    parents = _levels(make_bsc(0.2), 6)[6]
+    views = [_RatioView(p) for p in parents]
+    k = min(
+        (k for k, v in enumerate(views) if v.proxy_ratios.size < v.ratios.size),
+        key=lambda k: views[k].ratios.size,
+    )
+    rows = child_entropies(parents[k], NEAR_ONE_ORDERS)
+    for (minus, plus), a in zip(rows, NEAR_ONE_ORDERS):
+        ref_minus = _mp_split_reference(views[k], a)
+        with mpmath.workdps(40):
+            ref_plus = 2 * mpmath.mpf(_reference_entropy(parents[k], a)) - ref_minus
+        assert abs(minus - float(ref_minus)) <= 1e-14, a
+        assert abs(plus - float(ref_plus)) <= 1e-14, a
+
+
+def _mp_children(atoms):
+    """Both children of a list of (p0, p1, w) mpf atoms, in full precision."""
+    minus, plus = [], []
+    for a0, a1, wa in atoms:
+        for b0, b1, wb in atoms:
+            minus.append((a0 * b0 + a1 * b1, a1 * b0 + a0 * b1, wa * wb))
+            plus += [(a0 * b0, a1 * b1, wa * wb), (a1 * b0, a0 * b1, wa * wb)]
+    return minus, plus
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 1e-2])
+def test_subnormal_posteriors_keep_their_terms(alpha):
+    # BSC(2e-315) has posterior 2e-315 on every output symbol; clamping it
+    # at the smallest normal double took its term from 0.48 to 4e-8 at 1e-3
+    import mpmath
+
+    from polarlens import high_precision_conditional
+
+    root = make_bsc(2e-315)
+    assert abs(conditional_renyi(root, alpha) - high_precision_conditional(root, alpha)) <= 1e-14
+    with mpmath.workdps(40):
+        atoms = [tuple(map(mpmath.mpf, t)) for t in zip(root.p0, root.p1, root.weight)]
+        a = mpmath.mpf(alpha)
+        ref = []
+        for child in _mp_children(atoms):
+            num = mpmath.fsum(w * (x**a + y**a) for x, y, w in child)
+            den = mpmath.fsum(w * (x + y) ** a for x, y, w in child)
+            ref.append(float(mpmath.log(num / den, 2) / (1 - a)))
+    entries = level_profile(root, 1, [alpha]).entries[0]
+    assert np.max(np.abs(entries - ref)) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # Erasure-type roots: the two-point state sweep against its references.
 # ---------------------------------------------------------------------------
