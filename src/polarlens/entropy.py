@@ -1,20 +1,24 @@
 """Renyi entropies of weighted joint distributions.
 
-The conditional entropy implemented here is the ratio form
+Every finite order a is one mean over the output symbols.  A symbol of
+mass s has posterior (u, v) = (p0, p1) / s and weight nu = w s^a, taken on
+the law's own scale as (w / max w) (s / max s)^a, and the conditional
+entropy is
 
-    H_a(X|Y) = (1 / (1 - a)) * log2( sum_{x,y} P(x,y)^a / sum_y P(y)^a ),
+    H_a(X|Y) = log2 E_nu[u^a + v^a] / (1 - a),
 
-which satisfies the chain rule H_a(X|Y) + H_a(Y) = H_a(X,Y) exactly for
-every order a.  The limits a -> 0, infinity are taken analytically and
-dispatched through :class:`Order`.  Near a = 1 the ratio form divides a
-difference of logs by 1 - a, so order 1 and the non-integral orders up to
-POSTERIOR_MAX_ORDER take the posterior form: with a = 1 + eps, an output
-symbol of mass s has posterior (u, v) = (p0, p1) / s and weight w s^a, and
+which equals the ratio form log2(sum P(x,y)^a / sum P(y)^a) / (1 - a), so
+H_a(X|Y) + H_a(Y) = H_a(X,Y) for every order.  Near a = 1 that divides a
+log by 1 - a, so order 1 and the non-integral orders up to
+POSTERIOR_MAX_ORDER finish the same mean in the posterior form: with
+a = 1 + eps,
 
-    H_a(X|Y) = -log1p(eps E[k]) / (eps ln 2),
+    H_a(X|Y) = -log1p(eps E_nu[k]) / (eps ln 2),
     k = [u expm1(eps ln u) + v expm1(eps ln v)] / eps,
 
-whose eps = 0 case is the Shannon entropy -E[u ln u + v ln v] / ln 2.
+whose eps = 0 case is the Shannon entropy -E[u ln u + v ln v] / ln 2.  The
+limits a -> 0, infinity are taken analytically and dispatched through
+:class:`Order`.
 
 All logarithms are base 2; entropies of a binary conditional are in [0, 1].
 """
@@ -116,23 +120,35 @@ def as_order(value) -> Order:
 
 
 def log2_power_sum(values: np.ndarray, alpha: float, weights: np.ndarray) -> float:
-    """log2 of sum_i w_i * values_i**alpha, computed in the log domain.
+    """log2 of sum_i w_i * values_i**alpha, by :func:`log2_sum_exp2`.
 
     Zero values drop out (their power contributes nothing for alpha > 0).
-    The max-shift makes the result safe for alpha up to a few hundred even
-    when values span many decades; for a single surviving term the result
-    is bitwise alpha*log2(v) + log2(w).
     """
     values = np.asarray(values, dtype=np.float64).ravel()
     weights = np.asarray(weights, dtype=np.float64).ravel()
     mask = values > 0.0
-    if not np.any(mask):
-        return -math.inf
-    terms = alpha * np.log2(values[mask]) + np.log2(weights[mask])
-    m = float(terms.max())
-    if terms.size == 1:
-        return m
-    return m + math.log2(float(np.sum(np.exp2(terms - m))))
+    return log2_sum_exp2(alpha * np.log2(values[mask]) + np.log2(weights[mask]))
+
+
+def log2_sum_exp2(terms: np.ndarray) -> float:
+    """log2 of sum 2^terms, shifted by the largest term; bitwise it for one."""
+    top = float(terms.max()) if terms.size else -math.inf
+    if terms.size == 1 or top == -math.inf:
+        return top
+    return top + math.log2(float(np.sum(np.exp2(terms - top))))
+
+
+def symbol_terms(d: JointDistribution, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log2 nu, u, v) per output symbol as in the module docstring; largest nu 1."""
+    s = d.symbol_mass
+    lw = np.log2(d.weight / d.weight.max()) + alpha * np.log2(s / s.max())
+    return lw - lw.max(), d.p0 / s, d.p1 / s
+
+
+def log2_power_kernel(u: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray:
+    """log2(u^alpha + v^alpha) elementwise; a zero posterior drops out."""
+    with np.errstate(divide="ignore"):
+        return np.logaddexp2(alpha * np.log2(u), alpha * np.log2(v))
 
 
 def posterior_eps(o: Order) -> float | None:
@@ -147,13 +163,12 @@ def posterior_kernel(u: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
     Its weighted mean is num / den - 1 of the ratio form, and at eps = 0,
     where that vanishes, its derivative in eps.
     """
-    _posterior_term(u, eps)
-    _posterior_term(v, eps)
-    u += v
+    u = _posterior_term(u, eps)
+    u += _posterior_term(v, eps)
     return u
 
 
-def _posterior_term(x: np.ndarray, eps: float) -> None:
+def _posterior_term(x: np.ndarray, eps: float) -> np.ndarray:
     """x expm1(eps ln x), and x ln x at eps = 0, into ``x``; 0 stays 0.
 
     ln x is clamped at the smallest normal double, where expm1 cannot
@@ -170,6 +185,7 @@ def _posterior_term(x: np.ndarray, eps: float) -> None:
     if sub is not None and sub.size:
         ls = np.log(sub)
         x[low] = np.exp((1.0 + eps) * ls) - sub if eps != 0.0 else sub * ls
+    return x
 
 
 def posterior_entropy(mean: float, eps: float) -> float:
@@ -179,24 +195,16 @@ def posterior_entropy(mean: float, eps: float) -> float:
     return -math.log1p(mean) / (eps * math.log(2.0))
 
 
-def power_sums(d: JointDistribution, alpha: float) -> tuple[float, float]:
-    """(log2 num, log2 den): num = sum w (p0^a + p1^a), den = sum w (p0 + p1)^a."""
-    num = log2_power_sum(
-        np.concatenate([d.p0, d.p1]), alpha, np.concatenate([d.weight, d.weight])
-    )
-    den = log2_power_sum(d.symbol_mass, alpha, d.weight)
-    return num, den
-
-
 def renyi_entropy(probs, order, weights=None) -> float:
     """Renyi entropy of a (weighted multiset) probability vector, in bits.
 
     ``weights`` are multiplicities: weight w at value p represents w symbols
     of probability p each, so the vector masses to sum(w * p) = 1.
-    Order 0 counts the positive entries; order 1 divides its sum by the
-    mass, as :func:`conditional_renyi` does.  A negative entry, or a mass
-    not within ``MASS_TOL`` of 1 (as with any NaN or infinite entry),
-    raises DistributionError.
+    Order 0 counts the positive entries; finite orders divide by the mass,
+    log2(sum w p^a / sum w p) / (1 - a), as Renyi's entropy of an incomplete
+    distribution, corrected in the posterior form where :func:`posterior_eps`
+    serves.  A negative entry or a mass off 1 by more than ``MASS_TOL`` (as
+    with any NaN or infinite entry) raises DistributionError.
     """
     o = as_order(order)
     p = np.asarray(probs, dtype=np.float64).ravel()
@@ -209,20 +217,21 @@ def renyi_entropy(probs, order, weights=None) -> float:
         raise DistributionError("probabilities and weights must be nonnegative")
     if o.kind == "zero":
         return math.log2(float(np.sum(w[p > 0.0])))
-    if o.kind == "one":
-        p, w = p[p > 0.0], w[p > 0.0]
-        return float(-np.sum(w * p * np.log2(p))) / mass
-    if o.kind == "infinity":
-        return -math.log2(float(p.max()))
-    return log2_power_sum(p, o.alpha, w) / (1.0 - o.alpha)
+    if o.kind == "finite":
+        h = (log2_power_sum(p, o.alpha, w) - math.log2(mass)) / (1.0 - o.alpha)
+    else:
+        h = -math.log2(float(p.max()))  # order inf, and a scale for order 1
+    eps = posterior_eps(o)
+    if eps is None:
+        return h
+    t = p * 2.0**h  # the scale 2^-h, where the posterior mean is near 0 and keeps its digits
+    mean = float(np.sum(w * _posterior_term(t.copy(), eps)) / np.sum(w * t))
+    return h + posterior_entropy(mean, eps)
 
 
 def joint_renyi(d: JointDistribution, order) -> float:
     """H_a(X, Y): Renyi entropy of the full joint law."""
-    o = as_order(order)
-    p = np.concatenate([d.p0, d.p1])
-    w = np.concatenate([d.weight, d.weight])
-    return renyi_entropy(p, o, w)
+    return renyi_entropy(np.concatenate([d.p0, d.p1]), order, np.concatenate([d.weight, d.weight]))
 
 
 def output_renyi(d: JointDistribution, order) -> float:
@@ -255,31 +264,31 @@ def conditional_renyi(d: JointDistribution, order) -> float:
 
     * a = 0: log2 of (weighted joint support size / weighted output
       support size), counting the positive entries.
+    * a = inf: log2(max_y P(y)) - log2(max_{x,y} P(x,y)).
     * a = 1 and non-integral a up to POSTERIOR_MAX_ORDER: the posterior
       form in the module docstring (at a = 1, Shannon's H(X,Y) - H(Y)).
-    * a = inf: log2(max_y P(y)) - log2(max_{x,y} P(x,y)).
-    * otherwise the ratio form in the module docstring.
+    * every other finite a: log2 E_nu[u^a + v^a] / (1 - a), in the log
+      domain (see the module docstring).
     """
     o = as_order(order)
-    s = d.symbol_mass
-    eps = posterior_eps(o)
     if o.kind == "zero":
         alive = (d.p0 > 0.0).astype(np.int64) + (d.p1 > 0.0)
         joint_support = float(np.sum(d.weight * alive))
-        out_support = float(np.sum(d.weight, where=s > 0.0))
+        out_support = float(np.sum(d.weight, where=d.symbol_mass > 0.0))
         value = math.log2(joint_support / out_support)
-    elif eps is not None:
-        lw = np.log2(d.weight) + o.alpha * np.log2(s)  # symbol weights w s^alpha
-        weights = np.exp2(lw - lw.max())
-        terms = posterior_kernel(d.p0 / s, d.p1 / s, eps)
-        value = posterior_entropy(float(np.sum(weights * terms) / np.sum(weights)), eps)
     elif o.kind == "infinity":
         top = float(np.maximum(d.p0, d.p1).max())
-        value = math.log2(float(s.max())) - math.log2(top)
+        value = math.log2(float(d.symbol_mass.max())) - math.log2(top)
     else:
-        a = o.alpha
-        lognum, logden = power_sums(d, a)
-        value = (lognum - logden) / (1.0 - a)
+        lw, u, v = symbol_terms(d, o.alpha)
+        eps = posterior_eps(o)
+        if eps is None:
+            lk = lw + log2_power_kernel(u, v, o.alpha)
+            value = (log2_sum_exp2(lk) - log2_sum_exp2(lw)) / (1.0 - o.alpha)
+        else:
+            nu = np.exp2(lw)
+            mean = float(np.sum(nu * posterior_kernel(u, v, eps)) / np.sum(nu))
+            value = posterior_entropy(mean, eps)
     return snap_to_unit(value)
 
 

@@ -19,7 +19,7 @@ import mpmath
 import numpy as np
 
 from .distributions import MASS_TOL, JointDistribution, make_from_atoms, _freeze
-from .entropy import Order, as_order, conditional_renyi
+from .entropy import Order, as_order, conditional_renyi, log2_power_kernel, symbol_terms
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +321,10 @@ def effective_set(d: JointDistribution, alpha) -> EffectiveSetReport:
     o = as_order(alpha)
     if o.kind != "finite":
         raise ValueError("effective set is defined for finite alpha > 0, != 1")
-    a = o.alpha
-    s = d.symbol_mass
-    scale_p = float(np.max(np.maximum(d.p0, d.p1)))
-    scale_s = float(np.max(s))
-    num_c = d.weight * ((d.p0 / scale_p) ** a + (d.p1 / scale_p) ** a)
-    den_c = d.weight * (s / scale_s) ** a
+    # numerator terms nu (u^a + v^a) and denominator terms nu, as conditional_renyi sums them
+    lw, u, v = symbol_terms(d, o.alpha)
+    lk = lw + log2_power_kernel(u, v, o.alpha)
+    num_c, den_c = np.exp2(lk - lk.max()), np.exp2(lw)
     num_share = num_c / num_c.sum()
     den_share = den_c / den_c.sum()
     score = num_share + den_share
@@ -336,7 +334,7 @@ def effective_set(d: JointDistribution, alpha) -> EffectiveSetReport:
     enough = np.flatnonzero((cum_num > 0.99) & (cum_den > 0.99))
     count = int(enough[0]) + 1 if enough.size else d.n_atoms
     chosen = picked[:count]
-    sub_mass = float(np.sum(d.weight[chosen] * s[chosen]))
+    sub_mass = float(np.sum(d.weight[chosen] * d.symbol_mass[chosen]))
     sub = JointDistribution(
         _freeze(d.p0[chosen]),
         _freeze(d.p1[chosen]),

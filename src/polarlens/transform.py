@@ -23,25 +23,18 @@ atoms up to an input flip.  So only pairs i <= j are built, off-diagonal
 ones at weight 2*wi*wj, and the canonical merge sorts half as many atoms.
 
 Materializing subchannels squares the atom count per level, so deep
-profiles are computed without building the final level.  For a parent
-channel with power sums num = sum w * (p0^a + p1^a) and
-den = sum w * (p0 + p1)^a, the self-paired children satisfy exactly
-
-    den(minus) = den^2      num(plus) = num^2      den(plus) = num(minus)
-
-leaving num(minus), a genuine pairwise sum, as the only new quantity per
-parent.  It is evaluated by grouping atoms on their exact odds ratio
-p1/p0, which collapses the pair grid by orders of magnitude, and by a
-binomial moment expansion when the order is a small-to-moderate integer.
-Order 1 and the non-integral orders up to POSTERIOR_MAX_ORDER instead
-sum the posterior kernel of :mod:`polarlens.entropy` on that grid, and
-the plus child follows from H(plus) = 2 H(parent) - H(minus).  Up to
-order 32 the pair grid runs over proxy points: each dyadic box of ratios
-with more than 24 groups is replaced by 24 Chebyshev points carrying
-barycentric Lagrange weights, which is exact up to rounding because the
-pair kernels are analytic on every such box.  Higher orders run the
-grid over the groups themselves, in the log domain, so no order
-overflows or underflows it.
+profiles are computed without building the final level.  A self-paired
+parent's minus child has one symbol per pair of parent atoms, weighted
+nu_i nu_j (the symbol weights of :mod:`polarlens.entropy`), whose
+posterior depends only on the two atoms' odds ratios p1/p0: its mean is
+a pair sum over the parent's ratio groups, and H(plus) = 2 H(parent) -
+H(minus).  Integral orders up to 512 expand that sum into binomial
+moments.  Order 1 and the other orders up to 32 walk the symmetric grid
+over proxy points (each dyadic box of ratios with more than 24 groups
+becomes 24 Chebyshev points with barycentric Lagrange weights, exact up
+to rounding as the kernels are analytic there), summing the posterior
+kernel where it serves and a^alpha + b^alpha elsewhere.  Higher orders
+run the grid over the groups in the log domain, so nothing overflows.
 
 Erasure-type roots never need atoms past the root.  When every canonical
 atom has p1 = 0 or p1 = p0 (odds ratio 0 or 1, as a BEC with a uniform
@@ -82,11 +75,12 @@ from .entropy import (
     as_order,
     conditional_renyi,
     log2_power_sum,  # noqa: F401  perfbench/tracing.py patches this attribute
+    log2_sum_exp2,
     posterior_entropy,
     posterior_eps,
     posterior_kernel,
-    power_sums,
     snap_to_unit,
+    _TINY,
 )
 
 #: Refuse transforms whose raw (pre-merge) output would exceed this many atoms.
@@ -100,6 +94,15 @@ _SPLIT_WORK_FACTOR = 100
 #: 2^18 float64 (2 MiB) stay in cache: a 3,000-group direct grid ran 2-3x
 #: faster than at 2^22, and materialization did not slow down.
 _PAIR_CHUNK = 1 << 18
+
+
+def _check_products(a: JointDistribution, b: JointDistribution, where: str = "") -> None:
+    """Refuse a step of ``a`` and ``b`` whose products can fall below normal doubles."""
+    low = [np.min(x, where=x > 0.0, initial=1.0) for x in (np.r_[a.p0, a.p1], np.r_[b.p0, b.p1])]
+    if low[0] * low[1] < _TINY:
+        raise DistributionError(
+            f"{where}product {low[0]:.3e} * {low[1]:.3e} of smallest positive entries underflows"
+        )
 
 
 def _stack_atoms(pieces) -> JointDistribution:
@@ -137,6 +140,9 @@ def transform_pair(
     ------
     CapacityError
         If the raw product would exceed ``atom_cap`` atoms.
+    DistributionError
+        If the two parents' smallest positive entries multiply to below the
+        smallest normal double, where products lose their digits.
     """
     triangle = b is None or b is a
     if b is None:
@@ -147,6 +153,7 @@ def transform_pair(
             f"transform would create {2 * na * nb} raw atoms (cap {atom_cap}); "
             "raise atom_cap to allow it"
         )
+    _check_products(a, b)
     rows = max(1, _PAIR_CHUNK // max(1, nb))
 
     def build(s: int):
@@ -224,11 +231,10 @@ class _RatioView:
     """
 
     def __init__(self, d: JointDistribution):
-        self.total_weight = float(np.sum(d.weight))
-        self.max_mass = float(np.max(d.p0 + d.p1))
-        p0 = d.p0 / self.max_mass
-        p1 = d.p1 / self.max_mass
-        w = d.weight / self.total_weight
+        max_mass = float(np.max(d.p0 + d.p1))
+        p0 = d.p0 / max_mass
+        p1 = d.p1 / max_mass
+        w = d.weight / float(np.sum(d.weight))
         r = p1 / p0  # canonical atoms have p0 >= p1, hence p0 > 0
         order = np.argsort(r, kind="stable")
         self.p0 = p0[order]
@@ -245,10 +251,9 @@ class _RatioView:
         """Sum an atom-aligned array within each ratio group."""
         return np.add.reduceat(values, self.starts)
 
-    def symbol_weights(self, alpha: float) -> np.ndarray:
-        """sum w s^alpha within each ratio group x, s = p0 (1 + x), largest 1."""
-        nu = self.group_log2_sums(alpha) + alpha * np.log2(1.0 + self.ratios)
-        return np.exp2(nu - nu.max())
+    def symbol_log2_weights(self, alpha: float) -> np.ndarray:
+        """log2 of sum w s^alpha within each ratio group x, s = p0 (1 + x)."""
+        return self.group_log2_sums(alpha) + alpha * np.log2(1.0 + self.ratios)
 
     def group_log2_sums(self, alpha: float) -> np.ndarray:
         """log2 of sum w p0^alpha within each ratio group, in the log domain.
@@ -321,14 +326,12 @@ class _RatioView:
         return np.bincount(at, coef * values[group], minlength=proxies.size)
 
 
-def _pair_grid_sum(
-    ratios: np.ndarray, log_weights: np.ndarray, alpha: float, signs=None
-) -> float:
+def _pair_grid_sum(ratios: np.ndarray, log_weights: np.ndarray, alpha: float) -> float:
     """log2 of sum_{a,b} w_a w_b [(1 + r_a r_b)^alpha + (r_a + r_b)^alpha].
 
-    The weights come as log2 |w| plus optional signs.  Each chunk is summed
-    relative to its own largest term, so neither the weights nor the powers
-    over- or underflow at any order.
+    The weights come as log2 w.  Each chunk is summed relative to its own
+    largest term, so neither the weights nor the powers over- or underflow
+    at any order.
     """
     n = ratios.shape[0]
     rows = max(1, _PAIR_CHUNK // n)
@@ -354,8 +357,6 @@ def _pair_grid_sum(
         np.maximum(t1, -1000.0, out=t1)
         both = np.exp2(t0)
         both += np.exp2(t1)
-        if signs is not None:
-            both *= signs[s : s + rows, None] * signs
         return top, float(np.sum(both))
 
     parts = [work(s) for s in range(0, n, rows)]
@@ -364,46 +365,37 @@ def _pair_grid_sum(
 
 
 def _pair_moment_sum(view: _RatioView, alpha: int) -> float:
-    """log2 of the pair sum for integral orders, by binomial expansion.
+    """log2 E_nu[a^alpha + b^alpha] over the minus child, by binomial expansion.
 
     (p0i p0j + p1i p1j)^a and (p1i p0j + p0i p1j)^a expand into products
     of mixed moments M_k = sum_i w p0^(a-k) p1^k, giving an O(atoms * a)
-    evaluation with all-positive terms.
+    evaluation with all-positive terms; the pair weights sum to
+    (sum nu)^2, nu = sum w p0^a (1 + r)^a per ratio group.
     """
     ga = view.group_sum(view.w * view.p0 ** float(alpha))
-    # an exact power-of-two shift keeps the squared moments clear of underflow
-    _, shift = math.frexp(float(ga.max()))
+    nu = ga * (1.0 + view.ratios) ** alpha
+    # an exact power-of-two shift puts the largest symbol weight in [1/2, 1)
+    _, shift = math.frexp(float(nu.max()))
     ga = np.ldexp(ga, -shift)
     moments = np.empty(alpha + 1)
     cur = np.ones_like(view.ratios)
     for k in range(alpha + 1):
         moments[k] = float(np.sum(ga * cur))
         cur = cur * view.ratios
-    return 2.0 * shift + math.log2(
-        math.fsum(
-            math.comb(alpha, k) * (moments[k] * moments[k] + moments[k] * moments[alpha - k])
-            for k in range(alpha + 1)
-        )
+    pair = math.fsum(
+        math.comb(alpha, k) * (moments[k] * moments[k] + moments[k] * moments[alpha - k])
+        for k in range(alpha + 1)
     )
+    return math.log2(pair) - 2.0 * math.log2(float(np.sum(np.ldexp(nu, -shift))))
 
 
-def _proxy_pair_sum(view: _RatioView, alpha: float) -> float:
-    """log2 of the pair grid over the view's proxy points, on the view's scale."""
-    lg = view.group_log2_sums(alpha)
-    top = float(lg.max())
-    u = view.to_proxies(np.exp2(lg - top))
-    with np.errstate(divide="ignore"):
-        lu = np.log2(np.abs(u))
-    return 2.0 * top + _pair_grid_sum(view.proxy_ratios, lu, alpha, np.sign(u))
-
-
-def _posterior_pair_sum(ratios: np.ndarray, weights: np.ndarray, eps: float) -> float:
-    """sum_{x,y} w_x w_y K(x, y), K the :func:`posterior_kernel` of a pair.
+def _posterior_pair_sum(ratios: np.ndarray, weights: np.ndarray, kernel) -> float:
+    """sum_{x,y} w_x w_y kernel(a, b) over the minus-child posteriors of ratio pairs.
 
     Ratios (x, y) make a minus-child symbol of posterior a = (1 + xy) c,
-    b = (x + y) c, c = 1 / ((1 + x)(1 + y)).  K is symmetric, so a block of
-    rows meets only the columns from its first row on: its own square
-    counts once, the columns past it twice.
+    b = (x + y) c, c = 1 / ((1 + x)(1 + y)); ``kernel`` may overwrite both.
+    The grid is symmetric, so a block of rows meets only the columns from
+    its first row on: its own square counts once, the columns past it twice.
     """
     n = ratios.shape[0]
     inv = 1.0 / (1.0 + ratios)
@@ -412,40 +404,33 @@ def _posterior_pair_sum(ratios: np.ndarray, weights: np.ndarray, eps: float) -> 
     for s in range(0, n, rows):
         e = min(s + rows, n)
         x, c = ratios[s:e, None], inv[s:e, None] * inv[s:]
-        kernel = posterior_kernel((x * ratios[s:] + 1.0) * c, (x + ratios[s:]) * c, eps)
+        k = kernel((x * ratios[s:] + 1.0) * c, (x + ratios[s:]) * c)
         cols = weights[s:].copy()
         cols[e - s :] *= 2.0
-        parts.append(float(np.sum(weights[s:e] * np.einsum("ij,j->i", kernel, cols))))
+        parts.append(float(np.sum(weights[s:e] * np.einsum("ij,j->i", k, cols))))
     return math.fsum(parts)
 
 
-def _posterior_children(parent: JointDistribution, view: _RatioView, o: Order) -> tuple[float, float]:
-    """H of both children: minus by the posterior pair grid, plus by conservation."""
-    eps = posterior_eps(o)
-    nu = view.symbol_weights(o.alpha)
-    mean = _posterior_pair_sum(view.proxy_ratios, view.to_proxies(nu), eps) / float(np.sum(nu)) ** 2
-    h_minus = posterior_entropy(mean, eps)
-    return h_minus, 2.0 * conditional_renyi(parent, o) - h_minus
+def _walk_minus(ratios: np.ndarray, weights: np.ndarray, o: Order) -> float:
+    """H_o of the minus child from the walk of its kernel over (sum w)^2, its mean."""
+    eps, total = posterior_eps(o), float(np.sum(weights)) ** 2
+    if eps is None:
+        mean = _posterior_pair_sum(ratios, weights, lambda u, v: u**o.alpha + v**o.alpha)
+        return math.log2(mean / total) / (1.0 - o.alpha)
+    kernel = functools.partial(posterior_kernel, eps=eps)
+    return posterior_entropy(_posterior_pair_sum(ratios, weights, kernel) / total, eps)
 
 
-def _renyi_children(
-    parent: JointDistribution, view: _RatioView, alpha: float, pair: float
-) -> tuple[float, float]:
-    """H_alpha of both children, given the log2 pair sum on the view's scale.
+def _proxy_minus(view: _RatioView, o: Order) -> float:
+    """H_o of the minus child by the pair walker over the view's proxy points."""
+    lnu = view.symbol_log2_weights(o.alpha)
+    return _walk_minus(view.proxy_ratios, view.to_proxies(np.exp2(lnu - lnu.max())), o)
 
-    The pair sum is the minus child's joint power sum; every other power
-    sum of both children follows from the parent's own.
-    """
-    lognum, logden = power_sums(parent, alpha)
-    lognum_minus = (
-        2.0 * math.log2(view.total_weight)
-        + 2.0 * alpha * math.log2(view.max_mass)
-        + pair
-    )
-    return (
-        (lognum_minus - 2.0 * logden) / (1.0 - alpha),
-        (2.0 * lognum - lognum_minus) / (1.0 - alpha),
-    )
+
+def _grid_minus(view: _RatioView, alpha: float) -> float:
+    """H_alpha of the minus child by the log-domain grid; pair weights total (sum nu)^2."""
+    scale = log2_sum_exp2(view.symbol_log2_weights(alpha))
+    return _pair_grid_sum(view.ratios, view.group_log2_sums(alpha) - scale, alpha) / (1.0 - alpha)
 
 
 def _support_triple(d: JointDistribution) -> tuple[float, float, float, float]:
@@ -503,16 +488,19 @@ def _split_kernel(parent: JointDistribution, view, o: Order):
     if o.kind == "infinity":
         return None, lambda: _infinity_children(parent)
     v = view()
-    if posterior_eps(o) is not None:
-        return v.proxy_ratios, lambda: _posterior_children(parent, v, o)
     a = o.alpha
     if o.is_integer and a <= _MOMENT_MAX_ORDER:
-        grid, pair = None, lambda: _pair_moment_sum(v, int(a))
+        grid, minus = None, lambda: _pair_moment_sum(v, int(a)) / (1.0 - a)
     elif a <= _PROXY_MAX_ORDER:
-        grid, pair = v.proxy_ratios, lambda: _proxy_pair_sum(v, a)
+        grid, minus = v.proxy_ratios, lambda: _proxy_minus(v, o)
     else:
-        grid, pair = v.ratios, lambda: _pair_grid_sum(v.ratios, v.group_log2_sums(a), a)
-    return grid, lambda: _renyi_children(parent, v, a, pair())
+        grid, minus = v.ratios, lambda: _grid_minus(v, a)
+
+    def run():
+        h_minus = minus()
+        return h_minus, 2.0 * conditional_renyi(parent, o) - h_minus
+
+    return grid, run
 
 
 def child_entropies(
@@ -821,6 +809,9 @@ def level_profile_sweep(
         would exceed ``atom_cap`` raw atoms for one of its parents, or
         when a parent's split exceeds its work budget; the message names
         the level and the parent.
+    DistributionError
+        Likewise before a level whose products would fall below the
+        smallest normal double (see :func:`transform_pair`).
     """
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
@@ -832,15 +823,16 @@ def level_profile_sweep(
 
     profiles: list[PolarizationProfile] = []
     for lvl in range(1, max_level + 1):
-        # the cap of transform_pair, checked for the whole level up front
-        for i, parent in enumerate(current):
+        # the refusals of transform_pair, checked for the whole level up front
+        for i, parent in enumerate(current if lvl < max_level else (), 1):
+            where = f"level {lvl} cannot be materialized: parent {i} of {len(current)}"
             raw = 2 * parent.n_atoms * parent.n_atoms
-            if lvl < max_level and raw > atom_cap:
+            if raw > atom_cap:
                 raise CapacityError(
-                    f"level {lvl} cannot be materialized: parent {i + 1} of "
-                    f"{len(current)} would create {raw} raw atoms (cap {atom_cap}); "
+                    f"{where} would create {raw} raw atoms (cap {atom_cap}); "
                     "raise atom_cap to allow it"
                 )
+            _check_products(parent, parent, f"{where}: ")
         cols = []
         for i, parent in enumerate(current, 1):
             try:

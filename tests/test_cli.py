@@ -43,6 +43,31 @@ def test_entropy_stdout_csv(capsys):
     assert all(abs(float(r[4])) <= 1e-10 for r in table.values())
 
 
+def test_entropy_near_order_one_keeps_the_chain_rule(capsys):
+    # the output and joint entropies divided a log-sum by 1 - alpha here:
+    # chain_residual was -3.0e-10 and 2.1e-10, past the chain suite's 1e-10
+    import mpmath
+
+    from polarlens import make_bsc
+
+    assert run(["entropy", "--channel", "bsc:0.2", "--alpha", "0.999999,1,1.000001"]) == EXIT_OK
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[2:]]
+    assert [r[0] for r in rows] == ["0.999999", "1", "1.000001"]
+    d = make_bsc(0.2)
+    with mpmath.workdps(40):
+        # the joint entries as doubles, whose mass is 1 + 5.6e-17: divided out
+        p = [mpmath.mpf(x) for x in np.concatenate([d.p0, d.p1]).tolist()]
+        mass = mpmath.fsum(p)
+        for alpha, _, _, joint, residual in rows:
+            assert abs(float(residual)) <= 1e-15, alpha
+            a = mpmath.mpf(float(alpha))
+            if alpha == "1":
+                ref = -mpmath.fsum(x * mpmath.log(x, 2) for x in p) / mass
+            else:
+                ref = mpmath.log(mpmath.fsum(x**a for x in p) / mass, 2) / (1 - a)
+            assert abs(float(joint) - float(ref)) <= 1e-15, alpha
+
+
 def test_entropy_json_round_trip(tmp_path, capsys):
     out = tmp_path / "e.json"
     code = run(
@@ -141,6 +166,24 @@ def test_polarize_erasure_depth_is_bounded_by_its_output(capsys):
     assert code == EXIT_USAGE and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("polarlens: resource limit: level 22: ")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_polarize_refuses_subnormal_products(n, capsys):
+    # products of bsc:2e-315's subnormal entries underflow: --n 2 was up to
+    # 0.229 off a 40-digit reference, --n 3 printed nan, both with exit 0
+    code = run(["polarize", "--channel", "bsc:2e-315", "--n", str(n), "--alpha", "0.5"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE and out == ""
+    assert len(err.splitlines()) == 1
+    assert "level 1 cannot be materialized: parent 1 of 1: " in err
+
+
+def test_polarize_subnormal_root_runs_one_level(capsys):
+    # level 1 is split from the root alone, with no product materialized
+    assert run(["polarize", "--channel", "bsc:2e-315", "--n", "1"]) == EXIT_OK
+    entries, _ = parse_tables(capsys.readouterr().out)
+    assert all(0.0 <= float(r[3]) <= 1.0 for r in entries.rows)
 
 
 def test_polarize_rejects_orders_too_large_to_evaluate(capsys):

@@ -6,7 +6,7 @@ the input files some cases read are under ``tests/data/``.
 A change that moves these bytes on purpose rewrites the files with
 ``python tests/test_golden.py`` and says so in its change record; that
 command prints, for each file it rewrites, how many numeric cells moved
-and the largest absolute move.
+and the largest absolute move, in total and for each order.
 """
 
 import contextlib
@@ -72,26 +72,43 @@ def _number(cell: str):
 
 
 def moved_cells(old: bytes, new: bytes) -> str:
-    """How the cells of ``new`` differ from those of ``old``, in one line.
+    """How the cells of ``new`` differ from those of ``old``.
 
     Cells are the runs between commas, brackets, colons, equals signs and
     whitespace.  Numeric cells are compared by value, the others as text.
+    The first line totals the moved numeric cells; one more line per order
+    follows, counting the cells of the table rows with that ``alpha`` (rows
+    of tables without an alpha column count under "-").
     """
     split = re.compile(r"[\s,\[\]{}:=]+")
-    before, after = (split.split(text.decode()) for text in (old, new))
+    before, after = old.decode().splitlines(), new.decode().splitlines()
     if len(before) != len(after):
-        return f"{len(before)} -> {len(after)} cells"
-    moved, text, largest = 0, 0, 0.0
-    for a, b in zip(before, after):
-        x, y = _number(a), _number(b)
-        if x is not None and y is not None:
-            if a != b:
-                moved += 1
-                largest = max(largest, abs(x - y))
-        elif a != b:
+        return f"{len(before)} -> {len(after)} lines"
+    orders, text, column = {}, 0, None
+    for line_a, line_b in zip(before, after):
+        fields = line_b.split(",")
+        if not line_b or line_b.startswith("#"):
+            column = None
+        elif "alpha" in fields:
+            column = fields.index("alpha")
+        order = fields[column] if column is not None and len(fields) > column else "-"
+        cells_a, cells_b = split.split(line_a), split.split(line_b)
+        if len(cells_a) != len(cells_b):
             text += 1
-    line = f"{moved} numeric cells moved, largest move {largest:.3g}"
-    return line + (f", {text} other cells changed" if text else "")
+            continue
+        for a, b in zip(cells_a, cells_b):
+            x, y = _number(a), _number(b)
+            if x is None or y is None:
+                text += a != b
+            elif a != b:
+                moved, largest = orders.get(order, (0, 0.0))
+                orders[order] = (moved + 1, max(largest, abs(x - y)))
+    total = sum(m for m, _ in orders.values())
+    largest = max((v for _, v in orders.values()), default=0.0)
+    lines = [f"{total} numeric cells moved, largest move {largest:.3g}"]
+    lines[0] += f", {text} other cells changed" if text else ""
+    lines += [f"  alpha {k}: {m} moved, largest {v:.3g}" for k, (m, v) in orders.items()]
+    return "\n".join(lines)
 
 
 if __name__ == "__main__":

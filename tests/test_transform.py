@@ -259,18 +259,17 @@ def test_sweep_split_refusal_names_level_and_parent():
     assert "level 1" in message and "parent 1 of 1" in message and "order 40.5" in message
 
 
-SPLIT_ORDERS = (math.inf, 2.0, 0.0, 0.5, 1.0, 2.0, 40.5, 600.0)
+SPLIT_ORDERS = (math.inf, 2.0, 0.0, 0.5, 1.0, 2.0, 7.5, 40.5, 600.0)
 
 
 def _split_class(o):
-    from polarlens.entropy import posterior_eps
-    from polarlens.transform import _MOMENT_MAX_ORDER
+    from polarlens.transform import _MOMENT_MAX_ORDER, _PROXY_MAX_ORDER
 
     if o.kind in ("zero", "infinity"):
         return o.kind
-    if posterior_eps(o) is not None:
-        return "posterior"
-    return "moment" if o.is_integer and o.alpha <= _MOMENT_MAX_ORDER else "grid"
+    if o.is_integer and o.alpha <= _MOMENT_MAX_ORDER:
+        return "moment"
+    return "walk" if o.alpha <= _PROXY_MAX_ORDER else "grid"
 
 
 @pytest.mark.parametrize("which", ["bsc-level4", "random"])
@@ -450,10 +449,10 @@ def test_self_paired_blocks_and_threads_do_not_change_bytes(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Proxy-point pair grids against the direct grid over the ratio groups.
+# Proxy-point pair walks against the same walk over the ratio groups.
 # ---------------------------------------------------------------------------
 
-PROXY_ORDERS = (1e-3, 0.1, 0.5, 0.999, 1.0, 1.001, 3.7, 31.9, 32.0)
+PROXY_ORDERS = (1e-3, 0.1, 0.5, 0.999, 1.0, 1.001, 3.7, 7.5, 20.5, 31.9, 32.0)
 
 
 #: Odds draws: uniform on [0, 1]; log-uniform down to 2^-1000, which leaves
@@ -478,26 +477,18 @@ def _ratio_view(seed, groups, draw):
 
 
 def _proxy_errors(view, orders):
-    """Difference of every proxy pair sum from the direct grid over the groups.
-
-    Orders the posterior kernel serves compare the minus child's entropy;
-    the others compare the log2 pair sum, as a relative difference.
-    """
-    from polarlens.entropy import as_order, posterior_entropy, posterior_eps
-    from polarlens.transform import _pair_grid_sum, _posterior_pair_sum, _proxy_pair_sum
+    """Minus-child entropy by the pair walker over the proxy points, against
+    the same walker over the ratio groups, at every order."""
+    from polarlens.entropy import as_order
+    from polarlens.transform import _walk_minus
 
     errs = {}
     for a in orders:
-        eps = posterior_eps(as_order(a))
-        if eps is None:
-            direct = _pair_grid_sum(view.ratios, view.group_log2_sums(a), a)
-            errs[a] = abs(_proxy_pair_sum(view, a) - direct) * math.log(2.0)
-            continue
-        nu = view.symbol_weights(a)
-        scale = float(np.sum(nu)) ** 2
-        direct = _posterior_pair_sum(view.ratios, nu, eps) / scale
-        proxy = _posterior_pair_sum(view.proxy_ratios, view.to_proxies(nu), eps) / scale
-        errs[a] = abs(posterior_entropy(proxy, eps) - posterior_entropy(direct, eps))
+        lnu = view.symbol_log2_weights(a)
+        nu = np.exp2(lnu - lnu.max())
+        direct = _walk_minus(view.ratios, nu, as_order(a))
+        proxy = _walk_minus(view.proxy_ratios, view.to_proxies(nu), as_order(a))
+        errs[a] = abs(proxy - direct)
     return errs
 
 
@@ -635,9 +626,15 @@ def _mp_split_reference(view, alpha):
         return mpmath.log(total / norm, 2) / (1 - a)
 
 
+#: Orders of every other split kernel: moments (2, 3, 100), the pair walker
+#: on proxy points (7.5, 20.5, 31.9) and the log-domain grid (40.5).
+SPLIT_REFERENCE_ORDERS = (2.0, 3.0, 7.5, 20.5, 31.9, 40.5, 100.0)
+
+
 def test_posterior_proxy_path_matches_40_digit_reference():
     # the smallest level-6 BSC(0.2) parent whose ratios fill a dyadic box
-    # with more than 24 groups, so the pair grid runs over proxy points
+    # with more than 24 groups, so the pair grid runs over proxy points;
+    # every finite order, not only those near 1
     import mpmath
 
     from polarlens.transform import _RatioView
@@ -648,8 +645,9 @@ def test_posterior_proxy_path_matches_40_digit_reference():
         (k for k, v in enumerate(views) if v.proxy_ratios.size < v.ratios.size),
         key=lambda k: views[k].ratios.size,
     )
-    rows = child_entropies(parents[k], NEAR_ONE_ORDERS)
-    for (minus, plus), a in zip(rows, NEAR_ONE_ORDERS):
+    orders = NEAR_ONE_ORDERS + SPLIT_REFERENCE_ORDERS
+    rows = child_entropies(parents[k], orders)
+    for (minus, plus), a in zip(rows, orders):
         ref_minus = _mp_split_reference(views[k], a)
         with mpmath.workdps(40):
             ref_plus = 2 * mpmath.mpf(_reference_entropy(parents[k], a)) - ref_minus
@@ -687,6 +685,19 @@ def test_subnormal_posteriors_keep_their_terms(alpha):
             ref.append(float(mpmath.log(num / den, 2) / (1 - a)))
     entries = level_profile(root, 1, [alpha]).entries[0]
     assert np.max(np.abs(entries - ref)) <= 1e-14
+
+
+def test_subnormal_products_are_refused():
+    # every BSC subchannel has full support, so each order-0 entry is
+    # exactly 1; level 6 of BSC(1e-5) underflowed products to 0 and one
+    # level-7 entry came out below 1
+    with pytest.raises(DistributionError, match="level 6 cannot be materialized: parent 32 of 32"):
+        level_profile(make_bsc(1e-5), 7, [0])
+    assert np.all(level_profile(make_bsc(1e-5), 6, [0]).entries == 1.0)
+    with pytest.raises(DistributionError, match="smallest positive entries underflows"):
+        transform_pair(make_bsc(2e-315))
+    # zero entries are no products at risk
+    assert transform_pair(make_bec(0.35, 0.3)).minus.n_atoms > 0
 
 
 # ---------------------------------------------------------------------------
