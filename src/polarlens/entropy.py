@@ -9,8 +9,8 @@ entropy is
 
 which equals the ratio form log2(sum P(x,y)^a / sum P(y)^a) / (1 - a), so
 H_a(X|Y) + H_a(Y) = H_a(X,Y) for every order.  Near a = 1 that divides a
-log by 1 - a, so order 1 and the non-integral orders up to
-POSTERIOR_MAX_ORDER finish the same mean in the posterior form: with
+log by 1 - a, so order 1 and every finite order up to POSTERIOR_MAX_ORDER,
+integers included, finish the same mean in the posterior form: with
 a = 1 + eps,
 
     H_a(X|Y) = -log1p(eps E_nu[k]) / (eps ln 2),
@@ -40,12 +40,14 @@ ONE_BAND = 1e-9
 #: every log-domain term stays finite; use inf beyond this.
 MAX_FINITE_ORDER = 1e300
 
-#: Largest order the posterior form serves: its log1p(eps E[k]) loses up to
-#: 2^(a - 1) ulps, as E[u^a + v^a] >= 2^(1 - a).  Against 40-digit sums over
-#: materialized children (BSC(0.2), BSC(0.49) at levels 4-5, BEC(0.35) with
-#: prior 0.3 at level 4) it was at most 4.6e-15 off at non-integral orders
-#: to 5.5 (the ratio form: 2.5e-14), 7.3e-15 at 6.5 (the ratio form: 4.3e-15
-#: on one root), and behind the ratio form from 7.5 on (2.0e-14 to 1.1e-14).
+#: Largest order the posterior form serves, integers included: its
+#: log1p(eps E[k]) loses up to 2^(a - 1) ulps, as E[u^a + v^a] >= 2^(1 - a).
+#: Against 40-digit pair sums over 69 parents (BSC(0.2) at levels 4-6,
+#: BSC(0.49) at level 4, BEC(0.35) with prior 0.3 at level 2), both split
+#: children were 1.6e-15, 1.9e-15, 3.1e-15 and 7.4e-15 off at 2.5, 3.5, 4.5
+#: and 5.5, and 3.1e-15, 2.7e-15, 1.1e-15 and 9.8e-16 with u^a + v^a on the
+#: same walker; conditional_renyi on 112 laws, 6.7e-16 to 3.4e-15 against
+#: at most 5.6e-16 in the log domain.
 POSTERIOR_MAX_ORDER = 6.0
 
 #: Smallest normal double: the posterior kernel clamps its logs here.
@@ -153,7 +155,7 @@ def log2_power_kernel(u: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray:
 
 def posterior_eps(o: Order) -> float | None:
     """alpha - 1 if the posterior form serves order ``o``, else None."""
-    finite = o.kind == "finite" and not o.is_integer and o.alpha <= POSTERIOR_MAX_ORDER
+    finite = o.kind == "finite" and o.alpha <= POSTERIOR_MAX_ORDER
     return o.alpha - 1.0 if finite or o.kind == "one" else None
 
 
@@ -265,7 +267,7 @@ def conditional_renyi(d: JointDistribution, order) -> float:
     * a = 0: log2 of (weighted joint support size / weighted output
       support size), counting the positive entries.
     * a = inf: log2(max_y P(y)) - log2(max_{x,y} P(x,y)).
-    * a = 1 and non-integral a up to POSTERIOR_MAX_ORDER: the posterior
+    * a = 1 and every finite a up to POSTERIOR_MAX_ORDER: the posterior
       form in the module docstring (at a = 1, Shannon's H(X,Y) - H(Y)).
     * every other finite a: log2 E_nu[u^a + v^a] / (1 - a), in the log
       domain (see the module docstring).

@@ -28,13 +28,15 @@ parent's minus child has one symbol per pair of parent atoms, weighted
 nu_i nu_j (the symbol weights of :mod:`polarlens.entropy`), whose
 posterior depends only on the two atoms' odds ratios p1/p0: its mean is
 a pair sum over the parent's ratio groups, and H(plus) = 2 H(parent) -
-H(minus).  Integral orders up to 512 expand that sum into binomial
-moments.  Order 1 and the other orders up to 32 walk the symmetric grid
-over proxy points (each dyadic box of ratios with more than 24 groups
-becomes 24 Chebyshev points with barycentric Lagrange weights, exact up
-to rounding as the kernels are analytic there), summing the posterior
-kernel where it serves and a^alpha + b^alpha elsewhere.  Higher orders
-run the grid over the groups in the log domain, so nothing overflows.
+H(minus).  Order 1 and every finite order up to POSTERIOR_MAX_ORDER (6)
+walk the symmetric grid over proxy points with the posterior kernel
+(each dyadic box of ratios with more than 24 groups becomes 24 Chebyshev
+points with barycentric Lagrange weights, exact up to rounding as the
+kernels are analytic there).  Every higher order sums a^alpha + b^alpha
+over the ratio groups that can move the pair sum, a certified pruning
+that drops under 2^-58 of it: the same walker on the proxy points while
+alpha <= 32 and the proxies are fewer, else the grid over the kept groups
+in the log domain, so nothing overflows.
 
 Erasure-type roots never need atoms past the root.  When every canonical
 atom has p1 = 0 or p1 = p0 (odds ratio 0 or 1, as a BEC with a uniform
@@ -194,20 +196,20 @@ def transform_pair(
 # ---------------------------------------------------------------------------
 
 
-#: Integral orders above this use the pair grid; the moment expansion
-#: stays cheaper and sharper up to a few hundred.
-_MOMENT_MAX_ORDER = 512
-
 #: Chebyshev points that stand in for the ratio groups of one dyadic box.
 _PROXY_NODES = 24
 
-#: Non-integral orders above this run the pair grid over the ratio groups
-#: themselves.  The interpolation error scales with the sup of the kernel on
-#: a box, which is up to 2^alpha times its smallest term.  Measured at 24
-#: nodes against the direct grid, on BSC(0.2) level-6 parents and random
+#: Orders above this run the pair grid over the kept ratio groups, never
+#: the proxies.  The interpolation error scales with the sup of the kernel
+#: on a box, which is up to 2^alpha times its smallest term.  Measured at
+#: 24 nodes against the direct grid, on BSC(0.2) level-6 parents and random
 #: ratio sets: at most 1e-14 relative up to alpha 50.5, then 1.6e-12 at
 #: 64.5 and 2.8e-8 at 100.5.
 _PROXY_MAX_ORDER = 32
+
+#: Margin in bits of the pruning above POSTERIOR_MAX_ORDER; see
+#: :meth:`_RatioView.kept_groups`.
+_PRUNE_BITS = 60
 
 # Second-kind Chebyshev points on [0, 1], ascending, and their barycentric
 # weights, which do not depend on the interval they are mapped to.
@@ -264,6 +266,21 @@ class _RatioView:
         t = np.log2(self.w) + alpha * np.log2(self.p0)
         top = np.maximum.reduceat(t, self.starts)
         return top + np.log2(self.group_sum(np.exp2(t - top[self.group])))
+
+    def kept_groups(self, alpha: float) -> np.ndarray:
+        """Indices of the ratio groups that can move the order-alpha pair sum.
+
+        A pair term is G_x G_y [(1 + xy)^alpha + (x + y)^alpha], with
+        G = sum w p0^alpha per group, and for ratios in [0, 1] the bracket
+        lies in [1, 2^(alpha + 1)], so the pair sum is at least (sum G)^2.
+        The groups with log2 G below log2 sum G - (_PRUNE_BITS + alpha +
+        log2 #groups) hold under 2^-(_PRUNE_BITS + alpha) of sum G together,
+        so every pair they take part in totals under 2^(2 - _PRUNE_BITS) of
+        the pair sum: a certified relative bound at every alpha > 0.
+        """
+        lg = self.group_log2_sums(alpha)
+        floor = log2_sum_exp2(lg) - (_PRUNE_BITS + alpha + math.log2(lg.size))
+        return np.flatnonzero(lg >= floor)
 
     @functools.cached_property
     def _proxy_map(self):
@@ -364,31 +381,6 @@ def _pair_grid_sum(ratios: np.ndarray, log_weights: np.ndarray, alpha: float) ->
     return top + math.log2(math.fsum(v * 2.0 ** (t - top) for t, v in parts))
 
 
-def _pair_moment_sum(view: _RatioView, alpha: int) -> float:
-    """log2 E_nu[a^alpha + b^alpha] over the minus child, by binomial expansion.
-
-    (p0i p0j + p1i p1j)^a and (p1i p0j + p0i p1j)^a expand into products
-    of mixed moments M_k = sum_i w p0^(a-k) p1^k, giving an O(atoms * a)
-    evaluation with all-positive terms; the pair weights sum to
-    (sum nu)^2, nu = sum w p0^a (1 + r)^a per ratio group.
-    """
-    ga = view.group_sum(view.w * view.p0 ** float(alpha))
-    nu = ga * (1.0 + view.ratios) ** alpha
-    # an exact power-of-two shift puts the largest symbol weight in [1/2, 1)
-    _, shift = math.frexp(float(nu.max()))
-    ga = np.ldexp(ga, -shift)
-    moments = np.empty(alpha + 1)
-    cur = np.ones_like(view.ratios)
-    for k in range(alpha + 1):
-        moments[k] = float(np.sum(ga * cur))
-        cur = cur * view.ratios
-    pair = math.fsum(
-        math.comb(alpha, k) * (moments[k] * moments[k] + moments[k] * moments[alpha - k])
-        for k in range(alpha + 1)
-    )
-    return math.log2(pair) - 2.0 * math.log2(float(np.sum(np.ldexp(nu, -shift))))
-
-
 def _posterior_pair_sum(ratios: np.ndarray, weights: np.ndarray, kernel) -> float:
     """sum_{x,y} w_x w_y kernel(a, b) over the minus-child posteriors of ratio pairs.
 
@@ -427,10 +419,11 @@ def _proxy_minus(view: _RatioView, o: Order) -> float:
     return _walk_minus(view.proxy_ratios, view.to_proxies(np.exp2(lnu - lnu.max())), o)
 
 
-def _grid_minus(view: _RatioView, alpha: float) -> float:
-    """H_alpha of the minus child by the log-domain grid; pair weights total (sum nu)^2."""
+def _grid_minus(view: _RatioView, alpha: float, kept: np.ndarray) -> float:
+    """H_alpha of the minus child by the log-domain grid over ``kept`` groups, over (sum nu)^2."""
     scale = log2_sum_exp2(view.symbol_log2_weights(alpha))
-    return _pair_grid_sum(view.ratios, view.group_log2_sums(alpha) - scale, alpha) / (1.0 - alpha)
+    lw = view.group_log2_sums(alpha)[kept] - scale
+    return _pair_grid_sum(view.ratios[kept], lw, alpha) / (1.0 - alpha)
 
 
 def _support_triple(d: JointDistribution) -> tuple[float, float, float, float]:
@@ -489,12 +482,11 @@ def _split_kernel(parent: JointDistribution, view, o: Order):
         return None, lambda: _infinity_children(parent)
     v = view()
     a = o.alpha
-    if o.is_integer and a <= _MOMENT_MAX_ORDER:
-        grid, minus = None, lambda: _pair_moment_sum(v, int(a)) / (1.0 - a)
-    elif a <= _PROXY_MAX_ORDER:
+    kept = None if posterior_eps(o) is not None else v.kept_groups(a)
+    if kept is None or (a <= _PROXY_MAX_ORDER and kept.size > v.proxy_ratios.size):
         grid, minus = v.proxy_ratios, lambda: _proxy_minus(v, o)
     else:
-        grid, minus = v.ratios, lambda: _grid_minus(v, a)
+        grid, minus = v.ratios[kept], lambda: _grid_minus(v, a, kept)
 
     def run():
         h_minus = minus()
@@ -522,10 +514,10 @@ def child_entropies(
     CapacityError
         Before any kernel runs, if the pair grid of some order, n points
         square, has 2 n^2 > ``_SPLIT_WORK_FACTOR * atom_cap`` elements.
-        n counts the proxy points at order 1 and at non-integral orders
-        up to 32 (the posterior kernel's orders among them), and the
-        parent's ratio groups at every other order that streams a grid;
-        closed-form and moment orders stream none.
+        n counts the points that order's grid streams: the proxy points
+        at order 1, at every finite order up to 6 and wherever the
+        walker runs above it, else the ratio groups kept by pruning;
+        orders 0 and inf are closed-form and stream none.
         The grid is streamed, not stored, so its budget is time, not
         memory; raising ``atom_cap`` widens both budgets together.
     """

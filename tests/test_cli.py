@@ -109,12 +109,13 @@ HIGH_ORDERS = "500,512,513,650.5,660,700.5,1023,1100,5000.5,1e5"
         ("bsc:0.2", 3, HIGH_ORDERS),
         ("bsc:0.49", 3, HIGH_ORDERS),
         ("bec:0.35", 3, HIGH_ORDERS),
-        # deep erasure parents square moments far below the float range
+        # deep erasure states whose pair sums fall far below the float range
         ("bec:0.5", 6, "300,512"),
     ],
 )
 def test_polarize_high_orders(tmp_path, channel, n, alphas):
-    # up to 512 the moment expansion; beyond, log-domain pair grids
+    # BSC parents: log-domain pair grids over the ratio groups kept by
+    # pruning; BEC roots: the erasure sweep's closed-form maps
     out = tmp_path / "p.csv"
     code = run(
         ["polarize", "--channel", channel, "--n", str(n), "--alpha", alphas,

@@ -35,4 +35,4 @@ def test_readme_tour_runs_and_quotes_its_value(tmp_path):
         [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout.split()[-1]) == float(quoted) == 0.5563933485243852
+    assert float(proc.stdout.split()[-1]) == float(quoted) == 0.5563933485243853

@@ -220,41 +220,65 @@ def test_child_entropies_pair_grid_work_budget():
         # budget one element short of the 2 * points^2 grid
         return (2 * points * points - 1) // _SPLIT_WORK_FACTOR
 
-    # order 1 and non-integral orders up to 32 stream the proxy grid
-    for a in (0.5, 1.0):
+    # order 1 and every finite order up to 6 stream the proxy grid
+    for a in (0.5, 1.0, 2.0):
         with pytest.raises(CapacityError):
             child_entropies(parent, (a,), atom_cap=tight(proxies))
         assert child_entropies(parent, (a,), atom_cap=tight(proxies) + 1).shape == (1, 2)
-    # higher non-integral orders stream the direct grid over the ratio groups
+    # orders above 32 stream the direct grid over the ratio groups kept by
+    # pruning: all of them at 40.5, fewer at 512
+    kept = view.kept_groups(512.0).size
+    assert view.kept_groups(40.5).size == groups > kept
     with pytest.raises(CapacityError):
         child_entropies(parent, (40.5,), atom_cap=tight(groups))
     vals = child_entropies(parent, (0.5, 1.0, 40.5), atom_cap=tight(groups) + 1)
     assert vals.shape == (3, 2)
-    # integral orders ride the moment path and skip the pair grid; support
-    # and max-mass children are closed-form, no grid either
-    vals = child_entropies(parent, (0.0, 2.0, 512.0, math.inf), atom_cap=tight(proxies))
-    assert vals.shape == (4, 2)
+    with pytest.raises(CapacityError):
+        child_entropies(parent, (512.0,), atom_cap=tight(kept))
+    # support and max-mass children are closed-form, no grid
+    vals = child_entropies(parent, (0.0, 512.0, math.inf), atom_cap=tight(kept) + 1)
+    assert vals.shape == (3, 2)
     # one order over budget refuses the whole call, whatever its position
     with pytest.raises(CapacityError):
-        child_entropies(parent, (2.0, 0.5), atom_cap=tight(proxies))
+        child_entropies(parent, (0.0, 0.5), atom_cap=tight(proxies))
+
+
+def _equal_mass_root(n):
+    """n atoms of equal p0 and distinct odds: pruning keeps every ratio group."""
+    r = np.arange(1, n + 1) / (n + 1)
+    total = np.sum(1.0 + r)
+    return make_from_atoms(np.column_stack([np.full(n, 1.0 / total), r / total, np.ones(n)]))
 
 
 def test_child_entropies_budget_counts_the_streamed_grid():
-    # 60,000 ratio groups, but the proxy grid of orders 0.5 and 1 has 328
-    # points: the default budget admits them and refuses the direct grid
-    from polarlens.distributions import canonicalize_orientation
-
-    root = canonicalize_orientation(random_joint(np.random.default_rng(1), 60000, 60000))
+    # 60,000 ratio groups, but the proxy grid of orders 0.5, 1 and 2 has a
+    # few hundred points: the default budget admits them and refuses the
+    # direct grid of 40.5, where pruning keeps every group
+    root = _equal_mass_root(60000)
     vals = child_entropies(root, (0.5, 1.0, 2.0))
     assert ((vals >= 0.0) & (vals <= 1.0)).all()
     with pytest.raises(CapacityError):
         child_entropies(root, (40.5,))
 
 
+def test_child_entropies_budget_counts_the_kept_groups():
+    # the full grid over 2,000 ratio groups is over budget, the kept one not
+    from polarlens.distributions import canonicalize_orientation
+    from polarlens.transform import _SPLIT_WORK_FACTOR, _RatioView
+
+    root = canonicalize_orientation(random_joint(np.random.default_rng(1), 2000, 2000))
+    view = _RatioView(root)
+    groups, kept = view.ratios.size, view.kept_groups(40.5).size
+    assert groups == 2000 and kept < groups
+    cap = (2 * groups * groups - 1) // _SPLIT_WORK_FACTOR
+    assert 2 * kept * kept <= _SPLIT_WORK_FACTOR * cap
+    want = child_entropies(root, (40.5,))
+    assert np.array_equal(child_entropies(root, (40.5,), atom_cap=cap), want)
+
+
 def test_sweep_split_refusal_names_level_and_parent():
-    root = random_joint(np.random.default_rng(1), 60000, 60000)
     with pytest.raises(CapacityError) as exc:
-        level_profile_sweep(root, 1, (40.5,))
+        level_profile_sweep(_equal_mass_root(60000), 1, (40.5,))
     message = str(exc.value)
     assert "level 1" in message and "parent 1 of 1" in message and "order 40.5" in message
 
@@ -262,14 +286,17 @@ def test_sweep_split_refusal_names_level_and_parent():
 SPLIT_ORDERS = (math.inf, 2.0, 0.0, 0.5, 1.0, 2.0, 7.5, 40.5, 600.0)
 
 
-def _split_class(o):
-    from polarlens.transform import _MOMENT_MAX_ORDER, _PROXY_MAX_ORDER
+def _split_class(parent, o):
+    from polarlens.entropy import posterior_eps
+    from polarlens.transform import _PROXY_MAX_ORDER, _RatioView
 
     if o.kind in ("zero", "infinity"):
         return o.kind
-    if o.is_integer and o.alpha <= _MOMENT_MAX_ORDER:
-        return "moment"
-    return "walk" if o.alpha <= _PROXY_MAX_ORDER else "grid"
+    if posterior_eps(o) is not None:
+        return "walk"
+    view = _RatioView(parent)
+    walk = o.alpha <= _PROXY_MAX_ORDER and view.kept_groups(o.alpha).size > view.proxy_ratios.size
+    return "walk" if walk else "grid"
 
 
 @pytest.mark.parametrize("which", ["bsc-level4", "random"])
@@ -285,9 +312,9 @@ def test_child_entropies_rows_do_not_depend_on_the_other_orders(which):
     combined = child_entropies(parent, orders)
     classes = {}
     for k, o in enumerate(orders):
-        classes.setdefault(_split_class(o), []).append(k)
+        classes.setdefault(_split_class(parent, o), []).append(k)
         assert np.array_equal(child_entropies(parent, [o]), combined[[k]]), o
-    assert len(classes) == 5
+    assert len(classes) == 4
     for idx in classes.values():
         assert np.array_equal(child_entropies(parent, [orders[k] for k in idx]), combined[idx])
     assert np.array_equal(child_entropies(parent, orders[::-1]), combined[::-1])
@@ -529,6 +556,24 @@ def test_proxy_pair_sums_property(seed, groups, draw, alpha):
     assert max(errs.values()) <= 1e-13
 
 
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    groups=st.integers(200, 2000),
+    draw=st.sampled_from(sorted(RATIO_DRAWS)),
+    alpha=st.floats(6.0, 1e5),
+)
+def test_pruned_pair_grid_property(seed, groups, draw, alpha):
+    # the pairs of the dropped groups total under 2^-58 of the pair sum
+    from polarlens.transform import _pair_grid_sum
+
+    view = _ratio_view(seed, groups, draw)
+    lw, kept = view.group_log2_sums(alpha), view.kept_groups(alpha)
+    full = _pair_grid_sum(view.ratios, lw, alpha)
+    pruned = _pair_grid_sum(view.ratios[kept], lw[kept], alpha)
+    assert abs(math.expm1((pruned - full) * math.log(2.0))) <= 2.0**-50
+
+
 def test_proxy_map_passes_small_boxes_through():
     # a BEC parent has two ratio groups, r = 0 and r = 1: nothing to squeeze
     from polarlens.distributions import canonicalize_orientation
@@ -626,9 +671,11 @@ def _mp_split_reference(view, alpha):
         return mpmath.log(total / norm, 2) / (1 - a)
 
 
-#: Orders of every other split kernel: moments (2, 3, 100), the pair walker
-#: on proxy points (7.5, 20.5, 31.9) and the log-domain grid (40.5).
-SPLIT_REFERENCE_ORDERS = (2.0, 3.0, 7.5, 20.5, 31.9, 40.5, 100.0)
+#: Orders of every other split kernel on the test's parent: the posterior
+#: walker on proxy points (2 to 6), the u^a + v^a walker on them (7.5, where
+#: pruning keeps more groups than there are proxies) and the log-domain grid
+#: over the kept groups (10 on; it keeps 75 of 90 groups at 10, 2 at 100).
+SPLIT_REFERENCE_ORDERS = (2.0, 3.0, 4.0, 6.0, 7.5, 10.0, 20.5, 31.9, 40.5, 100.0, 600.0, 1e5)
 
 
 def test_posterior_proxy_path_matches_40_digit_reference():
@@ -646,6 +693,8 @@ def test_posterior_proxy_path_matches_40_digit_reference():
         key=lambda k: views[k].ratios.size,
     )
     orders = NEAR_ONE_ORDERS + SPLIT_REFERENCE_ORDERS
+    # pruning drops groups at some order, so its bound is exercised too
+    assert any(views[k].kept_groups(a).size < views[k].ratios.size for a in orders if a > 6)
     rows = child_entropies(parents[k], orders)
     for (minus, plus), a in zip(rows, orders):
         ref_minus = _mp_split_reference(views[k], a)
@@ -802,10 +851,10 @@ def test_erasure_near_order_one_stays_in_range():
     assert np.max(np.abs(entries - bec_reference_profile(0.35, 7, orders))) <= 1e-14
 
 
-def test_moment_kernel_on_deep_erasure_parents():
+def test_pruned_grid_on_deep_erasure_parents():
     # the state sweep takes BEC roots away from child_entropies; this keeps
-    # the moment kernel's power-of-two shift covered on the parents whose
-    # squared moments fall far below the float range
+    # the pruned log-domain grid covered on the parents whose pair sums fall
+    # far below the float range
     orders = (300.0, 512.0)
     parents = _levels(make_bec(0.5), 5)[5]
     split = np.hstack([child_entropies(p, orders) for p in parents])
