@@ -38,20 +38,23 @@ that drops under 2^-58 of it: the same walker on the proxy points while
 alpha <= 32 and the proxies are fewer, else the grid over the kept groups
 in the log domain, so nothing overflows.
 
-Erasure-type roots never need atoms past the root.  When every canonical
-atom has p1 = 0 or p1 = p0 (odds ratio 0 or 1, as a BEC with a uniform
-prior), both polar maps keep that ratio set, so at order alpha a
-subchannel is fixed by t = mu(1) / mu(0), with mu(r) = sum w p0^alpha over
-its atoms of ratio r, and at order inf by the ratio s of the largest p0 of
-each class.  The maps act on these in closed form:
+Erasure-type roots never need atoms past the root, and order 0 of no
+root does.  Canonical atoms fall in two classes, p1 > 0 and p1 = 0.  When
+every canonical atom has p1 = 0 or p1 = p0 (odds ratio 0 or 1, as a BEC
+with a uniform prior), both polar maps keep that ratio set, so at order
+alpha a subchannel is fixed by t = mu(1) / mu(0), with mu(r) = sum w
+p0^alpha over its atoms of ratio r, and at order inf by the ratio s of
+the largest p0 of each class.  At order 0 mu counts atoms, and which
+child entries are positive depends only on which parent entries are, so
+t follows the same maps from any root.  The maps act in closed form:
 
     minus   t -> 2t + 2^alpha t^2      s -> max(s, 2 s^2)
     plus    t -> 2t^2 / (1 + 4t)       s -> s^2 / max(1, s)
 
 the Renyi counterparts of the erasure recursion z -> 2z - z^2, z^2
 (Arikan, IEEE T-IT 2009) and of the likelihood-ratio law of density
-evolution (Mori & Tanaka, IEEE Comm. Letters 2009).  Sweeps of such roots
-carry one number per subchannel and order, exact up to rounding.
+evolution (Mori & Tanaka, IEEE Comm. Letters 2009).  These sweeps carry
+one number per subchannel and order, exact up to rounding.
 """
 
 from __future__ import annotations
@@ -426,34 +429,6 @@ def _grid_minus(view: _RatioView, alpha: float, kept: np.ndarray) -> float:
     return _pair_grid_sum(view.ratios[kept], lw, alpha) / (1.0 - alpha)
 
 
-def _support_triple(d: JointDistribution) -> tuple[float, float, float, float]:
-    """Weighted counts (C0, C1, B, W): support of each input, both, and all."""
-    c0 = float(np.sum(d.weight, where=d.p0 > 0.0))
-    c1 = float(np.sum(d.weight, where=d.p1 > 0.0))
-    b = float(np.sum(d.weight, where=(d.p0 > 0.0) & (d.p1 > 0.0)))
-    return c0, c1, b, float(np.sum(d.weight))
-
-
-def _zero_order_children(d: JointDistribution) -> tuple[float, float]:
-    """H_0 of both children from the parent's support counts alone.
-
-    Which child entries are positive depends only on which parent entries
-    are, so inclusion-exclusion over the pair grid gives exact weighted
-    support sizes without building it.
-    """
-    c0, c1, b, w = _support_triple(d)
-    minus_c0 = c0 * c0 + c1 * c1 - b * b
-    minus_c1 = 2.0 * c0 * c1 - b * b
-    plus_c0 = c0 * c0 + c1 * c0
-    plus_c1 = c1 * c1 + c0 * c1
-    plus_symbols = minus_c0 + minus_c1
-    # ratio-of-counts form: for all-positive parents both ratios are exact
-    # powers of two in floating point, so these come out exactly 1.0
-    h_minus = math.log2((minus_c0 + minus_c1) / (w * w))
-    h_plus = math.log2((plus_c0 + plus_c1) / plus_symbols)
-    return h_minus, h_plus
-
-
 def _infinity_children(d: JointDistribution) -> tuple[float, float]:
     """H_inf of both children from parent maxima.
 
@@ -477,7 +452,7 @@ def _split_kernel(parent: JointDistribution, view, o: Order):
     entropies.  ``view()`` returns the parent's ratio view, built once.
     """
     if o.kind == "zero":
-        return None, lambda: _zero_order_children(parent)
+        return None, lambda: next(_erasure_sweep(parent, 1, o))
     if o.kind == "infinity":
         return None, lambda: _infinity_children(parent)
     v = view()
@@ -516,8 +491,10 @@ def child_entropies(
         square, has 2 n^2 > ``_SPLIT_WORK_FACTOR * atom_cap`` elements.
         n counts the points that order's grid streams: the proxy points
         at order 1, at every finite order up to 6 and wherever the
-        walker runs above it, else the ratio groups kept by pruning;
-        orders 0 and inf are closed-form and stream none.
+        walker runs above it, else the ratio groups kept by pruning.
+        Order 0 takes one step of the erasure maps from the parent's
+        weighted counts (see :func:`level_profile_sweep`) and order inf
+        three parent maxima; neither streams a grid.
         The grid is streamed, not stored, so its budget is time, not
         memory; raising ``atom_cap`` widens both budgets together.
     """
@@ -607,31 +584,34 @@ def _is_erasure_type(d: JointDistribution) -> bool:
 
 
 def _erasure_start(root: JointDistribution, o: Order) -> tuple[float, float]:
-    """The state of an erasure-type root at order ``o``: log2 of it, split.
+    """The state of a canonical root at order ``o``: log2 of it, split.
 
-    Finite orders (0 and 1 included) carry t = mu(1) / mu(0), where
-    mu(r) = sum w p0^alpha over the atoms of ratio r; order inf carries
-    s = max p0 over the ratio-1 atoms / max p0 over the ratio-0 atoms.
+    Atoms fall in two classes, p1 > 0 (ratio 1 on an erasure-type root)
+    and p1 = 0.  Finite orders carry t = mu(1) / mu(0), where mu sums
+    w p0^alpha over a class; order inf carries s = max p0 of the first
+    class / max p0 of the second.  Order 0 takes t from the weighted
+    counts, summed in floats: it is valid for every root, since which
+    child entries are positive depends only on which parent entries are.
     The log2 comes as (whole, frac): an integral float and a fraction in
     [-1/2, 1/2], so that t keeps full relative precision however far it
-    is from 1; an empty ratio class gives whole = -inf or +inf.  It is
-    summed at 40 digits: p0^alpha multiplies the relative error of a
+    is from 1; an empty class gives whole = -inf or +inf.  Other orders
+    are summed at 40 digits: p0^alpha multiplies the relative error of a
     double by alpha, and the recursion doubles it at every level.
     """
-    erased = (root.p1 == root.p0).tolist()
+    classes = (root.p1 > 0.0, root.p1 == 0.0)
     with mpmath.workdps(40):
-        p0 = [mpmath.mpf(v) for v in root.p0.tolist()]
-        w = [mpmath.mpf(v) for v in root.weight.tolist()]
-        if o.kind == "infinity":
-            sides = [
-                max((p for p, e in zip(p0, erased) if e == side), default=0)
-                for side in (True, False)
-            ]
+        if o.kind == "zero":
+            sides = [mpmath.mpf(np.sum(root.weight, where=m)) for m in classes]
+        elif o.kind == "infinity":
+            sides = [mpmath.mpf(np.max(root.p0, where=m, initial=0.0)) for m in classes]
         else:
             a = mpmath.mpf(o.alpha)
             sides = [
-                mpmath.fsum(wi * p**a for wi, p, e in zip(w, p0, erased) if e == side)
-                for side in (True, False)
+                mpmath.fsum(
+                    mpmath.mpf(w) * mpmath.mpf(p) ** a
+                    for w, p in zip(root.weight[m].tolist(), root.p0[m].tolist())
+                )
+                for m in classes
             ]
         if not sides[0] or not sides[1]:
             return (math.inf if sides[0] else -math.inf), 0.0
@@ -720,36 +700,16 @@ def _erasure_entropy(whole: np.ndarray, frac: np.ndarray, o: Order) -> np.ndarra
     return snap_to_unit(np.where(low, h_low, h_high))
 
 
-def _erasure_sweep(
-    root: JointDistribution,
-    max_level: int,
-    orders: tuple[Order, ...],
-    root_entropy: np.ndarray,
-    atom_cap: int,
-) -> list[PolarizationProfile]:
-    """Profiles of a canonical erasure-type root by its two-point states.
+def _erasure_sweep(root: JointDistribution, max_level: int, o: Order):
+    """Yield the entries of levels 1 .. max_level of canonical ``root`` at ``o``.
 
-    Refuses, before any work, a sweep whose entries over all levels exceed
-    ``atom_cap``, naming the first level over that budget.
+    Runs on the root's state (see :func:`_erasure_start`), which serves
+    every order of an erasure-type root and order 0 of every root.
     """
-    total = 0
-    for lvl in range(1, max_level + 1):
-        total += len(orders) << lvl
-        if total > atom_cap:
-            raise CapacityError(
-                f"level {lvl}: profiles through level {lvl} hold {total} entries "
-                f"over {len(orders)} orders (cap {atom_cap}); raise atom_cap to allow it"
-            )
-    entries = [np.empty((len(orders), 1 << lvl)) for lvl in range(1, max_level + 1)]
-    for k, o in enumerate(orders):
-        whole, frac = (np.array([v]) for v in _erasure_start(root, o))
-        for rows in entries:
-            whole, frac = _erasure_children(whole, frac, o)
-            rows[k] = _erasure_entropy(whole, frac, o)
-    return [
-        PolarizationProfile(lvl, orders, _freeze(rows), _freeze(root_entropy.copy()))
-        for lvl, rows in enumerate(entries, 1)
-    ]
+    whole, frac = (np.array([v]) for v in _erasure_start(root, o))
+    for _ in range(max_level):
+        whole, frac = _erasure_children(whole, frac, o)
+        yield _erasure_entropy(whole, frac, o)
 
 
 def level_profile(
@@ -777,30 +737,34 @@ def level_profile_sweep(
 ) -> list[PolarizationProfile]:
     """Profiles for every level 1 .. max_level in one walk.
 
-    An erasure-type root, one whose canonical atoms all have p1 = 0 or
-    p1 = p0 (odds ratio 0 or 1, as a BEC with a uniform prior), keeps
-    that ratio set at every level, since both polar maps take {0, 1}
-    into itself.  Every subchannel is then fixed at every order by two
-    numbers: the summed p0^alpha of each ratio class, or at order inf
-    the largest p0 of each.  Their quotient follows the polar maps in
-    closed form, so these sweeps run on that one number per subchannel
-    and order, exactly up to rounding and with no atoms.
+    Order 0 of every root, and every order of an erasure-type root, run on
+    one number per subchannel and order, with no atoms.  Canonical atoms
+    fall in two classes, p1 > 0 and p1 = 0.  At order 0 the weighted count
+    of each class fixes every entry, since which child entries are positive
+    depends only on which parent entries are.  An erasure-type root, one
+    whose canonical atoms all have p1 = 0 or p1 = p0 (odds ratio 0 or 1, as
+    a BEC with a uniform prior), keeps that ratio set at every level, since
+    both polar maps take {0, 1} into itself; there the summed p0^alpha of
+    each class, or at order inf the largest p0 of each, fixes every entry.
+    The quotient of the two follows the polar maps in closed form, exactly
+    up to rounding.
 
-    Every other root is materialized level by level (canonical, merged)
-    and level k entropies come from split evaluation of the level k-1
-    parents, so the deepest level is never built and the sweep costs
-    barely more than the deepest profile.
+    The other orders of other roots materialize the root level by level
+    (canonical, merged), and level k entropies come from split evaluation
+    of the level k-1 parents, so the deepest level is never built and the
+    sweep costs barely more than the deepest profile.
 
     Raises
     ------
     CapacityError
-        For an erasure-type root, before any work, when the profiles'
-        sum over levels L of 2^L * len(orders) entries exceeds
-        ``atom_cap``; the message names the first level over it.  For
-        other roots, before any work on a level whose materialization
-        would exceed ``atom_cap`` raw atoms for one of its parents, or
-        when a parent's split exceeds its work budget; the message names
-        the level and the parent.
+        Before any work, when some order runs on the state and the
+        profiles' sum over levels L of 2^L * len(orders) entries exceeds
+        ``atom_cap``; the message names the first level over it.  Before
+        any work on a level whose materialization would exceed
+        ``atom_cap`` raw atoms for one of its parents, or when a parent's
+        split exceeds its work budget; the message names the level and
+        the parent.  When the call includes order 0, the raw-atom refusal
+        adds that order 0 alone runs without atoms.
     DistributionError
         Likewise before a level whose products would fall below the
         smallest normal double (see :func:`transform_pair`).
@@ -810,11 +774,23 @@ def level_profile_sweep(
     orders = tuple(as_order(o) for o in orders)
     root_entropy = np.array([conditional_renyi(root, o) for o in orders])
     current = [canonicalize_orientation(root)]
-    if _is_erasure_type(current[0]):
-        return _erasure_sweep(current[0], max_level, orders, root_entropy, atom_cap)
-
-    profiles: list[PolarizationProfile] = []
-    for lvl in range(1, max_level + 1):
+    erasure = _is_erasure_type(current[0])
+    state = [k for k, o in enumerate(orders) if erasure or o.kind == "zero"]
+    atoms = [k for k in range(len(orders)) if k not in state]
+    total = 0
+    for lvl in range(1, max_level + 1) if state else ():
+        total += len(orders) << lvl
+        if total > atom_cap:
+            raise CapacityError(
+                f"level {lvl}: profiles through level {lvl} hold {total} entries "
+                f"over {len(orders)} orders (cap {atom_cap}); raise atom_cap to allow it"
+            )
+    entries = [np.empty((len(orders), 1 << lvl)) for lvl in range(1, max_level + 1)]
+    for k in state:
+        for rows, got in zip(entries, _erasure_sweep(current[0], max_level, orders[k])):
+            rows[k] = got
+    hint = "; order 0 alone runs without atoms" if state else ""
+    for lvl in range(1, max_level + 1) if atoms else ():
         # the refusals of transform_pair, checked for the whole level up front
         for i, parent in enumerate(current if lvl < max_level else (), 1):
             where = f"level {lvl} cannot be materialized: parent {i} of {len(current)}"
@@ -822,25 +798,22 @@ def level_profile_sweep(
             if raw > atom_cap:
                 raise CapacityError(
                     f"{where} would create {raw} raw atoms (cap {atom_cap}); "
-                    "raise atom_cap to allow it"
+                    f"raise atom_cap to allow it{hint}"
                 )
             _check_products(parent, parent, f"{where}: ")
         cols = []
         for i, parent in enumerate(current, 1):
             try:
-                cols.append(child_entropies(parent, orders, atom_cap=atom_cap))
+                cols.append(child_entropies(parent, [orders[k] for k in atoms], atom_cap=atom_cap))
             except CapacityError as exc:
                 raise CapacityError(f"level {lvl}: parent {i} of {len(current)}: {exc}") from exc
-        entries = np.hstack(cols)
-        profiles.append(
-            PolarizationProfile(lvl, orders, _freeze(entries), _freeze(root_entropy.copy()))
-        )
+        entries[lvl - 1][atoms] = np.hstack(cols)
         if lvl < max_level:
-            nxt = []
-            for parent in current:
-                nxt.extend(transform_pair(parent, atom_cap=atom_cap))
-            current = nxt
-    return profiles
+            current = [c for parent in current for c in transform_pair(parent, atom_cap=atom_cap)]
+    return [
+        PolarizationProfile(lvl, orders, _freeze(rows), _freeze(root_entropy.copy()))
+        for lvl, rows in enumerate(entries, 1)
+    ]
 
 
 class OneStepReport(NamedTuple):

@@ -40,6 +40,8 @@ CASES = {
                             "--halvings", "3"],
     "polarize-four-atoms-n3": ["polarize", "--channel", f"file:{DATA / 'four-atoms.json'}",
                                "--n", "3", "--alpha", "0.5,1,2"],
+    "polarize-bec0.35-prior0.3-n4": ["polarize", "--channel", "bec:0.35", "--prior0", "0.3",
+                                     "--n", "4", "--alpha", "0,0.5,1,inf"],
 }
 
 

@@ -737,12 +737,13 @@ def test_subnormal_posteriors_keep_their_terms(alpha):
 
 
 def test_subnormal_products_are_refused():
-    # every BSC subchannel has full support, so each order-0 entry is
-    # exactly 1; level 6 of BSC(1e-5) underflowed products to 0 and one
-    # level-7 entry came out below 1
+    # level 6 of BSC(1e-5) underflowed products to 0 and one level-7 entry
+    # came out below 1
     with pytest.raises(DistributionError, match="level 6 cannot be materialized: parent 32 of 32"):
-        level_profile(make_bsc(1e-5), 7, [0])
-    assert np.all(level_profile(make_bsc(1e-5), 6, [0]).entries == 1.0)
+        level_profile(make_bsc(1e-5), 7, [0.5])
+    # order 0 forms no products; every BSC subchannel has full support, so
+    # each of its entries is exactly 1
+    assert np.all(level_profile(make_bsc(1e-5), 7, [0]).entries == 1.0)
     with pytest.raises(DistributionError, match="smallest positive entries underflows"):
         transform_pair(make_bsc(2e-315))
     # zero entries are no products at risk
@@ -881,3 +882,128 @@ def test_erasure_sweep_refuses_an_output_over_budget(monkeypatch):
         level_profile_sweep(make_bec(0.35), 30, (0.5, 2.0, math.inf), atom_cap=41)
     monkeypatch.undo()
     assert len(level_profile_sweep(make_bec(0.35), 3, (0.5, 2.0, math.inf), atom_cap=42)) == 3
+
+
+# ---------------------------------------------------------------------------
+# Order 0 of every root: the erasure state of its weighted counts.
+# ---------------------------------------------------------------------------
+
+
+def _zero_roots():
+    """Roots with clean and two-sided outputs, and one with no clean output."""
+    from pathlib import Path
+
+    from polarlens import load_file
+
+    return {
+        "bec0.35-prior0.3": make_bec(0.35, prior0=0.3),
+        "four-atoms": load_file(str(Path(__file__).parent / "data" / "four-atoms.json")),
+        "mixed": make_from_atoms(
+            [(0.3, 0.0, 1.0), (0.0, 0.2, 1.0), (0.1, 0.05, 2.0), (0.15, 0.05, 1.0)]
+        ),
+    }
+
+
+def _zero_order_reference(root, level):
+    """Order-0 entries at ``level`` from the root's exact weighted counts.
+
+    B counts the outputs with both entries positive and Z those with one.
+    A minus child has (B, Z) -> (2BZ + B^2, Z^2), a plus child
+    (2B^2, Z^2 + 4BZ), and H_0 = log2((Z + 2B) / (Z + B)).  Fractions
+    carry the counts, so only the logarithm rounds, at 40 digits.
+    """
+    from fractions import Fraction
+
+    import mpmath
+
+    b = z = Fraction(0)
+    for p0, p1, w in zip(root.p0.tolist(), root.p1.tolist(), root.weight.tolist()):
+        if p0 > 0.0 and p1 > 0.0:
+            b += Fraction(w)
+        else:
+            z += Fraction(w)
+    states = [(b, z)]
+    for _ in range(level):
+        states = [
+            child
+            for b, z in states
+            for child in ((2 * b * z + b * b, z * z), (2 * b * b, z * z + 4 * b * z))
+        ]
+    out = []
+    with mpmath.workdps(40):
+        for b, z in states:
+            r = Fraction(z + 2 * b) / (z + b)
+            out.append(float(mpmath.log(mpmath.mpf(r.numerator) / r.denominator, 2)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", ["bec0.35-prior0.3", "four-atoms", "mixed"])
+def test_zero_order_matches_exact_counts(name):
+    root = _zero_roots()[name]
+    sweep = level_profile_sweep(root, 10, [0])
+    for profile in sweep:
+        ref = _zero_order_reference(root, profile.level)
+        assert np.max(np.abs(profile.entries[0] - ref)) <= 1e-15, profile.level
+    if name == "four-atoms":  # no clean output: full support everywhere
+        assert all(np.all(p.entries == 1.0) for p in sweep)
+
+
+# four-atoms.json has mass 1 + 4e-10, which the oracle's 1e-9 mass guard
+# refuses once it is raised to the fourth power, at level 2
+@pytest.mark.parametrize(
+    "name, depth", [("bec0.35-prior0.3", 3), ("four-atoms", 1), ("mixed", 3)]
+)
+def test_zero_order_matches_brute_force(name, depth):
+    from polarlens import brute_force_profile
+
+    root = _zero_roots()[name]
+    sweep = level_profile_sweep(root, depth, [0])
+    for level in range(1, depth + 1):
+        slow = brute_force_profile(root, level, [0])
+        assert np.max(np.abs(sweep[level - 1].entries - slow)) <= 1e-9, level
+
+
+# level 4 of the four-atom roots exceeds the default atom cap
+@pytest.mark.parametrize("name, depth", [("bec0.35-prior0.3", 5), ("four-atoms", 4), ("mixed", 4)])
+def test_zero_order_split_column_matches_sweep(name, depth):
+    # one step of the state maps from each materialized parent's own counts
+    root = _zero_roots()[name]
+    levels = _levels(root, depth - 1)
+    sweep = level_profile_sweep(root, depth, [0])
+    for level, profile in enumerate(sweep, 1):
+        split = np.hstack([child_entropies(p, [0]) for p in levels[level - 1]])
+        assert np.max(np.abs(profile.entries - split)) <= 1e-15, level
+
+
+@pytest.mark.parametrize(
+    "root", [make_bsc(0.2), make_bec(0.35, prior0=0.3)], ids=["bsc", "bec-prior"]
+)
+def test_zero_only_sweep_needs_no_atoms(root, monkeypatch):
+    import polarlens.transform as transform
+
+    def no_atoms(*args, **kwargs):
+        raise AssertionError("order 0 alone must not build or split atoms")
+
+    monkeypatch.setattr(transform, "transform_pair", no_atoms)
+    monkeypatch.setattr(transform, "child_entropies", no_atoms)
+    sweep = level_profile_sweep(root, 20, [0])
+    assert len(sweep) == 20 and sweep[-1].entries.shape == (1, 1 << 20)
+    for profile in sweep:
+        assert abs(profile.average(0) - profile.root_entropy[0]) <= 1e-12, profile.level
+    if root.p1.min() > 0.0:  # the BSC: full support everywhere
+        assert all(np.all(p.entries == 1.0) for p in sweep)
+
+
+def test_mixed_call_refusal_says_order_zero_runs_alone():
+    cap = 1000  # the 11th level-4 parent of BSC(0.2) has 25 atoms
+    with pytest.raises(CapacityError) as plain:
+        level_profile_sweep(make_bsc(0.2), 6, [0.5, math.inf], atom_cap=cap)
+    assert str(plain.value) == (
+        "level 5 cannot be materialized: parent 11 of 16 would create 1250 raw atoms "
+        "(cap 1000); raise atom_cap to allow it"
+    )
+    with pytest.raises(CapacityError) as mixed:
+        level_profile_sweep(make_bsc(0.2), 6, [0.5, 0, math.inf], atom_cap=cap)
+    assert str(mixed.value) == str(plain.value) + "; order 0 alone runs without atoms"
+    alone = level_profile_sweep(make_bsc(0.2), 6, [0], atom_cap=cap)
+    assert np.all(alone[-1].entries == 1.0)
