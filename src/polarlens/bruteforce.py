@@ -26,7 +26,7 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 
-from .distributions import CapacityError, DistributionError, JointDistribution, make_bec
+from .distributions import MASS_TOL, CapacityError, DistributionError, JointDistribution, make_bec
 from .entropy import as_order
 
 #: Maximum number of joint entries (output tuples times input words).
@@ -80,18 +80,20 @@ def _input_to_codeword_index(level: int) -> np.ndarray:
     return x.astype(np.int64) @ weights
 
 
-def _logsumexp(a) -> float:
-    """ln sum(exp(a)) over every entry of an array with a finite maximum.
+def _logsumexp(a: np.ndarray) -> float:
+    """ln sum(exp(a)) over every entry of a float array with a finite maximum.
 
     The m entries equal to the maximum are taken out of the shifted sum,
     which then enters through log1p (Blanchard, Higham & Higham, IMA J.
     Numer. Anal. 41(4), 2021): ln m + max + log1p(sum(exp(rest - max)) / m).
+    The shifted terms overwrite ``a``.
     """
-    a = np.asarray(a, dtype=np.float64)
     top = a.max()
     at_top = a == top
     m = np.count_nonzero(at_top)
-    rest = np.sum(np.exp(np.where(at_top, -np.inf, a) - top)) / m
+    a -= top
+    np.copyto(a, -np.inf, where=at_top)
+    rest = np.sum(np.exp(a, out=a)) / m
     return float(np.log1p(rest) + np.log(m) + top)
 
 
@@ -122,6 +124,10 @@ def brute_force_profile(
         If ``level`` is negative.
     CapacityError
         If A**N * 2**N exceeds ``DEFAULT_STATE_CAP``.
+    DistributionError
+        If the root's mass is off 1 by more than ``MASS_TOL``, or the
+        enumerated joint law's mass is off the root's to the N-th power by
+        more than 1e-9.
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
@@ -137,6 +143,9 @@ def brute_force_profile(
         raise CapacityError(
             f"brute force would touch {total} joint entries (cap {DEFAULT_STATE_CAP})"
         )
+    root_mass = root.mass
+    if not abs(root_mass - 1.0) <= MASS_TOL:
+        raise DistributionError(f"root has mass {root_mass!r}; expected 1 within {MASS_TOL:g}")
 
     p = np.stack([root.p0, root.p1], axis=0)  # (2, A)
     logw_atom = np.log(root.weight)
@@ -176,9 +185,16 @@ def brute_force_profile(
             lq = np.log(q, out=np.full_like(q, -np.inf), where=q > 0.0)
             ls = np.log(s, out=np.full_like(s, -np.inf), where=s > 0.0)
             lw = np.repeat(logw, 1 << i)
+            # laid out like lq and ls, which fixes the rounding of the sums
+            tq, ts = np.empty_like(lq), np.empty_like(ls)
             for f, a in enumerate(finite):
-                lse_parts[0, f, i, c] = _logsumexp(a * lq + lw[:, None])
-                lse_parts[1, f, i, c] = _logsumexp(a * ls + lw)
+                np.multiply(lq, a, out=tq)
+                tq += lw[:, None]
+                lse_parts[0, f, i, c] = _logsumexp(tq)
+                np.multiply(ls, a, out=ts)
+                ts += lw
+                lse_parts[1, f, i, c] = _logsumexp(ts)
+            del tq, ts  # freed before the eps form's temporaries
             w = np.repeat(w_tuple, 1 << i)
             for f, e in enumerate(near):
                 eq, es = (np.expm1(e * lq), np.expm1(e * ls)) if e else (lq, ls)
@@ -188,10 +204,16 @@ def brute_force_profile(
             support[:, i] += (np.sum(w * (q > 0.0).sum(axis=1)), np.sum(w, where=s > 0.0))
             peak[:, i] = np.maximum(peak[:, i], (q.max(initial=0.0), s.max(initial=0.0)))
 
-    if abs(mass - 1.0) > 1e-9:
+    # N independent uses of the root; every branch below is scale-free, so
+    # a root admitted off unit mass is checked against its own mass
+    expected = root_mass**n
+    if abs(mass - expected) > 1e-9:
         raise DistributionError(
-            f"enumerated joint law has mass {mass!r}; expected 1 within 1e-9"
+            f"enumerated joint law has mass {mass!r}; expected {expected!r} within 1e-9"
         )
+    # each part array is read once, so its log-sum-exp may overwrite it
+    lse = np.array([_logsumexp(part) for part in lse_parts.reshape(-1, chunk_count)])
+    lse = lse.reshape(lse_parts.shape[:3])
     out = np.empty((len(orders), n))
     for row, order in enumerate(orders):
         for i in range(n):
@@ -204,11 +226,11 @@ def brute_force_profile(
                 h = -excess[near.index(eps), i] / (mass * _LN2)
             else:
                 f = finite.index(order.alpha)
-                log_den = _logsumexp(lse_parts[1, f, i])
                 if eps in near:
-                    h = -math.log1p(excess[near.index(eps), i] / math.exp(log_den)) / (eps * _LN2)
+                    ratio = excess[near.index(eps), i] / math.exp(lse[1, f, i])
+                    h = -math.log1p(ratio) / (eps * _LN2)
                 else:
-                    h = (_logsumexp(lse_parts[0, f, i]) - log_den) / (-eps * _LN2)
+                    h = (lse[0, f, i] - lse[1, f, i]) / (-eps * _LN2)
             out[row, i] = h
     return out
 

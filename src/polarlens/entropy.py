@@ -20,6 +20,13 @@ whose eps = 0 case is the Shannon entropy -E[u ln u + v ln v] / ln 2.  The
 limits a -> 0, infinity are taken analytically and dispatched through
 :class:`Order`.
 
+The evaluators read a law once for all the orders they are given
+(:func:`conditional_entropies`, :func:`renyi_entropies`,
+:func:`chain_rule_entropies`): the symbol masses, posteriors and their
+logs are taken once, and each order class runs as one (orders x symbols)
+array whose rows do not depend on each other, so every order gets the
+bits a call with it alone gives.  The one-order names wrap them.
+
 All logarithms are base 2; entropies of a binary conditional are in [0, 1].
 """
 
@@ -121,10 +128,11 @@ def as_order(value) -> Order:
     return Order("finite", a)
 
 
-def log2_power_sum(values: np.ndarray, alpha: float, weights: np.ndarray) -> float:
+def log2_power_sum(values: np.ndarray, alpha, weights: np.ndarray):
     """log2 of sum_i w_i * values_i**alpha, by :func:`log2_sum_exp2`.
 
     Zero values drop out (their power contributes nothing for alpha > 0).
+    A column of orders gives one row, and one sum, per order.
     """
     values = np.asarray(values, dtype=np.float64).ravel()
     weights = np.asarray(weights, dtype=np.float64).ravel()
@@ -132,23 +140,36 @@ def log2_power_sum(values: np.ndarray, alpha: float, weights: np.ndarray) -> flo
     return log2_sum_exp2(alpha * np.log2(values[mask]) + np.log2(weights[mask]))
 
 
-def log2_sum_exp2(terms: np.ndarray) -> float:
-    """log2 of sum 2^terms, shifted by the largest term; bitwise it for one."""
-    top = float(terms.max()) if terms.size else -math.inf
-    if terms.size == 1 or top == -math.inf:
-        return top
-    return top + math.log2(float(np.sum(np.exp2(terms - top))))
+def log2_sum_exp2(terms: np.ndarray):
+    """log2 of sum 2^terms, shifted by the largest term; bitwise it for one.
+
+    A 2-D array gives one sum per row, as an array.
+    """
+    if terms.ndim == 1:
+        top = float(terms.max()) if terms.size else -math.inf
+        if terms.size == 1 or top == -math.inf:
+            return top
+        return top + math.log2(float(np.sum(np.exp2(terms - top))))
+    if terms.shape[1] <= 1 or np.isneginf(top := np.max(terms, axis=1)).any():
+        return np.array([log2_sum_exp2(row) for row in terms])
+    shifted = terms - top[:, None]
+    sums = np.sum(np.exp2(shifted, out=shifted), axis=1)
+    return np.array([t + math.log2(v) for t, v in zip(top.tolist(), sums.tolist())])
 
 
-def symbol_terms(d: JointDistribution, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(log2 nu, u, v) per output symbol as in the module docstring; largest nu 1."""
+def symbol_terms(d: JointDistribution, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """(log2 nu, (u, v)) per output symbol as in the module docstring; largest nu 1.
+
+    The posteriors come as the rows of one array.  A column of orders
+    gives one row of log2 nu per order.
+    """
     s = d.symbol_mass
     lw = np.log2(d.weight / d.weight.max()) + alpha * np.log2(s / s.max())
-    return lw - lw.max(), d.p0 / s, d.p1 / s
+    return lw - lw.max(axis=-1, keepdims=True), np.stack([d.p0, d.p1]) / s
 
 
-def log2_power_kernel(u: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray:
-    """log2(u^alpha + v^alpha) elementwise; a zero posterior drops out."""
+def log2_power_kernel(u: np.ndarray, v: np.ndarray, alpha) -> np.ndarray:
+    """log2(u^alpha + v^alpha) elementwise, a row per order of a column; a zero posterior drops out."""
     with np.errstate(divide="ignore"):
         return np.logaddexp2(alpha * np.log2(u), alpha * np.log2(v))
 
@@ -159,46 +180,60 @@ def posterior_eps(o: Order) -> float | None:
     return o.alpha - 1.0 if finite or o.kind == "one" else None
 
 
-def posterior_kernel(u: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
-    """eps * k(u, v) elementwise, and k itself at eps = 0, into ``u`` (and ``v``).
+def posterior_logs(x: np.ndarray, out: np.ndarray | None = None) -> tuple:
+    """(x, ln x clamped at the smallest normal double, into ``out``, subnormal mask).
 
-    Its weighted mean is num / den - 1 of the ratio form, and at eps = 0,
-    where that vanishes, its derivative in eps.
-    """
-    u = _posterior_term(u, eps)
-    u += _posterior_term(v, eps)
-    return u
-
-
-def _posterior_term(x: np.ndarray, eps: float) -> np.ndarray:
-    """x expm1(eps ln x), and x ln x at eps = 0, into ``x``; 0 stays 0.
-
-    ln x is clamped at the smallest normal double, where expm1 cannot
-    overflow for any eps > -1.  Positive x below it (subnormal) then take
-    exp((1 + eps) ln x) - x instead, which cannot overflow either.
+    The mask marks the positive x below the clamp, None if there are none;
+    :func:`posterior_term` treats them apart.
     """
     low = (x > 0.0) & (x < _TINY) if np.min(x) < _TINY else None
-    sub = x[low] if low is not None else None
-    lx = np.maximum(x, _TINY)
+    lx = np.maximum(x, _TINY, out=out)
     np.log(lx, out=lx)
-    if eps != 0.0:
-        np.expm1(np.multiply(lx, eps, out=lx), out=lx)
-    x *= lx
-    if sub is not None and sub.size:
+    return x, lx, low if low is not None and low.any() else None
+
+
+def posterior_term(post: tuple, eps, out: np.ndarray | None = None) -> np.ndarray:
+    """x expm1(eps ln x), and x ln x at eps = 0, from :func:`posterior_logs`; 0 stays 0.
+
+    ``eps`` is one value or a column with one per row.  Each term times
+    its symbol weight sums to num / den - 1 of the ratio form, and at
+    eps = 0, where that vanishes, to its derivative in eps.  The clamp
+    keeps expm1 finite for every eps > -1; subnormal x take exp((1 + eps)
+    ln x) - x instead, which cannot overflow either.
+    """
+    x, lx, low = post
+    column = isinstance(eps, np.ndarray)
+    if not column and eps == 0.0:
+        t = np.multiply(x, lx, out=out)
+    else:
+        t = np.multiply(lx, eps, out=out)
+        np.expm1(t, out=t)
+        if column:
+            np.copyto(t, lx, where=eps == 0.0)
+        t *= x
+    if low is not None:
+        low = np.broadcast_to(low, t.shape)
+        sub = np.broadcast_to(x, t.shape)[low]
+        e = np.broadcast_to(eps, t.shape)[low]
         ls = np.log(sub)
-        x[low] = np.exp((1.0 + eps) * ls) - sub if eps != 0.0 else sub * ls
-    return x
+        t[low] = np.where(e != 0.0, np.exp((1.0 + e) * ls) - sub, sub * ls)
+    return t
 
 
 def posterior_entropy(mean: float, eps: float) -> float:
-    """H in bits from the weighted mean of :func:`posterior_kernel`."""
+    """H in bits from the weighted mean of :func:`posterior_term` over both posteriors."""
     if eps == 0.0:
         return -mean / math.log(2.0)
     return -math.log1p(mean) / (eps * math.log(2.0))
 
 
-def renyi_entropy(probs, order, weights=None) -> float:
-    """Renyi entropy of a (weighted multiset) probability vector, in bits.
+def _posterior_entropies(means: np.ndarray, eps: np.ndarray) -> list[float]:
+    """:func:`posterior_entropy` of every row, in float arithmetic."""
+    return [posterior_entropy(m, e) for m, e in zip(means.tolist(), eps.ravel().tolist())]
+
+
+def renyi_entropies(probs, orders, weights=None) -> np.ndarray:
+    """Renyi entropies of a (weighted multiset) probability vector, in bits, one per order.
 
     ``weights`` are multiplicities: weight w at value p represents w symbols
     of probability p each, so the vector masses to sum(w * p) = 1.
@@ -208,7 +243,7 @@ def renyi_entropy(probs, order, weights=None) -> float:
     serves.  A negative entry or a mass off 1 by more than ``MASS_TOL`` (as
     with any NaN or infinite entry) raises DistributionError.
     """
-    o = as_order(order)
+    orders = [as_order(o) for o in orders]
     p = np.asarray(probs, dtype=np.float64).ravel()
     w = np.ones_like(p) if weights is None else np.asarray(weights, dtype=np.float64).ravel()
     mass = float(np.sum(w * p))
@@ -217,18 +252,27 @@ def renyi_entropy(probs, order, weights=None) -> float:
         raise DistributionError(f"probability mass deviates from 1 by {err:.3e}")
     if not np.minimum.reduce(np.minimum(p, w)) >= 0.0:
         raise DistributionError("probabilities and weights must be nonnegative")
-    if o.kind == "zero":
-        return math.log2(float(np.sum(w[p > 0.0])))
-    if o.kind == "finite":
-        h = (log2_power_sum(p, o.alpha, w) - math.log2(mass)) / (1.0 - o.alpha)
-    else:
-        h = -math.log2(float(p.max()))  # order inf, and a scale for order 1
-    eps = posterior_eps(o)
-    if eps is None:
-        return h
-    t = p * 2.0**h  # the scale 2^-h, where the posterior mean is near 0 and keeps its digits
-    mean = float(np.sum(w * _posterior_term(t.copy(), eps)) / np.sum(w * t))
-    return h + posterior_entropy(mean, eps)
+    h = np.full(len(orders), -math.log2(float(p.max())))  # order inf, and a scale for order 1
+    fin = [k for k, o in enumerate(orders) if o.kind == "finite"]
+    if fin:
+        a = np.array([[orders[k].alpha] for k in fin])
+        h[fin] = (log2_power_sum(p, a, w) - math.log2(mass)) / (1.0 - a[:, 0])
+    for k, o in enumerate(orders):
+        if o.kind == "zero":
+            h[k] = math.log2(float(np.sum(w[p > 0.0])))
+    post = [k for k, o in enumerate(orders) if posterior_eps(o) is not None]
+    if post:
+        eps = np.array([[posterior_eps(orders[k])] for k in post])
+        # the scale 2^-h, where the posterior mean is near 0 and keeps its digits
+        t = p * np.array([[2.0 ** float(h[k])] for k in post])
+        means = np.sum(w * posterior_term(posterior_logs(t), eps), axis=1) / np.sum(w * t, axis=1)
+        h[post] += _posterior_entropies(means, eps)
+    return h
+
+
+def renyi_entropy(probs, order, weights=None) -> float:
+    """The :func:`renyi_entropies` of one order."""
+    return float(renyi_entropies(probs, [order], weights)[0])
 
 
 def joint_renyi(d: JointDistribution, order) -> float:
@@ -259,8 +303,8 @@ def snap_to_unit(value):
     return value
 
 
-def conditional_renyi(d: JointDistribution, order) -> float:
-    """Conditional Renyi entropy H_a(X|Y) in bits.
+def conditional_entropies(d: JointDistribution, orders) -> np.ndarray:
+    """Conditional Renyi entropies H_a(X|Y) in bits, one per order.
 
     Branches:
 
@@ -271,30 +315,64 @@ def conditional_renyi(d: JointDistribution, order) -> float:
       form in the module docstring (at a = 1, Shannon's H(X,Y) - H(Y)).
     * every other finite a: log2 E_nu[u^a + v^a] / (1 - a), in the log
       domain (see the module docstring).
+
+    The posteriors and their logs are taken once; each finite branch runs
+    as one (orders x symbols) array, whose rows do not depend on each other.
     """
-    o = as_order(order)
-    if o.kind == "zero":
-        alive = (d.p0 > 0.0).astype(np.int64) + (d.p1 > 0.0)
-        joint_support = float(np.sum(d.weight * alive))
-        out_support = float(np.sum(d.weight, where=d.symbol_mass > 0.0))
-        value = math.log2(joint_support / out_support)
-    elif o.kind == "infinity":
-        top = float(np.maximum(d.p0, d.p1).max())
-        value = math.log2(float(d.symbol_mass.max())) - math.log2(top)
-    else:
-        lw, u, v = symbol_terms(d, o.alpha)
-        eps = posterior_eps(o)
-        if eps is None:
-            lk = lw + log2_power_kernel(u, v, o.alpha)
-            value = (log2_sum_exp2(lk) - log2_sum_exp2(lw)) / (1.0 - o.alpha)
-        else:
-            nu = np.exp2(lw)
-            mean = float(np.sum(nu * posterior_kernel(u, v, eps)) / np.sum(nu))
-            value = posterior_entropy(mean, eps)
-    return snap_to_unit(value)
+    orders = [as_order(o) for o in orders]
+    out = [0.0] * len(orders)
+    for k, o in enumerate(orders):
+        if o.kind == "zero":
+            alive = (d.p0 > 0.0).astype(np.int64) + (d.p1 > 0.0)
+            joint_support = float(np.sum(d.weight * alive))
+            out_support = float(np.sum(d.weight, where=d.symbol_mass > 0.0))
+            out[k] = math.log2(joint_support / out_support)
+        elif o.kind == "infinity":
+            top = float(np.maximum(d.p0, d.p1).max())
+            out[k] = math.log2(float(d.symbol_mass.max())) - math.log2(top)
+    # the finite branch: rows of log2 nu, posterior rows first (order 1 included)
+    post = [k for k, o in enumerate(orders) if posterior_eps(o) is not None]
+    rest = [k for k, o in enumerate(orders) if o.kind == "finite" and k not in post]
+    if post or rest:
+        alpha = np.array([orders[k].alpha for k in post + rest])
+        lw, uv = symbol_terms(d, alpha[:, None])
+        if rest:
+            a, lwa = alpha[len(post) :], lw[len(post) :]
+            lk = log2_power_kernel(*uv, a[:, None])
+            lk += lwa
+            sums = log2_sum_exp2(np.concatenate([lk, lwa]))
+            for k, h in zip(rest, ((sums[: a.size] - sums[a.size :]) / (1.0 - a)).tolist()):
+                out[k] = h
+        if post:
+            eps = alpha[: len(post), None, None] - 1.0
+            nu = np.exp2(lw[: len(post)], out=lw[: len(post)])
+            terms = posterior_term(posterior_logs(uv), eps)  # orders x (u, v) x symbols
+            kernel = terms[:, 0]
+            kernel += terms[:, 1]
+            kernel *= nu
+            means = np.sum(kernel, axis=1) / np.sum(nu, axis=1)
+            for k, h in zip(post, _posterior_entropies(means, eps)):
+                out[k] = h
+    return np.array([snap_to_unit(h) for h in out])
+
+
+def conditional_renyi(d: JointDistribution, order) -> float:
+    """The :func:`conditional_entropies` of one order."""
+    return float(conditional_entropies(d, [order])[0])
+
+
+def chain_rule_entropies(d: JointDistribution, orders) -> np.ndarray:
+    """Rows H_a(X|Y), H_a(Y), H_a(X,Y) and the residual H_a(X|Y) + H_a(Y) - H_a(X,Y).
+
+    One column per order; the residual is identically zero up to rounding.
+    """
+    orders = [as_order(o) for o in orders]
+    cond = conditional_entropies(d, orders)
+    out = renyi_entropies(d.symbol_mass, orders, d.weight)
+    joint = renyi_entropies(np.concatenate([d.p0, d.p1]), orders, np.concatenate([d.weight] * 2))
+    return np.array([cond, out, joint, cond + out - joint])
 
 
 def chain_rule_residual(d: JointDistribution, order) -> float:
-    """H_a(X|Y) + H_a(Y) - H_a(X,Y); identically zero up to rounding."""
-    o = as_order(order)
-    return conditional_renyi(d, o) + output_renyi(d, o) - joint_renyi(d, o)
+    """H_a(X|Y) + H_a(Y) - H_a(X,Y) at one order; identically zero up to rounding."""
+    return float(chain_rule_entropies(d, [order])[3, 0])

@@ -19,7 +19,14 @@ import mpmath
 import numpy as np
 
 from .distributions import MASS_TOL, JointDistribution, make_from_atoms, _freeze
-from .entropy import Order, as_order, conditional_renyi, log2_power_kernel, symbol_terms
+from .entropy import (
+    Order,
+    as_order,
+    conditional_entropies,
+    conditional_renyi,
+    log2_power_kernel,
+    symbol_terms,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +137,9 @@ def extreme_example_sweep(
     rows = []
     for size in sizes:
         params = ExtremeExampleParams(alpha0=alpha0, size=int(size))
-        d = extreme_example_distribution(params)
-        for o in orders:
+        direct_values = conditional_entropies(extreme_example_distribution(params), orders)
+        for o, direct in zip(orders, direct_values.tolist()):
             closed = extreme_example_closed_form(params, o)
-            direct = conditional_renyi(d, o)
             rows.append(ExtremeExampleRow(int(size), o, closed, direct, abs(closed - direct)))
     return rows
 
@@ -322,7 +328,7 @@ def effective_set(d: JointDistribution, alpha) -> EffectiveSetReport:
     if o.kind != "finite":
         raise ValueError("effective set is defined for finite alpha > 0, != 1")
     # numerator terms nu (u^a + v^a) and denominator terms nu, as conditional_renyi sums them
-    lw, u, v = symbol_terms(d, o.alpha)
+    lw, (u, v) = symbol_terms(d, o.alpha)
     lk = lw + log2_power_kernel(u, v, o.alpha)
     num_c, den_c = np.exp2(lk - lk.max()), np.exp2(lw)
     num_share = num_c / num_c.sum()

@@ -36,7 +36,11 @@ kernels are analytic there).  Every higher order sums a^alpha + b^alpha
 over the ratio groups that can move the pair sum, a certified pruning
 that drops under 2^-58 of it: the same walker on the proxy points while
 alpha <= 32 and the proxies are fewer, else the grid over the kept groups
-in the log domain, so nothing overflows.
+in the log domain, so nothing overflows.  One walk per parent serves
+every walker order: each block of the grid takes its posteriors and their
+logs once, and each order applies its own kernel and weights.  The blocks
+depend only on the grid's size, so each order's sum is bitwise that of a
+walk at that order alone.
 
 Erasure-type roots never need atoms past the root, and order 0 of no
 root does.  Canonical atoms fall in two classes, p1 > 0 and p1 = 0.  When
@@ -78,12 +82,14 @@ from .entropy import (
     ORDER_ONE,
     Order,
     as_order,
-    conditional_renyi,
+    conditional_entropies,
+    conditional_renyi,  # noqa: F401  perfbench/tracing.py patches this attribute
     log2_power_sum,  # noqa: F401  perfbench/tracing.py patches this attribute
     log2_sum_exp2,
     posterior_entropy,
     posterior_eps,
-    posterior_kernel,
+    posterior_logs,
+    posterior_term,
     snap_to_unit,
     _TINY,
 )
@@ -251,6 +257,10 @@ class _RatioView:
         self.starts = np.flatnonzero(boundary)
         self.group = np.cumsum(boundary) - 1  # group index of every atom
         self.ratios = r[self.starts]
+        self._log2_w = np.log2(self.w)
+        self._log2_p0 = np.log2(self.p0)
+        self._log2_1r = np.log2(1.0 + self.ratios)
+        self._group_log2_sums = {}
 
     def group_sum(self, values: np.ndarray) -> np.ndarray:
         """Sum an atom-aligned array within each ratio group."""
@@ -258,17 +268,20 @@ class _RatioView:
 
     def symbol_log2_weights(self, alpha: float) -> np.ndarray:
         """log2 of sum w s^alpha within each ratio group x, s = p0 (1 + x)."""
-        return self.group_log2_sums(alpha) + alpha * np.log2(1.0 + self.ratios)
+        return self.group_log2_sums(alpha) + alpha * self._log2_1r
 
     def group_log2_sums(self, alpha: float) -> np.ndarray:
         """log2 of sum w p0^alpha within each ratio group, in the log domain.
 
         Each group is shifted by its own largest term, as in
         :func:`log2_power_sum`, so no group under- or overflows at any order.
+        Computed once per order.
         """
-        t = np.log2(self.w) + alpha * np.log2(self.p0)
-        top = np.maximum.reduceat(t, self.starts)
-        return top + np.log2(self.group_sum(np.exp2(t - top[self.group])))
+        if alpha not in self._group_log2_sums:
+            t = self._log2_w + alpha * self._log2_p0
+            top = np.maximum.reduceat(t, self.starts)
+            self._group_log2_sums[alpha] = top + np.log2(self.group_sum(np.exp2(t - top[self.group])))
+        return self._group_log2_sums[alpha]
 
     def kept_groups(self, alpha: float) -> np.ndarray:
         """Indices of the ratio groups that can move the order-alpha pair sum.
@@ -343,7 +356,9 @@ class _RatioView:
         their value bit for bit.
         """
         proxies, group, at, coef = self._proxy_map
-        return np.bincount(at, coef * values[group], minlength=proxies.size)
+        terms = values[group]
+        terms *= coef  # in place: the map can hold far more entries than the groups
+        return np.bincount(at, terms, minlength=proxies.size)
 
 
 def _pair_grid_sum(ratios: np.ndarray, log_weights: np.ndarray, alpha: float) -> float:
@@ -384,42 +399,64 @@ def _pair_grid_sum(ratios: np.ndarray, log_weights: np.ndarray, alpha: float) ->
     return top + math.log2(math.fsum(v * 2.0 ** (t - top) for t, v in parts))
 
 
-def _posterior_pair_sum(ratios: np.ndarray, weights: np.ndarray, kernel) -> float:
-    """sum_{x,y} w_x w_y kernel(a, b) over the minus-child posteriors of ratio pairs.
+def _walk_minus(ratios: np.ndarray, weights: np.ndarray, orders: Sequence[Order]) -> list[float]:
+    """H of the minus child at every order by one walk over its pair grid.
 
     Ratios (x, y) make a minus-child symbol of posterior a = (1 + xy) c,
-    b = (x + y) c, c = 1 / ((1 + x)(1 + y)); ``kernel`` may overwrite both.
-    The grid is symmetric, so a block of rows meets only the columns from
-    its first row on: its own square counts once, the columns past it twice.
+    b = (x + y) c, c = 1 / ((1 + x)(1 + y)), weighted w_x w_y by row k of
+    ``weights`` at orders[k].  Each block of the grid takes its posteriors
+    and their logs once; every order then applies its kernel, the
+    posterior form or a^alpha + b^alpha, and its weights, so its sum is
+    bitwise that of a walk at that order alone.  The grid is symmetric,
+    so a block of rows meets only the columns from its first row on: its
+    own square counts once, the columns past it twice.  The mean of the
+    kernel is its sum over (sum w)^2.
     """
     n = ratios.shape[0]
     inv = 1.0 / (1.0 + ratios)
     rows = max(1, min(_PAIR_CHUNK // n, -(-n // 8)))  # eighths: near the triangle's cost
-    parts = []
-    for s in range(0, n, rows):
+    eps = [posterior_eps(o) for o in orders]
+    posterior = any(v is not None for v in eps)
+
+    def block(s: int) -> list[float]:
         e = min(s + rows, n)
-        x, c = ratios[s:e, None], inv[s:e, None] * inv[s:]
-        k = kernel((x * ratios[s:] + 1.0) * c, (x + ratios[s:]) * c)
-        cols = weights[s:].copy()
-        cols[e - s :] *= 2.0
-        parts.append(float(np.sum(weights[s:e] * np.einsum("ij,j->i", k, cols))))
-    return math.fsum(parts)
+        x, y = ratios[s:e, None], ratios[s:]
+        c = inv[s:e, None] * inv[s:]
+        a = x * y
+        a += 1.0
+        a *= c
+        b = x + y
+        b *= c
+        if posterior:
+            logs = posterior_logs(a, out=c), posterior_logs(b)
+        del c
+        k, tmp = np.empty_like(a), np.empty_like(a)
+        cols = weights[:, s:].copy()
+        cols[:, e - s :] *= 2.0
+        row_sums = np.empty((len(orders), e - s))
+        for row, (o, v) in enumerate(zip(orders, eps)):
+            if v is None:
+                np.power(a, o.alpha, out=k)
+                k += np.power(b, o.alpha, out=tmp)
+            else:
+                posterior_term(logs[0], v, out=k)
+                k += posterior_term(logs[1], v, out=tmp)
+            row_sums[row] = np.einsum("ij,j->i", k, cols[row])
+        row_sums *= weights[:, s:e]
+        return np.sum(row_sums, axis=1).tolist()
+
+    parts = zip(*[block(s) for s in range(0, n, rows)])
+    out = []
+    for w, o, v, p in zip(weights, orders, eps, parts):
+        mean = math.fsum(p) / float(np.sum(w)) ** 2
+        out.append(math.log2(mean) / (1.0 - o.alpha) if v is None else posterior_entropy(mean, v))
+    return out
 
 
-def _walk_minus(ratios: np.ndarray, weights: np.ndarray, o: Order) -> float:
-    """H_o of the minus child from the walk of its kernel over (sum w)^2, its mean."""
-    eps, total = posterior_eps(o), float(np.sum(weights)) ** 2
-    if eps is None:
-        mean = _posterior_pair_sum(ratios, weights, lambda u, v: u**o.alpha + v**o.alpha)
-        return math.log2(mean / total) / (1.0 - o.alpha)
-    kernel = functools.partial(posterior_kernel, eps=eps)
-    return posterior_entropy(_posterior_pair_sum(ratios, weights, kernel) / total, eps)
-
-
-def _proxy_minus(view: _RatioView, o: Order) -> float:
-    """H_o of the minus child by the pair walker over the view's proxy points."""
-    lnu = view.symbol_log2_weights(o.alpha)
-    return _walk_minus(view.proxy_ratios, view.to_proxies(np.exp2(lnu - lnu.max())), o)
+def _proxy_weights(view: _RatioView, alpha: float) -> np.ndarray:
+    """The order-alpha symbol weights of the view's groups on its proxy points, largest 1."""
+    lnu = view.symbol_log2_weights(alpha)
+    return view.to_proxies(np.exp2(lnu - lnu.max()))
 
 
 def _grid_minus(view: _RatioView, alpha: float, kept: np.ndarray) -> float:
@@ -444,30 +481,36 @@ def _infinity_children(d: JointDistribution) -> tuple[float, float]:
     return h_minus, h_plus
 
 
-def _split_kernel(parent: JointDistribution, view, o: Order):
-    """The split kernel of one order: (grid, run).
+def _minus_entropies(parent: JointDistribution, orders: list[Order], atom_cap: int) -> np.ndarray:
+    """H of the minus child at every finite order of ``orders``, by the split kernels.
 
-    ``grid`` holds the ratio points that the kernel's pair grid streams,
-    None for kernels without one; ``run()`` gives the (minus, plus)
-    entropies.  ``view()`` returns the parent's ratio view, built once.
+    Checks every order's work budget before any kernel runs (see
+    :func:`child_entropies`).  The walker orders share one walk; each
+    other order runs the log-domain grid over its kept groups.
     """
-    if o.kind == "zero":
-        return None, lambda: next(_erasure_sweep(parent, 1, o))
-    if o.kind == "infinity":
-        return None, lambda: _infinity_children(parent)
-    v = view()
-    a = o.alpha
-    kept = None if posterior_eps(o) is not None else v.kept_groups(a)
-    if kept is None or (a <= _PROXY_MAX_ORDER and kept.size > v.proxy_ratios.size):
-        grid, minus = v.proxy_ratios, lambda: _proxy_minus(v, o)
-    else:
-        grid, minus = v.ratios[kept], lambda: _grid_minus(v, a, kept)
-
-    def run():
-        h_minus = minus()
-        return h_minus, 2.0 * conditional_renyi(parent, o) - h_minus
-
-    return grid, run
+    view = _RatioView(parent)
+    walk, grid, points = [], {}, []
+    for k, o in enumerate(orders):
+        kept = None if posterior_eps(o) is not None else view.kept_groups(o.alpha)
+        if kept is None or (o.alpha <= _PROXY_MAX_ORDER and kept.size > view.proxy_ratios.size):
+            walk.append(k)
+            points.append(view.proxy_ratios.size)
+        else:
+            grid[k] = kept
+            points.append(kept.size)
+    for o, size in zip(orders, points):
+        if 2 * size * size > _SPLIT_WORK_FACTOR * atom_cap:
+            raise CapacityError(
+                f"order {o}: pair grid over {size} points exceeds "
+                f"work budget {_SPLIT_WORK_FACTOR} * {atom_cap}"
+            )
+    out = np.empty(len(orders))
+    if walk:
+        weights = np.array([_proxy_weights(view, orders[k].alpha) for k in walk])
+        out[walk] = _walk_minus(view.proxy_ratios, weights, [orders[k] for k in walk])
+    for k, kept in grid.items():
+        out[k] = _grid_minus(view, orders[k].alpha, kept)
+    return out
 
 
 def child_entropies(
@@ -481,6 +524,7 @@ def child_entropies(
     The parent must be in canonical orientation (p0 >= p1 per atom).
     Returns an array of shape (len(orders), 2) with columns (minus, plus).
     Exact up to float rounding; no child distribution is materialized.
+    Every row is bitwise the one a call with that order alone gives.
 
     Raises
     ------
@@ -501,18 +545,20 @@ def child_entropies(
     if np.any(parent.p1 > parent.p0):
         raise DistributionError("parent must be canonical (p0 >= p1 per atom)")
     orders = [as_order(o) for o in orders]
-    view = functools.cache(lambda: _RatioView(parent))
-    kernels = [_split_kernel(parent, view, o) for o in orders]
-    for o, (grid, _) in zip(orders, kernels):
-        if grid is not None and 2 * grid.size * grid.size > _SPLIT_WORK_FACTOR * atom_cap:
-            raise CapacityError(
-                f"order {o}: pair grid over {grid.size} points exceeds "
-                f"work budget {_SPLIT_WORK_FACTOR} * {atom_cap}"
-            )
-    out = np.empty((len(kernels), 2))
-    for row, (_, run) in enumerate(kernels):
-        out[row] = [snap_to_unit(h) for h in run()]
-    return out
+    finite = [k for k, o in enumerate(orders) if o.kind in ("finite", "one")]
+    out = np.empty((len(orders), 2))
+    if finite:
+        # the ratio view and its proxy map are freed before the parent's own
+        # (orders x atoms) entropies run, so their memory peaks do not add
+        fin = [orders[k] for k in finite]
+        out[finite, 0] = _minus_entropies(parent, fin, atom_cap)
+        out[finite, 1] = 2.0 * conditional_entropies(parent, fin) - out[finite, 0]
+    for k, o in enumerate(orders):
+        if o.kind == "zero":
+            out[k] = next(_erasure_sweep(parent, 1, o))
+        elif o.kind == "infinity":
+            out[k] = _infinity_children(parent)
+    return snap_to_unit(out)
 
 
 def check_band(band: float) -> float:
@@ -772,7 +818,7 @@ def level_profile_sweep(
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
     orders = tuple(as_order(o) for o in orders)
-    root_entropy = np.array([conditional_renyi(root, o) for o in orders])
+    root_entropy = conditional_entropies(root, orders)
     current = [canonicalize_orientation(root)]
     erasure = _is_erasure_type(current[0])
     state = [k for k, o in enumerate(orders) if erasure or o.kind == "zero"]
@@ -841,14 +887,13 @@ def one_step_report(
     deliberately bypassing the split evaluation, so the two can be played
     against each other in tests.
     """
-    if b is None:
-        b = a
+    orders = [as_order(x) for x in orders]
     pair = transform_pair(a, b)
-    reports = []
-    for o in (as_order(x) for x in orders):
-        ha = conditional_renyi(a, o)
-        hb = conditional_renyi(b, o)
-        hm = conditional_renyi(pair.minus, o)
-        hp = conditional_renyi(pair.plus, o)
-        reports.append(OneStepReport(o, ha, hb, hm, hp, (hm + hp) - (ha + hb)))
-    return reports
+    ha = conditional_entropies(a, orders).tolist()
+    hb = ha if b is None or b is a else conditional_entropies(b, orders).tolist()
+    hm = conditional_entropies(pair.minus, orders).tolist()
+    hp = conditional_entropies(pair.plus, orders).tolist()
+    return [
+        OneStepReport(o, x, y, m, p, (m + p) - (x + y))
+        for o, x, y, m, p in zip(orders, ha, hb, hm, hp)
+    ]

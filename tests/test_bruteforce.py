@@ -144,6 +144,20 @@ def test_brute_force_mass_guard():
         brute_force_profile(d, 1, orders=(1.0,))
 
 
+def test_brute_force_checks_mass_against_the_root():
+    # four-atoms.json is admitted at mass 1 + 4e-10; its level-2 joint law
+    # masses to that to the fourth power, 1.6e-9 off 1
+    from pathlib import Path
+
+    from polarlens import EXTENDED_ORDER_GRID, load_file
+
+    root = load_file(str(Path(__file__).parent / "data" / "four-atoms.json"))
+    assert abs(root.mass**4 - 1.0) > 1e-9
+    slow = brute_force_profile(root, 2, EXTENDED_ORDER_GRID)
+    fast = level_profile(root, 2, EXTENDED_ORDER_GRID)
+    assert np.max(np.abs(fast.entries - slow)) <= 1e-9
+
+
 def test_high_precision_agrees_with_float_engine():
     rng = np.random.default_rng(173)
     for _ in range(10):
