@@ -5,8 +5,9 @@ each parent into its two children without ever materializing the final
 level.  The oracle takes the opposite road: enumerate every input word
 u, map it through the self-inverse generator matrix (Kronecker powers
 of the basic kernel, rows in bit-reversed order), enumerate every
-output tuple, and accumulate each sub-channel's power sums directly
-from the joint law of (u_i; y, u_1..u_{i-1}).
+output tuple, and sum the prefix laws of (y, u_1..u_j) for j = N..0,
+each the pairwise marginal of the one below.  Sub-channel i is then the
+chain-rule difference H(y, u_1..u_i) - H(y, u_1..u_{i-1}).
 
 The two implementations share no kernels (the oracle accumulates in
 natural-log space through its own log-sum-exp), so agreement to ~1e-14

@@ -7,14 +7,17 @@ kernels of the fast path.  Agreement between the two is the main
 correctness argument for the engine, so this module deliberately shares
 as little machinery with it as possible (natural-log accumulation through
 its own log-sum-exp, plain supports and maxima for the limit orders).
-Each chunk of output tuples is read in one pass that serves every
-requested order.  One exact evaluator, :func:`high_precision_conditional`,
-gives a third opinion in rational or 50-digit arithmetic, and
-:func:`bec_reference_profile` runs the erasure channel's scalar
-recursions at 60 digits, to any depth.
+Subchannel i is the chain-rule difference H(Y, U^i) - H(Y, U^{i-1}) of
+two prefix laws, each summed once, in pairs from the one below it, and
+read once by every order.  One exact evaluator,
+:func:`high_precision_conditional`, gives a third opinion in rational or
+50-digit arithmetic, and :func:`bec_reference_profile` runs the erasure
+channel's scalar recursions at 60 digits, to any depth.
 
 Cost is A**N * 2**N joint entries for an A-atom root at level n (N = 2**n),
-so this is for shallow levels only; the cap guards against surprises.
+and about twice that in prefix-law values per order, each order's terms
+floored at e^-700 of their largest; this is for shallow levels only, and
+the cap guards against surprises.
 """
 
 from __future__ import annotations
@@ -86,12 +89,15 @@ def _logsumexp(a: np.ndarray) -> float:
     The m entries equal to the maximum are taken out of the shifted sum,
     which then enters through log1p (Blanchard, Higham & Higham, IMA J.
     Numer. Anal. 41(4), 2021): ln m + max + log1p(sum(exp(rest - max)) / m).
-    The shifted terms overwrite ``a``.
+    Shifted terms below -700 (-inf included) are raised to it, which keeps
+    exp off its slow subnormal path below -708 and moves a sum of at most
+    2**24 terms by under 2**-980 of itself.  The terms overwrite ``a``.
     """
     top = a.max()
     at_top = a == top
     m = np.count_nonzero(at_top)
     a -= top
+    np.maximum(a, -700.0, out=a)
     np.copyto(a, -np.inf, where=at_top)
     rest = np.sum(np.exp(a, out=a)) / m
     return float(np.log1p(rest) + np.log(m) + top)
@@ -108,15 +114,18 @@ def brute_force_profile(
 
     Output tuples are enumerated atom-class by atom-class (the root's
     weights multiply through as tuple multiplicities), inputs by all
-    2**N binary words mapped through the generator matrix.  Each chunk of
-    tuples is read in one pass: per subchannel, the weights, supports,
-    maxima and the logs of the joint and symbol columns are taken once,
-    and every requested order reads from them.  Finite orders keep one
-    log-sum-exp part per chunk and combine the parts at the end.  Near
-    order 1, whose log-sum-exp difference over 1 - alpha loses digits,
-    alpha = 1 + eps also sums num - den = sum w [sum_x q_x expm1(eps ln
-    q_x) - s expm1(eps ln s)] directly (q ln q over eps at eps = 0) and
-    gives -log1p((num - den) / den) / (eps ln 2).
+    2**N binary words mapped through the generator matrix (Arikan, IEEE
+    T-IT 2009).  Subchannel i is H(Y, U^i) - H(Y, U^{i-1}) over the prefix
+    laws v_j of (Y, U_1..U_j): v_N = P(y, u), and v_j sums v_{j+1} over
+    u_{j+1} in pairs.  Each chunk of tuples walks j = N..0, one level held
+    at a time, and every order reads each level once, about 2 A**N 2**N
+    values per order: a finite order alpha sums J_j = ln sum w v_j^alpha
+    through a log-sum-exp floored at e^-700 and gives (J_i - J_{i-1}) /
+    ((1 - alpha) ln 2); orders 0 and inf take weighted supports and peaks.
+    Near order 1, where that quotient loses digits, alpha = 1 + eps also
+    sums num - den = sum w [sum_x q_x expm1(eps ln q_x) - s expm1(eps ln
+    s)] row by row, s a row of level i - 1 and q its pair at level i (q ln q
+    over eps at eps = 0), and gives -log1p((num - den) / den) / (eps ln 2).
 
     Raises
     ------
@@ -157,52 +166,46 @@ def brute_force_profile(
     # at position pos
     place = a_count ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
-    # running state per subchannel: row 0 the joint columns, row 1 the symbols
-    support = np.zeros((2, n))
-    excess = np.zeros((len(near), n))  # num - den of the eps form
-    peak = np.zeros((2, n))
+    # per prefix length j = 0..N: weighted support, peak, log-sum-exp parts
+    support = np.zeros(n + 1)
+    peak = np.zeros(n + 1)
     chunk_count = -(-tuple_count // _CHUNK_TUPLES)
-    lse_parts = np.empty((2, len(finite), n, chunk_count))
+    lse_parts = np.empty((len(finite), n + 1, chunk_count))
+    excess = np.zeros((len(near), n))  # num - den of the eps form, per subchannel
 
     mass = 0.0
     for c in range(chunk_count):
         start = c * _CHUNK_TUPLES
         k = np.arange(start, min(start + _CHUNK_TUPLES, tuple_count), dtype=np.int64)
         chunk = k[:, None] // place % a_count
-        t_count = chunk.shape[0]
-        # row u of cols holds P(x(u), y-tuple) for every tuple of the chunk
-        cols = np.ones((1 << n, t_count))
-        for pos in range(n):
-            cols *= p[xbits[:, pos][:, None], chunk[:, pos]]
-        pu = cols.T  # column-major, which fixes the rounding of the sums over u
+        # v[u, t] = P(x(u), tuple t): the law of (Y, U_1..U_N), input word first
+        v = p[:, chunk[:, 0]][xbits[:, 0]]
+        for pos in range(1, n):
+            v *= p[:, chunk[:, pos]][xbits[:, pos]]
         logw = logw_atom[chunk].sum(axis=1)
         w_tuple = np.exp(logw)
-        mass += float(np.sum(w_tuple * pu.sum(axis=1)))
-        for i in range(n):
-            q = pu.reshape(t_count, 1 << i, 2, 1 << (n - 1 - i)).sum(axis=3)
-            q = q.reshape(t_count << i, 2)
-            s = q.sum(axis=1)
-            lq = np.log(q, out=np.full_like(q, -np.inf), where=q > 0.0)
-            ls = np.log(s, out=np.full_like(s, -np.inf), where=s > 0.0)
-            lw = np.repeat(logw, 1 << i)
-            # laid out like lq and ls, which fixes the rounding of the sums
-            tq, ts = np.empty_like(lq), np.empty_like(ls)
+        above = []  # level j + 1's eps terms
+        for j in range(n, -1, -1):
+            if j < n:
+                v = v[0::2] + v[1::2]  # sums out u_{j+1}
+            lv = np.log(v, out=np.full_like(v, -np.inf), where=v > 0.0)
+            t = np.empty_like(lv)
             for f, a in enumerate(finite):
-                np.multiply(lq, a, out=tq)
-                tq += lw[:, None]
-                lse_parts[0, f, i, c] = _logsumexp(tq)
-                np.multiply(ls, a, out=ts)
-                ts += lw
-                lse_parts[1, f, i, c] = _logsumexp(ts)
-            del tq, ts  # freed before the eps form's temporaries
-            w = np.repeat(w_tuple, 1 << i)
-            for f, e in enumerate(near):
-                eq, es = (np.expm1(e * lq), np.expm1(e * ls)) if e else (lq, ls)
-                qe = np.multiply(q, eq, out=np.zeros_like(q), where=q > 0.0).sum(axis=1)
-                se = np.multiply(s, es, out=np.zeros_like(s), where=s > 0.0)
-                excess[f, i] += np.sum(w * (qe - se))
-            support[:, i] += (np.sum(w * (q > 0.0).sum(axis=1)), np.sum(w, where=s > 0.0))
-            peak[:, i] = np.maximum(peak[:, i], (q.max(initial=0.0), s.max(initial=0.0)))
+                np.multiply(lv, a, out=t)
+                t += logw
+                lse_parts[f, j, c] = _logsumexp(t)
+            support[j] += np.sum(w_tuple * np.count_nonzero(v, axis=0))
+            peak[j] = max(peak[j], v.max())
+            terms = []
+            for e in near:
+                if e:
+                    np.expm1(np.multiply(lv, e, out=t), out=t)
+                terms.append(np.multiply(v, t if e else lv, out=np.zeros_like(v), where=v > 0.0))
+            del t, lv  # freed before the differences' temporaries
+            for f, (hi, lo) in enumerate(zip(above, terms)):
+                excess[f, j] += np.sum(w_tuple * (hi[0::2] + hi[1::2] - lo))
+            above = terms
+        mass += float(np.sum(w_tuple * v[0]))
 
     # N independent uses of the root; every branch below is scale-free, so
     # a root admitted off unit mass is checked against its own mass
@@ -213,24 +216,25 @@ def brute_force_profile(
         )
     # each part array is read once, so its log-sum-exp may overwrite it
     lse = np.array([_logsumexp(part) for part in lse_parts.reshape(-1, chunk_count)])
-    lse = lse.reshape(lse_parts.shape[:3])
+    lse = lse.reshape(lse_parts.shape[:2])
     out = np.empty((len(orders), n))
     for row, order in enumerate(orders):
+        # subchannel i + 1 joins level i + 1 to the condition at level i
         for i in range(n):
             eps = order.alpha - 1.0
             if order.kind == "zero":
-                h = math.log2(support[0, i] / support[1, i])
+                h = math.log2(support[i + 1] / support[i])
             elif order.kind == "infinity":
-                h = math.log2(peak[1, i] / peak[0, i])
+                h = math.log2(peak[i] / peak[i + 1])
             elif eps == 0.0:
                 h = -excess[near.index(eps), i] / (mass * _LN2)
             else:
                 f = finite.index(order.alpha)
                 if eps in near:
-                    ratio = excess[near.index(eps), i] / math.exp(lse[1, f, i])
+                    ratio = excess[near.index(eps), i] / math.exp(lse[f, i])
                     h = -math.log1p(ratio) / (eps * _LN2)
                 else:
-                    h = (lse[0, f, i] - lse[1, f, i]) / (-eps * _LN2)
+                    h = (lse[f, i + 1] - lse[f, i]) / (-eps * _LN2)
             out[row, i] = h
     return out
 

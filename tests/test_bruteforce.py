@@ -51,6 +51,14 @@ def test_generator_matrix_level_bounds():
         generator_matrix(-1)
 
 
+def _far_tail_terms(top_count):
+    # over 1,000 terms 700 to 2,000 nats below the top, which the floor
+    # raises to e^-700, next to -inf entries and top_count tied maxima
+    rng = np.random.default_rng(193)
+    tail = 4.5 - rng.uniform(700.0, 2000.0, size=1500)
+    return np.concatenate([[4.5] * top_count, [-np.inf] * 20, tail, [3.25]])
+
+
 def _accumulator_shaped_terms():
     # a * ln q + ln w over (classes, 2) joint columns with some empty cells
     rng = np.random.default_rng(181)
@@ -70,9 +78,12 @@ def _accumulator_shaped_terms():
         [10.0, -750.0, -1000.0, 8.5],
         [-1.0e3, -1.9e3, -1.0e3],
         _accumulator_shaped_terms(),
+        _far_tail_terms(1),
+        _far_tail_terms(3),
+        _far_tail_terms(1)[:-1],
     ],
     ids=["single", "tied-max", "neg-inf", "tied-with-neg-inf", "underflow", "far-below-zero",
-         "accumulator-2d"],
+         "accumulator-2d", "far-tail", "far-tail-tied-max", "far-tail-only"],
 )
 def test_logsumexp_within_two_ulp_of_50_digits(terms):
     terms = np.asarray(terms, dtype=np.float64)
@@ -110,18 +121,24 @@ def test_brute_force_matches_split_engine_random():
 
 
 @pytest.mark.parametrize(
-    "orders",
-    [(math.inf, 2.0, 0.0, 0.5, 1.0, 2.0, 100.0), (0.0, 1.0, math.inf), (3.7, 0.5, 300.5)],
-    ids=["mixed-with-repeat", "limits-only", "finite-only"],
+    "orders,level",
+    [
+        ((math.inf, 2.0, 0.0, 0.5, 1.0, 2.0, 100.0), 2),
+        ((0.0, 1.0, math.inf), 2),
+        ((3.7, 0.5, 300.5), 2),
+        # 3**8 = 6,561 tuples in four chunks
+        ((1.000001, math.inf, 0.0, 1.0, 0.999999, 10.0), 3),
+    ],
+    ids=["mixed-with-repeat", "limits-only", "finite-only", "multi-chunk"],
 )
-def test_brute_force_rows_match_one_order_calls(orders):
-    # every order reads the chunk's shared logs and sums; each row must be
-    # bitwise what the order gets on its own
+def test_brute_force_rows_match_one_order_calls(orders, level):
+    # every order reads the chunk's shared prefix laws and logs; each row
+    # must be bitwise what the order gets on its own
     d = random_joint(np.random.default_rng(191), min_symbols=3, max_symbols=3)
-    rows = brute_force_profile(d, 2, orders=orders)
-    assert rows.shape == (len(orders), 4)
+    rows = brute_force_profile(d, level, orders=orders)
+    assert rows.shape == (len(orders), 2**level)
     for row, order in zip(rows, orders):
-        alone = brute_force_profile(d, 2, orders=(order,))[0]
+        alone = brute_force_profile(d, level, orders=(order,))[0]
         assert row.tobytes() == alone.tobytes(), order
 
 
@@ -156,6 +173,87 @@ def test_brute_force_checks_mass_against_the_root():
     slow = brute_force_profile(root, 2, EXTENDED_ORDER_GRID)
     fast = level_profile(root, 2, EXTENDED_ORDER_GRID)
     assert np.max(np.abs(fast.entries - slow)) <= 1e-9
+
+
+#: The generator at level 2, written out: Kronecker square of [[1, 0], [1, 1]]
+#: with its middle rows swapped (bit reversal).
+_G2 = ((1, 0, 0, 0), (1, 0, 1, 0), (1, 1, 0, 0), (1, 1, 1, 1))
+
+_REFERENCE_ORDERS = (0.0, 0.1, 0.5, 0.999999, 1.0, 1.000001, 1.2, 2.0, 10.0, 100.0, 300.5,
+                     1000.0, math.inf)
+
+
+def _level2_reference(root, orders):
+    """Level-2 subchannel entropies from prefix laws enumerated at 40 digits.
+
+    Subchannel i is H(Y, U^i) - H(Y, U^{i-1}), read off the laws of
+    (Y, U_1..U_j) for j = 0..4 with the root's floats taken at face value.
+    """
+    with mpmath.workdps(40):
+        atoms = [(mpmath.mpf(w), (mpmath.mpf(q0), mpmath.mpf(q1)))
+                 for w, q0, q1 in zip(root.weight.tolist(), root.p0.tolist(),
+                                      root.p1.tolist())]
+        words = [tuple(u >> (3 - k) & 1 for k in range(4)) for u in range(16)]
+        codewords = [tuple(sum(u[r] * _G2[r][c] for r in range(4)) % 2 for c in range(4))
+                     for u in words]
+        # laws[j] lists (w, v) over every output tuple and input prefix of length j
+        laws = [[] for _ in range(5)]
+        for ys in np.ndindex(*(root.n_atoms,) * 4):
+            w = mpmath.fprod(atoms[y][0] for y in ys)
+            joint = [mpmath.fprod(atoms[y][1][x] for y, x in zip(ys, xs)) for xs in codewords]
+            for j in range(5):
+                step = 1 << (4 - j)
+                laws[j] += [(w, mpmath.fsum(joint[k : k + step])) for k in range(0, 16, step)]
+        mass = mpmath.fsum(w * v for w, v in laws[0])
+        out = np.empty((len(orders), 4))
+        for row, a in enumerate(orders):
+            # logs[j] in nats: subchannel i is (logs[i] - logs[i - 1]) / ln 2
+            if a == 0.0:
+                logs = [mpmath.log(mpmath.fsum(w for w, v in law if v > 0)) for law in laws]
+            elif a == math.inf:
+                logs = [-mpmath.log(max(v for _, v in law)) for law in laws]
+            elif a == 1.0:
+                logs = [-mpmath.fsum(w * v * mpmath.log(v) for w, v in law if v > 0) / mass
+                        for law in laws]
+            else:
+                b = mpmath.mpf(a)
+                logs = [mpmath.log(mpmath.fsum(w * v**b for w, v in law if v > 0)) / (1 - b)
+                        for law in laws]
+            out[row] = [float((logs[i + 1] - logs[i]) / mpmath.log(2)) for i in range(4)]
+        return out
+
+
+@pytest.mark.parametrize(
+    "root",
+    [random_joint(np.random.default_rng(191), 3, 3), make_bec(0.35, prior0=0.3)],
+    ids=["random-3-atoms", "bec0.35-prior0.3"],
+)
+def test_brute_force_matches_40_digit_prefix_laws(root):
+    ref = _level2_reference(root, _REFERENCE_ORDERS)
+    got = brute_force_profile(root, 2, _REFERENCE_ORDERS)
+    assert np.max(np.abs(got - ref)) <= 5e-15
+
+
+def test_brute_force_memory_peak():
+    # only one prefix level, and the eps terms of the level above it, are
+    # alive at a time
+    import tracemalloc
+
+    from polarlens import EXTENDED_ORDER_GRID
+
+    d = random_joint(np.random.default_rng(191), min_symbols=3, max_symbols=3)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        brute_force_profile(d, 3, EXTENDED_ORDER_GRID)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 24 * 2**20, peak / 2**20
 
 
 def test_high_precision_agrees_with_float_engine():
@@ -195,15 +293,17 @@ def test_bec_reference_matches_brute_force(erasure, level):
     slow = brute_force_profile(make_bec(erasure), level, orders)
     ref = bec_reference_profile(erasure, level, orders)
     assert ref.shape == (len(orders), 2**level)
-    assert np.max(np.abs(ref - slow)) <= 1e-9
+    assert np.max(np.abs(ref - slow)) <= 1e-13
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_brute_force_near_order_one_matches_bec_reference(level):
-    # the eps form; the log-sum-exp difference over 1 - alpha was 1.06e-9 off
-    orders = (0.999999, 1.000001)
+    # the eps form; the log-sum-exp difference over 1 - alpha was 1.06e-9 off.
+    # Its level differences are taken row by row: subtracting whole-level
+    # totals was 1.2e-14 off at level 3 and order 1.2
+    orders = (0.999999, 1.0, 1.000001, 1.2)
     slow = brute_force_profile(make_bec(0.35), level, orders)
-    assert np.max(np.abs(slow - bec_reference_profile(0.35, level, orders))) <= 1e-12
+    assert np.max(np.abs(slow - bec_reference_profile(0.35, level, orders))) <= 6e-15
 
 
 def test_bec_reference_order_one_is_the_erasure_probability():
