@@ -40,6 +40,7 @@ from .entropy import (
     Order,
     as_order,
     chain_rule_entropies,
+    chain_rule_entropies_many,
     conditional_renyi,  # noqa: F401  perfbench/tracing.py patches this attribute
 )
 from .experiments import PerturbationSpec, extreme_example_sweep, perturbation_sweep
@@ -48,7 +49,7 @@ from .transform import (
     check_band,
     level_profile,
     level_profile_sweep,
-    one_step_report,
+    one_step_reports,
 )
 
 EXIT_OK = 0
@@ -293,24 +294,39 @@ def cmd_perturb(ns) -> int:
 # check passes only if deviation <= bound, so a NaN deviation fails.
 
 
+#: Trials the chain and lemma1 suites draw, and evaluate in stacked passes,
+#: at once: enough to fill the stacks, few enough that a batch's laws,
+#: children and reports stay near 1 MiB.
+_SUITE_BATCH = 200
+
+
+def _batches(trials: int):
+    for start in range(0, trials, _SUITE_BATCH):
+        yield range(start, min(trials, start + _SUITE_BATCH))
+
+
 def _suite_chain(trials: int, seed: int):
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        d = random_joint(rng)
-        for residual in chain_rule_entropies(d, EXTENDED_ORDER_GRID)[3].tolist():
-            yield abs(residual), 1e-10
+    for batch in _batches(trials):
+        laws = [random_joint(rng) for _ in batch]
+        for rows in chain_rule_entropies_many(laws, EXTENDED_ORDER_GRID):
+            for residual in rows[3].tolist():
+                yield abs(residual), 1e-10
 
 
 def _suite_lemma1(trials: int, seed: int):
     rng = np.random.default_rng(seed)
-    for t in range(trials):
-        a = random_joint(rng)
-        b = a if t % 3 == 0 else random_joint(rng)
-        for rep in one_step_report(a, b, orders=EXTENDED_ORDER_GRID):
-            lo, hi = min(rep.parent_a, rep.parent_b), max(rep.parent_a, rep.parent_b)
-            yield hi - rep.minus, 1e-12  # minus must dominate both parents
-            yield rep.plus - lo, 1e-12  # plus must trail both parents
-            yield abs(rep.conservation_residual), 1e-9
+    for batch in _batches(trials):
+        pairs = []
+        for t in batch:
+            a = random_joint(rng)
+            pairs.append((a, a if t % 3 == 0 else random_joint(rng)))
+        for reps in one_step_reports(pairs, orders=EXTENDED_ORDER_GRID):
+            for rep in reps:
+                lo, hi = min(rep.parent_a, rep.parent_b), max(rep.parent_a, rep.parent_b)
+                yield hi - rep.minus, 1e-12  # minus must dominate both parents
+                yield rep.plus - lo, 1e-12  # plus must trail both parents
+                yield abs(rep.conservation_residual), 1e-9
 
 
 def _suite_martingale(trials: int, seed: int):

@@ -20,12 +20,19 @@ whose eps = 0 case is the Shannon entropy -E[u ln u + v ln v] / ln 2.  The
 limits a -> 0, infinity are taken analytically and dispatched through
 :class:`Order`.
 
-The evaluators read a law once for all the orders they are given
-(:func:`conditional_entropies`, :func:`renyi_entropies`,
-:func:`chain_rule_entropies`): the symbol masses, posteriors and their
-logs are taken once, and each order class runs as one (orders x symbols)
-array whose rows do not depend on each other, so every order gets the
-bits a call with it alone gives.  The one-order names wrap them.
+Each evaluator has one stacked core, which reads a (laws x atoms) stack
+of equal-size laws once for all the orders it is given: the symbol
+masses, posteriors and their logs are taken once, and each order class
+runs as one (laws x orders x symbols) array.  Its reductions run along
+the symbols and its scalar finishes in float arithmetic, so rows do not
+depend on each other: every law and order gets the bits a call with it
+alone gives.  :func:`conditional_entropies`, :func:`renyi_entropies` and
+:func:`chain_rule_entropies` are stacks of one.  The ``_many`` forms
+of the conditional and chain evaluators take a sequence of laws, bucket
+them by atom count (and by positive-entry count where zeros drop out),
+cut each bucket into blocks of at most STACK_BLOCK elements, and return
+one row per law in input order.  The one-order names wrap the one-law
+ones.
 
 All logarithms are base 2; entropies of a binary conditional are in [0, 1].
 """
@@ -59,6 +66,10 @@ POSTERIOR_MAX_ORDER = 6.0
 
 #: Smallest normal double: the posterior kernel clamps its logs here.
 _TINY = np.finfo(np.float64).tiny
+
+#: Elements (laws x orders x atoms) the plural evaluators stack at most at
+#: once: 2 MiB of float64 per array of a stacked pass.
+STACK_BLOCK = 1 << 18
 
 #: The paper's order grid plus both closure points of the order axis.
 EXTENDED_ORDER_GRID = (0.0, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0, math.inf)
@@ -129,43 +140,54 @@ def as_order(value) -> Order:
 
 
 def log2_power_sum(values: np.ndarray, alpha, weights: np.ndarray):
-    """log2 of sum_i w_i * values_i**alpha, by :func:`log2_sum_exp2`.
+    """log2 of sum_i w_i * values_i**alpha along the last axis, by :func:`log2_sum_exp2`.
 
     Zero values drop out (their power contributes nothing for alpha > 0).
-    A column of orders gives one row, and one sum, per order.
+    A column of orders gives one row, and one sum, per order.  A stack of
+    rows must hold as many positive values in each row; ``alpha`` then
+    broadcasts against the stack with the zeros dropped.
     """
-    values = np.asarray(values, dtype=np.float64).ravel()
-    weights = np.asarray(weights, dtype=np.float64).ravel()
+    values = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    weights = np.atleast_1d(np.asarray(weights, dtype=np.float64))
     mask = values > 0.0
-    return log2_sum_exp2(alpha * np.log2(values[mask]) + np.log2(weights[mask]))
+    shape = (*values.shape[:-1], -1)
+    kept = np.log2(weights[mask].reshape(shape))
+    return log2_sum_exp2(alpha * np.log2(values[mask].reshape(shape)) + kept)
 
 
 def log2_sum_exp2(terms: np.ndarray):
-    """log2 of sum 2^terms, shifted by the largest term; bitwise it for one.
+    """log2 of sum 2^terms along the last axis, shifted by the largest term; bitwise it for one.
 
-    A 2-D array gives one sum per row, as an array.
+    More than one axis gives one sum per row, as an array of the leading
+    shape, each bitwise that of its row alone.
     """
     if terms.ndim == 1:
         top = float(terms.max()) if terms.size else -math.inf
         if terms.size == 1 or top == -math.inf:
             return top
         return top + math.log2(float(np.sum(np.exp2(terms - top))))
-    if terms.shape[1] <= 1 or np.isneginf(top := np.max(terms, axis=1)).any():
-        return np.array([log2_sum_exp2(row) for row in terms])
-    shifted = terms - top[:, None]
-    sums = np.sum(np.exp2(shifted, out=shifted), axis=1)
-    return np.array([t + math.log2(v) for t, v in zip(top.tolist(), sums.tolist())])
+    lead = terms.shape[:-1]
+    if terms.shape[-1] <= 1 or np.isneginf(top := terms.max(axis=-1)).any():
+        rows = terms.reshape(math.prod(lead), terms.shape[-1])
+        return np.array([log2_sum_exp2(row) for row in rows]).reshape(lead)
+    shifted = terms - top[..., None]
+    sums = np.exp2(shifted, out=shifted).sum(axis=-1)
+    out = [t + math.log2(v) for t, v in zip(top.ravel().tolist(), sums.ravel().tolist())]
+    return np.array(out).reshape(lead)
 
 
-def symbol_terms(d: JointDistribution, alpha) -> tuple[np.ndarray, np.ndarray]:
+def symbol_terms(p0, p1, weight, alpha) -> tuple[np.ndarray, np.ndarray]:
     """(log2 nu, (u, v)) per output symbol as in the module docstring; largest nu 1.
 
-    The posteriors come as the rows of one array.  A column of orders
-    gives one row of log2 nu per order.
+    Symbols run along the last axis and the two posteriors stack on the
+    axis before it.  A column of orders gives one row of log2 nu per order,
+    for every law of a stack whose rows carry a unit axis before the symbols.
     """
-    s = d.symbol_mass
-    lw = np.log2(d.weight / d.weight.max()) + alpha * np.log2(s / s.max())
-    return lw - lw.max(axis=-1, keepdims=True), np.stack([d.p0, d.p1]) / s
+    s = p0 + p1
+    lw = np.log2(weight / weight.max(axis=-1, keepdims=True)) + alpha * np.log2(
+        s / s.max(axis=-1, keepdims=True)
+    )
+    return lw - lw.max(axis=-1, keepdims=True), np.stack([p0, p1], axis=-2) / s[..., None, :]
 
 
 def log2_power_kernel(u: np.ndarray, v: np.ndarray, alpha) -> np.ndarray:
@@ -227,9 +249,79 @@ def posterior_entropy(mean: float, eps: float) -> float:
     return -math.log1p(mean) / (eps * math.log(2.0))
 
 
-def _posterior_entropies(means: np.ndarray, eps: np.ndarray) -> list[float]:
-    """:func:`posterior_entropy` of every row, in float arithmetic."""
-    return [posterior_entropy(m, e) for m, e in zip(means.tolist(), eps.ravel().tolist())]
+def _posterior_entropies(means: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """:func:`posterior_entropy` of every mean, a column per order, in float arithmetic."""
+    e = eps.ravel().tolist()
+    return np.array([[posterior_entropy(m, x) for m, x in zip(row, e)] for row in means.tolist()])
+
+
+def _log2_each(values: np.ndarray) -> list[float]:
+    """math.log2 of every entry of a 1-D array, in float arithmetic."""
+    return [math.log2(x) for x in values.tolist()]
+
+
+def _many(core, columns: tuple, keys: list, widths: list[int], orders, shape=()) -> np.ndarray:
+    """``core`` over stacks of the items that share a key, one row per item in input order.
+
+    ``columns`` holds a list of per-item arrays for each array argument of
+    ``core``.  Item i spans ``widths[i]`` atoms at every order, and a bucket
+    goes in blocks of at most STACK_BLOCK elements (at least one item), so
+    memory stays bounded however many items there are.
+    """
+    orders = [as_order(o) for o in orders]
+    out = np.empty((len(keys), *shape, len(orders)))
+    buckets: dict = {}
+    for i, key in enumerate(keys):
+        buckets.setdefault(key, []).append(i)
+    for idx in buckets.values():
+        step = max(1, STACK_BLOCK // max(1, len(orders) * widths[idx[0]]))
+        for start in range(0, len(idx), step):
+            block = idx[start : start + step]
+            out[block] = core(*(np.stack([col[i] for i in block]) for col in columns), orders)
+    return out
+
+
+def _law_columns(laws: list[JointDistribution]) -> tuple[list, list, list]:
+    return [d.p0 for d in laws], [d.p1 for d in laws], [d.weight for d in laws]
+
+
+def _stacked_renyi(p: np.ndarray, w: np.ndarray, orders: list[Order]) -> np.ndarray:
+    """:func:`renyi_entropies` of each row of a (vectors x entries) stack, a row of orders each.
+
+    Every row must hold as many positive entries.  The sums run along the
+    last axis and every scalar finish in float arithmetic, so each row is
+    bitwise the row of a stack of one.
+    """
+    mass = (w * p).sum(axis=-1)
+    err = np.abs(mass - 1.0)
+    if not (err <= MASS_TOL).all():
+        worst = err[~(err <= MASS_TOL)][0]
+        raise DistributionError(f"probability mass deviates from 1 by {worst:.3e}")
+    if not np.minimum(p, w).min() >= 0.0:
+        raise DistributionError("probabilities and weights must be nonnegative")
+    # order inf, and a scale for order 1
+    h = np.empty((len(p), len(orders)))
+    h[:] = np.negative(_log2_each(p.max(axis=-1)))[:, None]
+    fin = [k for k, o in enumerate(orders) if o.kind == "finite"]
+    if fin:
+        a = np.array([[orders[k].alpha] for k in fin])
+        sums = log2_power_sum(p[:, None], a, w[:, None])
+        h[:, fin] = (sums - np.array(_log2_each(mass))[:, None]) / (1.0 - a[:, 0])
+    zero = [k for k, o in enumerate(orders) if o.kind == "zero"]
+    if zero:
+        support = w[p > 0.0].reshape(len(p), -1).sum(axis=-1)
+        h[:, zero] = np.array(_log2_each(support))[:, None]
+    post = [k for k, o in enumerate(orders) if posterior_eps(o) is not None]
+    if post:
+        eps = np.array([[posterior_eps(orders[k])] for k in post])
+        # the scale 2^-h, where the posterior mean is near 0 and keeps its digits
+        scale = np.array([[2.0**x for x in row] for row in h[:, post].tolist()])
+        t = p[:, None] * scale[:, :, None]
+        wt = w[:, None]
+        means = (wt * posterior_term(posterior_logs(t), eps)).sum(axis=-1)
+        means /= (wt * t).sum(axis=-1)
+        h[:, post] += _posterior_entropies(means, eps)
+    return h
 
 
 def renyi_entropies(probs, orders, weights=None) -> np.ndarray:
@@ -240,34 +332,19 @@ def renyi_entropies(probs, orders, weights=None) -> np.ndarray:
     Order 0 counts the positive entries; finite orders divide by the mass,
     log2(sum w p^a / sum w p) / (1 - a), as Renyi's entropy of an incomplete
     distribution, corrected in the posterior form where :func:`posterior_eps`
-    serves.  A negative entry or a mass off 1 by more than ``MASS_TOL`` (as
-    with any NaN or infinite entry) raises DistributionError.
+    serves.  Weights of another shape than ``probs``, a negative entry, or a
+    mass off 1 by more than ``MASS_TOL`` (as with any NaN or infinite entry)
+    raise DistributionError.  One row of the core that
+    :func:`chain_rule_entropies_many` stacks.
     """
     orders = [as_order(o) for o in orders]
-    p = np.asarray(probs, dtype=np.float64).ravel()
-    w = np.ones_like(p) if weights is None else np.asarray(weights, dtype=np.float64).ravel()
-    mass = float(np.sum(w * p))
-    err = abs(mass - 1.0)
-    if not err <= MASS_TOL:
-        raise DistributionError(f"probability mass deviates from 1 by {err:.3e}")
-    if not np.minimum.reduce(np.minimum(p, w)) >= 0.0:
-        raise DistributionError("probabilities and weights must be nonnegative")
-    h = np.full(len(orders), -math.log2(float(p.max())))  # order inf, and a scale for order 1
-    fin = [k for k, o in enumerate(orders) if o.kind == "finite"]
-    if fin:
-        a = np.array([[orders[k].alpha] for k in fin])
-        h[fin] = (log2_power_sum(p, a, w) - math.log2(mass)) / (1.0 - a[:, 0])
-    for k, o in enumerate(orders):
-        if o.kind == "zero":
-            h[k] = math.log2(float(np.sum(w[p > 0.0])))
-    post = [k for k, o in enumerate(orders) if posterior_eps(o) is not None]
-    if post:
-        eps = np.array([[posterior_eps(orders[k])] for k in post])
-        # the scale 2^-h, where the posterior mean is near 0 and keeps its digits
-        t = p * np.array([[2.0 ** float(h[k])] for k in post])
-        means = np.sum(w * posterior_term(posterior_logs(t), eps), axis=1) / np.sum(w * t, axis=1)
-        h[post] += _posterior_entropies(means, eps)
-    return h
+    p = np.asarray(probs, dtype=np.float64)
+    w = np.ones_like(p) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != p.shape:
+        raise DistributionError(
+            f"weights of shape {w.shape} do not match probabilities of shape {p.shape}"
+        )
+    return _stacked_renyi(p.reshape(1, -1), w.reshape(1, -1), orders)[0]
 
 
 def renyi_entropy(probs, order, weights=None) -> float:
@@ -303,6 +380,54 @@ def snap_to_unit(value):
     return value
 
 
+def _stacked_conditional(
+    p0: np.ndarray, p1: np.ndarray, w: np.ndarray, orders: list[Order]
+) -> np.ndarray:
+    """:func:`conditional_entropies` of each law of a (laws x atoms) stack, a row of orders each.
+
+    The reductions run along the atoms and every scalar finish in float
+    arithmetic, so each row is bitwise the row of a stack of one.
+    """
+    out = np.empty((len(p0), len(orders)))
+    s = p0 + p1
+    kinds = {o.kind for o in orders}
+    if "zero" in kinds:
+        alive = (p0 > 0.0).astype(np.int64) + (p1 > 0.0)
+        joint_support = (w * alive).sum(axis=-1)
+        out_support = w.sum(axis=-1, where=s > 0.0)
+        zero = _log2_each(joint_support / out_support)
+    if "infinity" in kinds:
+        top = zip(_log2_each(s.max(axis=-1)), _log2_each(np.maximum(p0, p1).max(axis=-1)))
+        inf = [y - xy for y, xy in top]
+    for k, o in enumerate(orders):
+        if o.kind == "zero":
+            out[:, k] = zero
+        elif o.kind == "infinity":
+            out[:, k] = inf
+    # the finite branch: rows of log2 nu, posterior rows first (order 1 included)
+    post = [k for k, o in enumerate(orders) if posterior_eps(o) is not None]
+    rest = [k for k, o in enumerate(orders) if o.kind == "finite" and k not in post]
+    if post or rest:
+        alpha = np.array([orders[k].alpha for k in post + rest])
+        lw, uv = symbol_terms(p0[:, None], p1[:, None], w[:, None], alpha[:, None])
+        if rest:
+            a, lwa = alpha[len(post) :], lw[:, len(post) :]
+            lk = log2_power_kernel(uv[:, :, 0], uv[:, :, 1], a[:, None])
+            lk += lwa
+            sums = log2_sum_exp2(np.concatenate([lk, lwa], axis=1))
+            out[:, rest] = (sums[:, : a.size] - sums[:, a.size :]) / (1.0 - a)
+        if post:
+            eps = alpha[: len(post), None, None] - 1.0
+            nu = np.exp2(lw[:, : len(post)], out=lw[:, : len(post)])
+            terms = posterior_term(posterior_logs(uv), eps)  # laws x orders x (u, v) x symbols
+            kernel = terms[:, :, 0]
+            kernel += terms[:, :, 1]
+            kernel *= nu
+            means = kernel.sum(axis=-1) / nu.sum(axis=-1)
+            out[:, post] = _posterior_entropies(means, eps)
+    return snap_to_unit(out)
+
+
 def conditional_entropies(d: JointDistribution, orders) -> np.ndarray:
     """Conditional Renyi entropies H_a(X|Y) in bits, one per order.
 
@@ -317,43 +442,22 @@ def conditional_entropies(d: JointDistribution, orders) -> np.ndarray:
       domain (see the module docstring).
 
     The posteriors and their logs are taken once; each finite branch runs
-    as one (orders x symbols) array, whose rows do not depend on each other.
+    as one (orders x symbols) array, whose rows do not depend on each
+    other.  A stack of one for :func:`conditional_entropies_many`.
     """
     orders = [as_order(o) for o in orders]
-    out = [0.0] * len(orders)
-    for k, o in enumerate(orders):
-        if o.kind == "zero":
-            alive = (d.p0 > 0.0).astype(np.int64) + (d.p1 > 0.0)
-            joint_support = float(np.sum(d.weight * alive))
-            out_support = float(np.sum(d.weight, where=d.symbol_mass > 0.0))
-            out[k] = math.log2(joint_support / out_support)
-        elif o.kind == "infinity":
-            top = float(np.maximum(d.p0, d.p1).max())
-            out[k] = math.log2(float(d.symbol_mass.max())) - math.log2(top)
-    # the finite branch: rows of log2 nu, posterior rows first (order 1 included)
-    post = [k for k, o in enumerate(orders) if posterior_eps(o) is not None]
-    rest = [k for k, o in enumerate(orders) if o.kind == "finite" and k not in post]
-    if post or rest:
-        alpha = np.array([orders[k].alpha for k in post + rest])
-        lw, uv = symbol_terms(d, alpha[:, None])
-        if rest:
-            a, lwa = alpha[len(post) :], lw[len(post) :]
-            lk = log2_power_kernel(*uv, a[:, None])
-            lk += lwa
-            sums = log2_sum_exp2(np.concatenate([lk, lwa]))
-            for k, h in zip(rest, ((sums[: a.size] - sums[a.size :]) / (1.0 - a)).tolist()):
-                out[k] = h
-        if post:
-            eps = alpha[: len(post), None, None] - 1.0
-            nu = np.exp2(lw[: len(post)], out=lw[: len(post)])
-            terms = posterior_term(posterior_logs(uv), eps)  # orders x (u, v) x symbols
-            kernel = terms[:, 0]
-            kernel += terms[:, 1]
-            kernel *= nu
-            means = np.sum(kernel, axis=1) / np.sum(nu, axis=1)
-            for k, h in zip(post, _posterior_entropies(means, eps)):
-                out[k] = h
-    return np.array([snap_to_unit(h) for h in out])
+    return _stacked_conditional(d.p0[None], d.p1[None], d.weight[None], orders)[0]
+
+
+def conditional_entropies_many(laws, orders) -> np.ndarray:
+    """:func:`conditional_entropies` of each law, a (laws x orders) array.
+
+    Laws of equal atom count run as one stack; every row is bitwise the
+    one-law call's.
+    """
+    laws = list(laws)
+    atoms = [d.n_atoms for d in laws]
+    return _many(_stacked_conditional, _law_columns(laws), atoms, atoms, orders)
 
 
 def conditional_renyi(d: JointDistribution, order) -> float:
@@ -361,16 +465,43 @@ def conditional_renyi(d: JointDistribution, order) -> float:
     return float(conditional_entropies(d, [order])[0])
 
 
+def _stacked_chain(
+    p0: np.ndarray, p1: np.ndarray, w: np.ndarray, orders: list[Order]
+) -> np.ndarray:
+    """:func:`chain_rule_entropies` of each law of a (laws x atoms) stack, (laws x 4 x orders).
+
+    Every law must hold as many positive output masses, and as many
+    positive joint entries, as the others.
+    """
+    cond = _stacked_conditional(p0, p1, w, orders)
+    out = _stacked_renyi(p0 + p1, w, orders)
+    joint = _stacked_renyi(np.concatenate([p0, p1], axis=1), np.concatenate([w, w], axis=1), orders)
+    return np.stack([cond, out, joint, cond + out - joint], axis=1)
+
+
 def chain_rule_entropies(d: JointDistribution, orders) -> np.ndarray:
     """Rows H_a(X|Y), H_a(Y), H_a(X,Y) and the residual H_a(X|Y) + H_a(Y) - H_a(X,Y).
 
     One column per order; the residual is identically zero up to rounding.
+    A stack of one for :func:`chain_rule_entropies_many`.
     """
     orders = [as_order(o) for o in orders]
-    cond = conditional_entropies(d, orders)
-    out = renyi_entropies(d.symbol_mass, orders, d.weight)
-    joint = renyi_entropies(np.concatenate([d.p0, d.p1]), orders, np.concatenate([d.weight] * 2))
-    return np.array([cond, out, joint, cond + out - joint])
+    return _stacked_chain(d.p0[None], d.p1[None], d.weight[None], orders)[0]
+
+
+def chain_rule_entropies_many(laws, orders) -> np.ndarray:
+    """:func:`chain_rule_entropies` of each law, a (laws x 4 x orders) array.
+
+    Laws of equal atom count, positive joint entries and positive output
+    masses run as one stack; every row is bitwise the one-law call's.
+    """
+    laws = list(laws)
+    keys = [
+        (d.n_atoms, np.count_nonzero(d.p0) + np.count_nonzero(d.p1), np.count_nonzero(d.symbol_mass))
+        for d in laws
+    ]
+    widths = [2 * d.n_atoms for d in laws]
+    return _many(_stacked_chain, _law_columns(laws), keys, widths, orders, (4,))
 
 
 def chain_rule_residual(d: JointDistribution, order) -> float:

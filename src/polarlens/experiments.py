@@ -328,7 +328,7 @@ def effective_set(d: JointDistribution, alpha) -> EffectiveSetReport:
     if o.kind != "finite":
         raise ValueError("effective set is defined for finite alpha > 0, != 1")
     # numerator terms nu (u^a + v^a) and denominator terms nu, as conditional_renyi sums them
-    lw, (u, v) = symbol_terms(d, o.alpha)
+    lw, (u, v) = symbol_terms(d.p0, d.p1, d.weight, o.alpha)
     lk = lw + log2_power_kernel(u, v, o.alpha)
     num_c, den_c = np.exp2(lk - lk.max()), np.exp2(lw)
     num_share = num_c / num_c.sum()

@@ -83,6 +83,7 @@ from .entropy import (
     Order,
     as_order,
     conditional_entropies,
+    conditional_entropies_many,
     conditional_renyi,  # noqa: F401  perfbench/tracing.py patches this attribute
     log2_power_sum,  # noqa: F401  perfbench/tracing.py patches this attribute
     log2_sum_exp2,
@@ -873,27 +874,41 @@ class OneStepReport(NamedTuple):
     conservation_residual: float
 
 
+def one_step_reports(pairs, *, orders: Sequence) -> list[list[OneStepReport]]:
+    """Evaluate one transform step directly for each (a, b) pair, at every order.
+
+    ``b`` None (or ``a`` itself) is a step of ``a`` with itself.  Lemma 1:
+    minus >= max(parent entropies), plus <= min(parent entropies), and
+    minus + plus = parent_a + parent_b; the caller judges the reports with
+    its own tolerances.  This path materializes the children, deliberately
+    bypassing the split evaluation, so the two can be played against each
+    other in tests.  Every parent and child of every pair is evaluated in
+    one :func:`conditional_entropies_many` call.
+    """
+    orders = [as_order(x) for x in orders]
+    laws: list[JointDistribution] = []
+    rows = []
+    for a, b in pairs:
+        pair = transform_pair(a, b)
+        k = len(laws)
+        own = b is None or b is a
+        laws += [a, pair.minus, pair.plus] if own else [a, b, pair.minus, pair.plus]
+        rows.append((k, k if own else k + 1, len(laws) - 2, len(laws) - 1))
+    h = conditional_entropies_many(laws, orders).tolist()
+    return [
+        [
+            OneStepReport(o, x, y, m, p, (m + p) - (x + y))
+            for o, x, y, m, p in zip(orders, h[ia], h[ib], h[im], h[ip])
+        ]
+        for ia, ib, im, ip in rows
+    ]
+
+
 def one_step_report(
     a: JointDistribution,
     b: JointDistribution | None = None,
     *,
     orders: Sequence,
 ) -> list[OneStepReport]:
-    """Evaluate one transform step directly, for every order.
-
-    Lemma 1: minus >= max(parent entropies), plus <= min(parent entropies),
-    and minus + plus = parent_a + parent_b; the caller judges the report
-    with its own tolerances.  This path materializes the children,
-    deliberately bypassing the split evaluation, so the two can be played
-    against each other in tests.
-    """
-    orders = [as_order(x) for x in orders]
-    pair = transform_pair(a, b)
-    ha = conditional_entropies(a, orders).tolist()
-    hb = ha if b is None or b is a else conditional_entropies(b, orders).tolist()
-    hm = conditional_entropies(pair.minus, orders).tolist()
-    hp = conditional_entropies(pair.plus, orders).tolist()
-    return [
-        OneStepReport(o, x, y, m, p, (m + p) - (x + y))
-        for o, x, y, m, p in zip(orders, ha, hb, hm, hp)
-    ]
+    """The :func:`one_step_reports` of one pair."""
+    return one_step_reports([(a, b)], orders=orders)[0]

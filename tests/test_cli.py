@@ -382,17 +382,19 @@ def _shift_first_entry(values, shift):
 
 def _shift_first_residual(rows, shift):
     rows = np.array(rows, dtype=float)
-    rows[3, 0] += shift  # row 3 of chain_rule_entropies holds the residuals
+    rows[0, 3, 0] += shift  # row 3 of the first law's block holds its residuals
     return rows
 
 
 # per suite: the function it checks, and how to push one of its deviations
 # by ``shift`` (1.0 is past every bound; NaN must fail too)
 CORRUPTIONS = {
-    "chain": ("chain_rule_entropies", _shift_first_residual),
+    "chain": ("chain_rule_entropies_many", _shift_first_residual),
     "lemma1": (
-        "one_step_report",
-        lambda reps, shift: [reps[0]._replace(minus=reps[0].minus - shift)] + reps[1:],
+        "one_step_reports",
+        lambda pairs, shift: [
+            [pairs[0][0]._replace(minus=pairs[0][0].minus - shift)] + pairs[0][1:]
+        ] + pairs[1:],
     ),
     "martingale": (
         "level_profile_sweep",
@@ -430,6 +432,51 @@ def test_verify_fails_on_one_bad_deviation(suite, shift, monkeypatch, tmp_path, 
     for col in ("trials", "checks", "violations"):
         assert int(row[col]) == int(printed[col])
     assert f"{float(row['worst']):.3e}" == printed["worst"]
+
+
+def _chain_one_law_at_a_time(trials, seed):
+    from polarlens import EXTENDED_ORDER_GRID, chain_rule_entropies, random_joint
+
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        d = random_joint(rng)
+        for residual in chain_rule_entropies(d, EXTENDED_ORDER_GRID)[3].tolist():
+            yield abs(residual), 1e-10
+
+
+def _lemma1_one_pair_at_a_time(trials, seed):
+    from polarlens import EXTENDED_ORDER_GRID, conditional_entropies, random_joint, transform_pair
+
+    rng = np.random.default_rng(seed)
+    for t in range(trials):
+        a = random_joint(rng)
+        b = a if t % 3 == 0 else random_joint(rng)
+        pair = transform_pair(a, b)
+        ha, hb, hm, hp = (
+            conditional_entropies(d, EXTENDED_ORDER_GRID).tolist()
+            for d in (a, b, pair.minus, pair.plus)
+        )
+        for x, y, m, p in zip(ha, hb, hm, hp):
+            yield max(x, y) - m, 1e-12
+            yield p - min(x, y), 1e-12
+            yield abs((m + p) - (x + y)), 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize(
+    "suite,reference",
+    [("chain", _chain_one_law_at_a_time), ("lemma1", _lemma1_one_pair_at_a_time)],
+    ids=["chain", "lemma1"],
+)
+def test_stacked_suites_yield_the_per_trial_checks(suite, reference, seed):
+    # the suites draw every law first and evaluate them in stacked passes;
+    # the checks, their order and their bits are those of one law at a time
+    def bits(checks):
+        return [(dev.hex(), bound.hex()) for dev, bound in checks]
+
+    got = bits(cli._SUITES[suite](1000, seed))
+    assert got == bits(reference(1000, seed))
+    assert len(got) == 1000 * 8 * (1 if suite == "chain" else 3)
 
 
 def test_verify_unknown_suite():

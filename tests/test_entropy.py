@@ -4,16 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarlens import (
     DistributionError,
+    JointDistribution,
     MAX_FINITE_ORDER,
     ORDER_INF,
     ORDER_ONE,
     ORDER_ZERO,
     Order,
     as_order,
+    chain_rule_entropies,
+    chain_rule_entropies_many,
     chain_rule_residual,
+    conditional_entropies,
+    conditional_entropies_many,
     conditional_renyi,
     joint_renyi,
     log2_power_sum,
@@ -22,6 +29,7 @@ from polarlens import (
     make_from_atoms,
     output_renyi,
     random_joint,
+    renyi_entropies,
     renyi_entropy,
     snap_to_unit,
 )
@@ -113,6 +121,23 @@ def test_renyi_entropy_mass_check():
     ):
         with pytest.raises(DistributionError):
             renyi_entropy(probs, 2.0, weights)
+
+
+@pytest.mark.parametrize(
+    "probs,weights",
+    [([0.5, 0.5], [1.0]), ([0.5, 0.5], [1.0, 1.0, 1.0]), ([0.5, 0.5], [[1.0, 1.0]])],
+    ids=["fewer-weights", "more-weights", "other-shape"],
+)
+def test_renyi_entropy_refuses_mismatched_weights(probs, weights):
+    # a short weight vector used to raise IndexError, a long one a broadcast ValueError
+    for orders in ([1, 2], [1], [0, 0.5, math.inf]):
+        with pytest.raises(DistributionError, match="weights of shape"):
+            renyi_entropies(probs, orders, weights)
+    # a law built around the validating constructors, with one weight too many
+    law = JointDistribution(np.array([0.5]), np.array([0.5]), np.array([1.0, 1.0]))
+    for entropy in (joint_renyi, output_renyi):
+        with pytest.raises(DistributionError, match="weights of shape"):
+            entropy(law, 2.0)
 
 
 def test_bsc_conditional_frozen_values():
@@ -215,3 +240,78 @@ def test_snap_to_unit():
     # an array is snapped elementwise, by the same rule
     values = np.array([-5e-10, 1.0 + 5e-10, 0.5, 0.0, 1.0, -2e-9, 1.1])
     assert np.array_equal(snap_to_unit(values), [0.0, 1.0, 0.5, 0.0, 1.0, -2e-9, 1.1])
+
+
+#: Orders of the stacked-evaluator checks: both closure points, both sides
+#: of order 1, the posterior form's range and past it.
+STACK_ORDERS = (0.0, 1e-3, 0.5, 0.999999, 1.0, 1.000001, 2.5, 6.0, 7.5, 300.5, 1e5, math.inf)
+
+
+def _stack_law(rng, atoms, zeros):
+    """A law of ``atoms`` atoms with non-unit weights; ``zeros`` zeroes some p0 or p1 entries."""
+    raw = rng.exponential(size=(2, atoms))
+    if zeros:
+        raw[rng.random((2, atoms)) < 0.35] = 0.0
+        raw[0, raw.sum(axis=0) == 0.0] = 1.0  # no atom loses all its mass
+    w = rng.integers(1, 6, size=atoms) * rng.choice([1.0, 0.37])
+    raw /= np.sum(w * raw.sum(axis=0))
+    return make_from_atoms(np.column_stack([raw[0], raw[1], w]))
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _assert_stacks_match_one_law_calls(laws):
+    cond = conditional_entropies_many(laws, STACK_ORDERS)
+    chain = chain_rule_entropies_many(laws, STACK_ORDERS)
+    assert cond.shape == (len(laws), len(STACK_ORDERS))
+    assert chain.shape == (len(laws), 4, len(STACK_ORDERS))
+    for k, d in enumerate(laws):
+        assert _same_bits(cond[k], conditional_entropies(d, STACK_ORDERS)), k
+        assert _same_bits(chain[k], chain_rule_entropies(d, STACK_ORDERS)), k
+        # the stacked Renyi rows: output marginal, and the joint law with its zeros
+        joint = np.concatenate([d.p0, d.p1])
+        assert _same_bits(chain[k, 1], renyi_entropies(d.symbol_mass, STACK_ORDERS, d.weight)), k
+        assert _same_bits(chain[k, 2], renyi_entropies(joint, STACK_ORDERS, np.tile(d.weight, 2))), k
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=4).map(lambda s: [*s, 9 + s[0] % 32]),
+    copies=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_evaluators_match_one_law_calls(sizes, copies, seed):
+    # each size comes several times, with and without zero entries, so
+    # buckets hold several laws, and one size of 9 atoms or more runs
+    # numpy's unrolled pairwise sum; the laws are interleaved by size
+    rng = np.random.default_rng(seed)
+    laws = [_stack_law(rng, n, zeros=(c + n) % 2 == 0) for c in range(copies) for n in sizes]
+    rng.shuffle(laws)
+    _assert_stacks_match_one_law_calls(laws)
+
+
+def test_stacked_bucket_spans_several_blocks():
+    # 800 laws of 40 atoms at 12 orders are 384,000 elements per pass: two
+    # blocks of the conditional stack, three of the chain stack
+    from polarlens.entropy import STACK_BLOCK
+
+    rng = np.random.default_rng(29)
+    laws = [_stack_law(rng, 40, zeros=False) for _ in range(800)]
+    assert STACK_BLOCK < 800 * len(STACK_ORDERS) * 40 <= 2 * STACK_BLOCK
+    _assert_stacks_match_one_law_calls(laws)
+
+
+def test_stacked_results_come_back_in_input_order():
+    rng = np.random.default_rng(31)
+    laws = [_stack_law(rng, n, zeros=False) for n in (3, 12, 1, 3, 40, 12, 3, 9)]
+    cond = conditional_entropies_many(laws, STACK_ORDERS)
+    for k, d in enumerate(laws):
+        assert _same_bits(cond[k], conditional_entropies(d, STACK_ORDERS)), k
+    # a permuted input permutes the rows and nothing else
+    perm = rng.permutation(len(laws))
+    assert _same_bits(conditional_entropies_many([laws[k] for k in perm], STACK_ORDERS), cond[perm])
+    assert conditional_entropies_many([], STACK_ORDERS).shape == (0, len(STACK_ORDERS))
+    assert chain_rule_entropies_many([], STACK_ORDERS).shape == (0, 4, len(STACK_ORDERS))

@@ -671,37 +671,54 @@ def test_near_order_one_matches_40_digit_reference(root, level):
         assert np.max(np.abs(entries[k] - ref)) <= 1e-14, a
 
 
-def _mp_split_reference(view, alpha):
-    """H_alpha of the minus child of a view's parent, at 40 digits.
+def _mp_split_references(view, orders):
+    """H_alpha of the minus child of a view's parent at each order, at 40 digits.
 
     Sums over pairs of ratio groups (x, y): the pair's symbols have
     posterior u = (1 + xy) / S, v = (x + y) / S, S = (1 + x)(1 + y), and
     mass weight m_x m_y S, with m = sum w p0 per group; at order a the
-    weight is M_x M_y S^a, with M = sum w p0^a.
+    weight is M_x M_y S^a, with M = sum w p0^a, so the pair adds
+    M_x M_y (S^a u^a + S^a v^a) = M_x M_y ((1 + xy)^a + (x + y)^a).  Pair
+    (y, x) adds what (x, y) does, and each pair's s, u, v and logs, and
+    each ln p0, are taken once for every order.
     """
     import mpmath
 
     with mpmath.workdps(40):
         ratios = [mpmath.mpf(x) for x in view.ratios.tolist()]
-        p0 = [mpmath.mpf(x) for x in view.p0.tolist()]
+        log_p0 = [mpmath.log(x) for x in view.p0.tolist()]
         w = [mpmath.mpf(x) for x in view.w.tolist()]
-        a = mpmath.mpf(alpha)
-        group_sums = [mpmath.mpf(0)] * len(ratios)
-        for g, p, m in zip(view.group.tolist(), p0, w):
-            group_sums[g] += m * p**a
-        total = mpmath.mpf(0)
-        norm = mpmath.fsum(m * (1 + x) ** a for m, x in zip(group_sums, ratios)) ** 2
-        for mx, x in zip(group_sums, ratios):
-            for my, y in zip(group_sums, ratios):
-                s = (1 + x) * (1 + y)
-                u, v = (1 + x * y) / s, (x + y) / s
-                if alpha == 1.0:
-                    total += mx * my * s * sum(t * mpmath.log(t) for t in (u, v) if t)
-                else:
-                    total += mx * my * s**a * (u**a + v**a)
-        if alpha == 1.0:
-            return -total / (norm * mpmath.log(2))
-        return mpmath.log(total / norm, 2) / (1 - a)
+        pairs = []  # (multiplicity, i, j, s u, s v, ln(s u), ln(s v), ln s)
+        for i, x in enumerate(ratios):
+            for j in range(i, len(ratios)):
+                y = ratios[j]
+                su, sv = 1 + x * y, x + y
+                ls = mpmath.log((1 + x) * (1 + y))
+                logs = (mpmath.log(su), mpmath.log(sv) if sv else None, ls)
+                pairs.append((1 if i == j else 2, i, j, su, sv, *logs))
+        refs = []
+        for alpha in orders:
+            a = mpmath.mpf(alpha)
+            group_sums = [mpmath.mpf(0)] * len(ratios)
+            for g, lp, m in zip(view.group.tolist(), log_p0, w):
+                group_sums[g] += m * mpmath.exp(a * lp)
+            norm = mpmath.fsum(m * (1 + x) ** a for m, x in zip(group_sums, ratios)) ** 2
+            if alpha == 1.0:
+                # s (u ln u + v ln v) = s u (ln(s u) - ln s) + s v (ln(s v) - ln s)
+                terms = (
+                    k * group_sums[i] * group_sums[j]
+                    * (su * (lu - ls) + (sv * (lv - ls) if sv else 0))
+                    for k, i, j, su, sv, lu, lv, ls in pairs
+                )
+                refs.append(-mpmath.fsum(terms) / (norm * mpmath.log(2)))
+            else:
+                terms = (
+                    k * group_sums[i] * group_sums[j]
+                    * (mpmath.exp(a * lu) + (mpmath.exp(a * lv) if sv else 0))
+                    for k, i, j, su, sv, lu, lv, ls in pairs
+                )
+                refs.append(mpmath.log(mpmath.fsum(terms) / norm, 2) / (1 - a))
+    return refs
 
 
 #: Orders of every other split kernel on the test's parent: the posterior
@@ -729,8 +746,8 @@ def test_posterior_proxy_path_matches_40_digit_reference():
     # pruning drops groups at some order, so its bound is exercised too
     assert any(views[k].kept_groups(a).size < views[k].ratios.size for a in orders if a > 6)
     rows = child_entropies(parents[k], orders)
-    for (minus, plus), a in zip(rows, orders):
-        ref_minus = _mp_split_reference(views[k], a)
+    refs = _mp_split_references(views[k], orders)
+    for (minus, plus), a, ref_minus in zip(rows, orders, refs):
         with mpmath.workdps(40):
             ref_plus = 2 * mpmath.mpf(_reference_entropy(parents[k], a)) - ref_minus
         assert abs(minus - float(ref_minus)) <= 1e-14, a
