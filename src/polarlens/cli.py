@@ -241,9 +241,6 @@ def cmd_entropy(ns) -> int:
 
 
 def cmd_example_extreme(ns) -> int:
-    if not ns.alpha0 > 1:
-        print("example-extreme: --alpha0 must exceed 1", file=sys.stderr)
-        return EXIT_USAGE
     if not 2 <= ns.nmin < ns.nmax:
         print("example-extreme: need 2 <= nmin < nmax", file=sys.stderr)
         return EXIT_USAGE

@@ -29,10 +29,9 @@ depend on each other: every law and order gets the bits a call with it
 alone gives.  :func:`conditional_entropies`, :func:`renyi_entropies` and
 :func:`chain_rule_entropies` are stacks of one.  The ``_many`` forms
 of the conditional and chain evaluators take a sequence of laws, bucket
-them by atom count (and by positive-entry count where zeros drop out),
-cut each bucket into blocks of at most STACK_BLOCK elements, and return
-one row per law in input order.  The one-order names wrap the one-law
-ones.
+them by atom count, cut each bucket into blocks of at most STACK_BLOCK
+elements, and return one row per law in input order.  The one-order
+names wrap the one-law ones.
 
 All logarithms are base 2; entropies of a binary conditional are in [0, 1].
 """
@@ -142,38 +141,29 @@ def as_order(value) -> Order:
 def log2_power_sum(values: np.ndarray, alpha, weights: np.ndarray):
     """log2 of sum_i w_i * values_i**alpha along the last axis, by :func:`log2_sum_exp2`.
 
-    Zero values drop out (their power contributes nothing for alpha > 0).
-    A column of orders gives one row, and one sum, per order.  A stack of
-    rows must hold as many positive values in each row; ``alpha`` then
-    broadcasts against the stack with the zeros dropped.
+    Zero values drop out: log2 0 = -inf, so their power contributes nothing
+    for alpha > 0.  A column of orders gives one row, and one sum, per
+    order; ``alpha`` broadcasts against a stack of rows.
     """
     values = np.atleast_1d(np.asarray(values, dtype=np.float64))
     weights = np.atleast_1d(np.asarray(weights, dtype=np.float64))
-    mask = values > 0.0
-    shape = (*values.shape[:-1], -1)
-    kept = np.log2(weights[mask].reshape(shape))
-    return log2_sum_exp2(alpha * np.log2(values[mask].reshape(shape)) + kept)
+    with np.errstate(divide="ignore"):
+        return log2_sum_exp2(alpha * np.log2(values) + np.log2(weights))
 
 
 def log2_sum_exp2(terms: np.ndarray):
-    """log2 of sum 2^terms along the last axis, shifted by the largest term; bitwise it for one.
+    """log2 of sum 2^terms along the last axis, shifted by the largest term.
 
-    More than one axis gives one sum per row, as an array of the leading
-    shape, each bitwise that of its row alone.
+    One sum per row, as an array of the leading shape, or a float for 1-D
+    input; each is bitwise that of its row alone.  An empty or all -inf row
+    sums to -inf.
     """
-    if terms.ndim == 1:
-        top = float(terms.max()) if terms.size else -math.inf
-        if terms.size == 1 or top == -math.inf:
-            return top
-        return top + math.log2(float(np.sum(np.exp2(terms - top))))
-    lead = terms.shape[:-1]
-    if terms.shape[-1] <= 1 or np.isneginf(top := terms.max(axis=-1)).any():
-        rows = terms.reshape(math.prod(lead), terms.shape[-1])
-        return np.array([log2_sum_exp2(row) for row in rows]).reshape(lead)
-    shifted = terms - top[..., None]
+    top = terms.max(axis=-1, initial=-math.inf)
+    shifted = terms - np.where(top > -math.inf, top, 0.0)[..., None]
     sums = np.exp2(shifted, out=shifted).sum(axis=-1)
-    out = [t + math.log2(v) for t, v in zip(top.ravel().tolist(), sums.ravel().tolist())]
-    return np.array(out).reshape(lead)
+    pairs = zip(top.ravel().tolist(), sums.ravel().tolist())
+    out = [t + math.log2(s) if s else t for t, s in pairs]
+    return out[0] if terms.ndim == 1 else np.array(out).reshape(top.shape)
 
 
 def symbol_terms(p0, p1, weight, alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -260,37 +250,33 @@ def _log2_each(values: np.ndarray) -> list[float]:
     return [math.log2(x) for x in values.tolist()]
 
 
-def _many(core, columns: tuple, keys: list, widths: list[int], orders, shape=()) -> np.ndarray:
-    """``core`` over stacks of the items that share a key, one row per item in input order.
+def _many(core, laws, orders, shape=(), width=1) -> np.ndarray:
+    """``core`` over stacks of the laws of equal atom count, one row per law in input order.
 
-    ``columns`` holds a list of per-item arrays for each array argument of
-    ``core``.  Item i spans ``widths[i]`` atoms at every order, and a bucket
-    goes in blocks of at most STACK_BLOCK elements (at least one item), so
-    memory stays bounded however many items there are.
+    A law of n atoms spans ``width`` n elements at every order, and a bucket
+    goes in blocks of at most STACK_BLOCK elements (at least one law), so
+    memory stays bounded however many laws there are.
     """
+    laws = list(laws)
     orders = [as_order(o) for o in orders]
-    out = np.empty((len(keys), *shape, len(orders)))
+    out = np.empty((len(laws), *shape, len(orders)))
     buckets: dict = {}
-    for i, key in enumerate(keys):
-        buckets.setdefault(key, []).append(i)
-    for idx in buckets.values():
-        step = max(1, STACK_BLOCK // max(1, len(orders) * widths[idx[0]]))
+    for i, d in enumerate(laws):
+        buckets.setdefault(d.n_atoms, []).append(i)
+    for n, idx in buckets.items():
+        step = max(1, STACK_BLOCK // max(1, len(orders) * width * n))
         for start in range(0, len(idx), step):
             block = idx[start : start + step]
-            out[block] = core(*(np.stack([col[i] for i in block]) for col in columns), orders)
+            columns = zip(*((laws[i].p0, laws[i].p1, laws[i].weight) for i in block))
+            out[block] = core(*map(np.stack, columns), orders)
     return out
-
-
-def _law_columns(laws: list[JointDistribution]) -> tuple[list, list, list]:
-    return [d.p0 for d in laws], [d.p1 for d in laws], [d.weight for d in laws]
 
 
 def _stacked_renyi(p: np.ndarray, w: np.ndarray, orders: list[Order]) -> np.ndarray:
     """:func:`renyi_entropies` of each row of a (vectors x entries) stack, a row of orders each.
 
-    Every row must hold as many positive entries.  The sums run along the
-    last axis and every scalar finish in float arithmetic, so each row is
-    bitwise the row of a stack of one.
+    The sums run along the last axis and every scalar finish in float
+    arithmetic, so each row is bitwise the row of a stack of one.
     """
     mass = (w * p).sum(axis=-1)
     err = np.abs(mass - 1.0)
@@ -309,7 +295,7 @@ def _stacked_renyi(p: np.ndarray, w: np.ndarray, orders: list[Order]) -> np.ndar
         h[:, fin] = (sums - np.array(_log2_each(mass))[:, None]) / (1.0 - a[:, 0])
     zero = [k for k, o in enumerate(orders) if o.kind == "zero"]
     if zero:
-        support = w[p > 0.0].reshape(len(p), -1).sum(axis=-1)
+        support = w.sum(axis=-1, where=p > 0.0)
         h[:, zero] = np.array(_log2_each(support))[:, None]
     post = [k for k, o in enumerate(orders) if posterior_eps(o) is not None]
     if post:
@@ -368,16 +354,12 @@ def snap_to_unit(value):
     Conditional entropies of a binary input provably lie in [0, 1]; float
     evaluation can land a hair outside near the endpoints.  Violations
     beyond 1e-9 are left alone so real defects stay visible.  An array is
-    snapped elementwise into a new array.
+    snapped elementwise into a new array, and a 0-d array or a number into
+    a float.
     """
-    if isinstance(value, np.ndarray):
-        value = np.where((-1e-9 <= value) & (value < 0.0), 0.0, value)
-        return np.where((1.0 < value) & (value <= 1.0 + 1e-9), 1.0, value)
-    if -1e-9 <= value < 0.0:
-        return 0.0
-    if 1.0 < value <= 1.0 + 1e-9:
-        return 1.0
-    return value
+    value = np.where((-1e-9 <= value) & (value < 0.0), 0.0, value)
+    value = np.where((1.0 < value) & (value <= 1.0 + 1e-9), 1.0, value)
+    return float(value) if value.ndim == 0 else value
 
 
 def _stacked_conditional(
@@ -455,9 +437,7 @@ def conditional_entropies_many(laws, orders) -> np.ndarray:
     Laws of equal atom count run as one stack; every row is bitwise the
     one-law call's.
     """
-    laws = list(laws)
-    atoms = [d.n_atoms for d in laws]
-    return _many(_stacked_conditional, _law_columns(laws), atoms, atoms, orders)
+    return _many(_stacked_conditional, laws, orders)
 
 
 def conditional_renyi(d: JointDistribution, order) -> float:
@@ -468,11 +448,7 @@ def conditional_renyi(d: JointDistribution, order) -> float:
 def _stacked_chain(
     p0: np.ndarray, p1: np.ndarray, w: np.ndarray, orders: list[Order]
 ) -> np.ndarray:
-    """:func:`chain_rule_entropies` of each law of a (laws x atoms) stack, (laws x 4 x orders).
-
-    Every law must hold as many positive output masses, and as many
-    positive joint entries, as the others.
-    """
+    """:func:`chain_rule_entropies` of each law of a (laws x atoms) stack, (laws x 4 x orders)."""
     cond = _stacked_conditional(p0, p1, w, orders)
     out = _stacked_renyi(p0 + p1, w, orders)
     joint = _stacked_renyi(np.concatenate([p0, p1], axis=1), np.concatenate([w, w], axis=1), orders)
@@ -492,16 +468,10 @@ def chain_rule_entropies(d: JointDistribution, orders) -> np.ndarray:
 def chain_rule_entropies_many(laws, orders) -> np.ndarray:
     """:func:`chain_rule_entropies` of each law, a (laws x 4 x orders) array.
 
-    Laws of equal atom count, positive joint entries and positive output
-    masses run as one stack; every row is bitwise the one-law call's.
+    Laws of equal atom count run as one stack; every row is bitwise the
+    one-law call's.
     """
-    laws = list(laws)
-    keys = [
-        (d.n_atoms, np.count_nonzero(d.p0) + np.count_nonzero(d.p1), np.count_nonzero(d.symbol_mass))
-        for d in laws
-    ]
-    widths = [2 * d.n_atoms for d in laws]
-    return _many(_stacked_chain, _law_columns(laws), keys, widths, orders, (4,))
+    return _many(_stacked_chain, laws, orders, (4,), 2)
 
 
 def chain_rule_residual(d: JointDistribution, order) -> float:

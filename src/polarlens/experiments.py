@@ -131,16 +131,17 @@ def extreme_example_sweep(
     Default orders are (alpha0, alpha0 + 1), the pair whose curves move in
     opposite directions as size grows.
     """
+    # checked before the orders, so a bad alpha0 is refused as such
+    every = [ExtremeExampleParams(alpha0=alpha0, size=int(size)) for size in sizes]
     if orders is None:
         orders = (alpha0, alpha0 + 1.0)
     orders = [as_order(o) for o in orders]
     rows = []
-    for size in sizes:
-        params = ExtremeExampleParams(alpha0=alpha0, size=int(size))
+    for params in every:
         direct_values = conditional_entropies(extreme_example_distribution(params), orders)
         for o, direct in zip(orders, direct_values.tolist()):
             closed = extreme_example_closed_form(params, o)
-            rows.append(ExtremeExampleRow(int(size), o, closed, direct, abs(closed - direct)))
+            rows.append(ExtremeExampleRow(params.size, o, closed, direct, abs(closed - direct)))
     return rows
 
 

@@ -108,12 +108,24 @@ _SPLIT_WORK_FACTOR = 100
 _PAIR_CHUNK = 1 << 18
 
 
-def _check_products(a: JointDistribution, b: JointDistribution, where: str = "") -> None:
-    """Refuse a step of ``a`` and ``b`` whose products can fall below normal doubles."""
+def _check_step(
+    a: JointDistribution, b: JointDistribution, atom_cap: int, where: str, hint: str = ""
+) -> None:
+    """Refuse a step of ``a`` and ``b`` over ``atom_cap`` raw atoms or whose products underflow.
+
+    Products below the smallest normal double lose their digits.  Both
+    messages start with ``where``; the raw-atom one ends with ``hint``.
+    """
+    raw = 2 * a.n_atoms * b.n_atoms
+    if raw > atom_cap:
+        raise CapacityError(
+            f"{where} would create {raw} raw atoms (cap {atom_cap}); "
+            f"raise atom_cap to allow it{hint}"
+        )
     low = [np.min(x, where=x > 0.0, initial=1.0) for x in (np.r_[a.p0, a.p1], np.r_[b.p0, b.p1])]
     if low[0] * low[1] < _TINY:
         raise DistributionError(
-            f"{where}product {low[0]:.3e} * {low[1]:.3e} of smallest positive entries underflows"
+            f"{where}: product {low[0]:.3e} * {low[1]:.3e} of smallest positive entries underflows"
         )
 
 
@@ -150,22 +162,16 @@ def transform_pair(
 
     Raises
     ------
-    CapacityError
-        If the raw product would exceed ``atom_cap`` atoms.
-    DistributionError
-        If the two parents' smallest positive entries multiply to below the
-        smallest normal double, where products lose their digits.
+    CapacityError, DistributionError
+        From :func:`_check_step`: if the raw product would exceed
+        ``atom_cap`` atoms, or the two parents' smallest positive entries
+        multiply to below the smallest normal double.
     """
     triangle = b is None or b is a
     if b is None:
         b = a
     na, nb = a.n_atoms, b.n_atoms
-    if 2 * na * nb > atom_cap:
-        raise CapacityError(
-            f"transform would create {2 * na * nb} raw atoms (cap {atom_cap}); "
-            "raise atom_cap to allow it"
-        )
-    _check_products(a, b)
+    _check_step(a, b, atom_cap, "transform")
     rows = max(1, _PAIR_CHUNK // max(1, nb))
 
     def build(s: int):
@@ -806,15 +812,15 @@ def level_profile_sweep(
     CapacityError
         Before any work, when some order runs on the state and the
         profiles' sum over levels L of 2^L * len(orders) entries exceeds
-        ``atom_cap``; the message names the first level over it.  Before
-        any work on a level whose materialization would exceed
-        ``atom_cap`` raw atoms for one of its parents, or when a parent's
-        split exceeds its work budget; the message names the level and
-        the parent.  When the call includes order 0, the raw-atom refusal
-        adds that order 0 alone runs without atoms.
-    DistributionError
-        Likewise before a level whose products would fall below the
-        smallest normal double (see :func:`transform_pair`).
+        ``atom_cap``; the message names the first level over it.  When a
+        parent's split exceeds its work budget; the message names the
+        level and the parent.
+    CapacityError, DistributionError
+        Before any work on a level that :func:`_check_step` refuses for
+        one of its parents: over ``atom_cap`` raw atoms, or products
+        below the smallest normal double.  The message names the level
+        and the parent; when the call includes order 0, the raw-atom
+        refusal adds that order 0 alone runs without atoms.
     """
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
@@ -841,13 +847,7 @@ def level_profile_sweep(
         # the refusals of transform_pair, checked for the whole level up front
         for i, parent in enumerate(current if lvl < max_level else (), 1):
             where = f"level {lvl} cannot be materialized: parent {i} of {len(current)}"
-            raw = 2 * parent.n_atoms * parent.n_atoms
-            if raw > atom_cap:
-                raise CapacityError(
-                    f"{where} would create {raw} raw atoms (cap {atom_cap}); "
-                    f"raise atom_cap to allow it{hint}"
-                )
-            _check_products(parent, parent, f"{where}: ")
+            _check_step(parent, parent, atom_cap, where, hint)
         cols = []
         for i, parent in enumerate(current, 1):
             try:

@@ -262,6 +262,7 @@ def test_example_extreme_defaults(capsys):
 
 def test_example_extreme_domain_errors(capsys):
     assert run(["example-extreme", "--alpha0", "1.0"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "polarlens: alpha0 must exceed 1\n"
     assert run(["example-extreme", "--nmin", "9", "--nmax", "4"]) == EXIT_USAGE
 
 

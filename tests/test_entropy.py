@@ -33,6 +33,7 @@ from polarlens import (
     renyi_entropy,
     snap_to_unit,
 )
+from polarlens.entropy import log2_sum_exp2
 
 # BSC(0.2), uniform prior: frozen against independent high-precision runs
 BSC02 = {
@@ -89,6 +90,25 @@ def test_log2_power_sum_singleton_exact():
 
 def test_log2_power_sum_empty_is_minus_inf():
     assert log2_power_sum(np.array([]), 2.0, np.array([])) == -math.inf
+
+
+def test_log2_sum_exp2_rows_are_their_one_row_calls():
+    # finite rows, an all -inf row, rows of one entry and rows of none all
+    # run the one shifted path; each row is bitwise its 1-D call
+    rng = np.random.default_rng(7)
+    stack = rng.uniform(-60.0, 5.0, size=(5, 11))
+    stack[1] = -math.inf
+    stack[3, ::2] = -math.inf
+    for terms in (stack, stack[:, :1], stack[:, :0], np.empty((2, 0))):
+        got = log2_sum_exp2(terms)
+        assert got.shape == terms.shape[:-1]
+        for row, value in zip(terms, got.tolist()):
+            one = log2_sum_exp2(row)
+            assert type(one) is float and _same_bits(one, value)
+            if not np.isfinite(row).any():
+                assert one == -math.inf
+    assert log2_sum_exp2(stack[0, :1]) == stack[0, 0]
+    assert log2_sum_exp2(np.array([3.0, 3.0])) == 4.0
 
 
 def test_log2_power_sum_matches_direct():
@@ -240,6 +260,10 @@ def test_snap_to_unit():
     # an array is snapped elementwise, by the same rule
     values = np.array([-5e-10, 1.0 + 5e-10, 0.5, 0.0, 1.0, -2e-9, 1.1])
     assert np.array_equal(snap_to_unit(values), [0.0, 1.0, 0.5, 0.0, 1.0, -2e-9, 1.1])
+    # a 0-d array is a number
+    for value, snapped in zip(values.tolist(), [0.0, 1.0, 0.5, 0.0, 1.0, -2e-9, 1.1]):
+        got = snap_to_unit(np.array(value))
+        assert type(got) is float and got == snapped
 
 
 #: Orders of the stacked-evaluator checks: both closure points, both sides
@@ -302,6 +326,28 @@ def test_stacked_bucket_spans_several_blocks():
     laws = [_stack_law(rng, 40, zeros=False) for _ in range(800)]
     assert STACK_BLOCK < 800 * len(STACK_ORDERS) * 40 <= 2 * STACK_BLOCK
     _assert_stacks_match_one_law_calls(laws)
+
+
+def test_laws_of_equal_atom_count_share_one_stack(monkeypatch):
+    # zero patterns differ from law to law, so the joint laws and output
+    # marginals hold different numbers of positive entries
+    from polarlens import entropy
+
+    rng = np.random.default_rng(37)
+    laws = [_stack_law(rng, 5, zeros=True) for _ in range(10)]
+    assert len({np.count_nonzero(d.p0) + np.count_nonzero(d.p1) for d in laws}) > 1
+    stacked, calls = entropy._stacked_chain, []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return stacked(*args)
+
+    monkeypatch.setattr(entropy, "_stacked_chain", counted)
+    chain = chain_rule_entropies_many(laws, STACK_ORDERS)
+    assert calls == [10]
+    monkeypatch.undo()
+    for k, d in enumerate(laws):
+        assert _same_bits(chain[k], chain_rule_entropies(d, STACK_ORDERS)), k
 
 
 def test_stacked_results_come_back_in_input_order():

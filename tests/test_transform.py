@@ -800,6 +800,20 @@ def test_subnormal_products_are_refused():
     assert transform_pair(make_bec(0.35, 0.3)).minus.n_atoms > 0
 
 
+def test_transform_pair_refusals_name_the_transform():
+    # transform_pair and the sweep's up-front level check share one check
+    with pytest.raises(DistributionError) as low:
+        transform_pair(make_bsc(2e-315))
+    assert str(low.value) == (
+        "transform: product 1.000e-315 * 1.000e-315 of smallest positive entries underflows"
+    )
+    with pytest.raises(CapacityError) as big:
+        transform_pair(make_bsc(0.2), atom_cap=7)
+    assert str(big.value) == (
+        "transform would create 8 raw atoms (cap 7); raise atom_cap to allow it"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Erasure-type roots: the two-point state sweep against its references.
 # ---------------------------------------------------------------------------
