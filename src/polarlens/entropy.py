@@ -31,7 +31,10 @@ alone gives.  :func:`conditional_entropies`, :func:`renyi_entropies` and
 of the conditional and chain evaluators take a sequence of laws, bucket
 them by atom count, cut each bucket into blocks of at most STACK_BLOCK
 elements, and return one row per law in input order.  The one-order
-names wrap the one-law ones.
+names wrap the one-law ones.  The finite branch of the conditional core,
+:func:`symbol_mean_entropies`, reads only the rows of log2 nu and the
+posteriors, so the ratio states of :mod:`polarlens.transform` take their
+entropies through it too.
 
 All logarithms are base 2; entropies of a binary conditional are in [0, 1].
 """
@@ -386,28 +389,40 @@ def _stacked_conditional(
             out[:, k] = zero
         elif o.kind == "infinity":
             out[:, k] = inf
-    # the finite branch: rows of log2 nu, posterior rows first (order 1 included)
-    post = [k for k, o in enumerate(orders) if posterior_eps(o) is not None]
-    rest = [k for k, o in enumerate(orders) if o.kind == "finite" and k not in post]
-    if post or rest:
-        alpha = np.array([orders[k].alpha for k in post + rest])
-        lw, uv = symbol_terms(p0[:, None], p1[:, None], w[:, None], alpha[:, None])
-        if rest:
-            a, lwa = alpha[len(post) :], lw[:, len(post) :]
-            lk = log2_power_kernel(uv[:, :, 0], uv[:, :, 1], a[:, None])
-            lk += lwa
-            sums = log2_sum_exp2(np.concatenate([lk, lwa], axis=1))
-            out[:, rest] = (sums[:, : a.size] - sums[:, a.size :]) / (1.0 - a)
-        if post:
-            eps = alpha[: len(post), None, None] - 1.0
-            nu = np.exp2(lw[:, : len(post)], out=lw[:, : len(post)])
-            terms = posterior_term(posterior_logs(uv), eps)  # laws x orders x (u, v) x symbols
-            kernel = terms[:, :, 0]
-            kernel += terms[:, :, 1]
-            kernel *= nu
-            means = kernel.sum(axis=-1) / nu.sum(axis=-1)
-            out[:, post] = _posterior_entropies(means, eps)
+    fin = [k for k, o in enumerate(orders) if o.kind in ("finite", "one")]
+    if fin:
+        alpha = np.array([[orders[k].alpha] for k in fin])
+        lw, uv = symbol_terms(p0[:, None], p1[:, None], w[:, None], alpha)
+        out[:, fin] = symbol_mean_entropies(lw, uv, [orders[k] for k in fin])
     return snap_to_unit(out)
+
+
+def symbol_mean_entropies(lw: np.ndarray, uv: np.ndarray, orders: list[Order]) -> np.ndarray:
+    """H at finite ``orders`` from the symbol terms of :func:`symbol_terms`, (laws x orders).
+
+    ``lw`` holds a row of log2 nu per law and order, largest 0, and ``uv``
+    the posteriors with a unit order axis.  The posterior rows (order 1
+    included) finish in the posterior form, the others in the log domain.
+    """
+    out = np.empty(lw.shape[:2])
+    post = [k for k, o in enumerate(orders) if posterior_eps(o) is not None]
+    rest = [k for k in range(len(orders)) if k not in post]
+    if rest:
+        a, lwa = np.array([orders[k].alpha for k in rest]), lw[:, rest]
+        lk = log2_power_kernel(uv[:, :, 0], uv[:, :, 1], a[:, None])
+        lk += lwa
+        sums = log2_sum_exp2(np.concatenate([lk, lwa], axis=1))
+        out[:, rest] = (sums[:, : a.size] - sums[:, a.size :]) / (1.0 - a)
+    if post:
+        eps = np.array([[[posterior_eps(orders[k])]] for k in post])
+        nu = np.exp2(lw[:, post])
+        terms = posterior_term(posterior_logs(uv), eps)  # laws x orders x (u, v) x symbols
+        kernel = terms[:, :, 0]
+        kernel += terms[:, :, 1]
+        kernel *= nu
+        means = kernel.sum(axis=-1) / nu.sum(axis=-1)
+        out[:, post] = _posterior_entropies(means, eps)
+    return out
 
 
 def conditional_entropies(d: JointDistribution, orders) -> np.ndarray:

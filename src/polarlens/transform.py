@@ -22,13 +22,24 @@ product is then a symmetric triangle rather than a full square: pair
 atoms up to an input flip.  So only pairs i <= j are built, off-diagonal
 ones at weight 2*wi*wj, and the canonical merge sorts half as many atoms.
 
-Materializing subchannels squares the atom count per level, so deep
-profiles are computed without building the final level.  A self-paired
-parent's minus child has one symbol per pair of parent atoms, weighted
-nu_i nu_j (the symbol weights of :mod:`polarlens.entropy`), whose
-posterior depends only on the two atoms' odds ratios p1/p0: its mean is
-a pair sum over the parent's ratio groups, and H(plus) = 2 H(parent) -
-H(minus).  Order 1 and every finite order up to POSTERIOR_MAX_ORDER (6)
+Materializing subchannels squares the atom count per level, so sweeps
+build no atoms past the root.  At a finite order alpha every entropy of
+a subchannel and of its descendants depends only on its ratio measure
+mu(r) = sum w p0^alpha over its atoms of odds ratio r = p1/p0 in [0, 1]
+(at order inf, on the largest p0 of each ratio), and the polar maps send
+that measure to itself: points x, y give the minus point (x + y) /
+(1 + xy) of mass mu_x mu_y (1 + xy)^alpha, and the plus points xy of mass
+mu_x mu_y and min/max(x, y) of mass mu_x mu_y max(x, y)^alpha.  A sweep
+carries each subchannel as such a ratio state (:class:`_RatioView`): its
+distinct ratios and one row of log2 masses per order.  They are power
+sums within a ratio class, not merged symbols, so the chain-rule
+entropies stay exact.  The entropies of a level come from split
+evaluation of the states of the level before, so the deepest level is
+never built.  A self-paired parent's minus child has one symbol per pair
+of parent atoms, weighted nu_i nu_j (the symbol weights of
+:mod:`polarlens.entropy`), whose posterior depends only on the two
+atoms' odds ratios: its mean is a pair sum over the parent's ratio
+groups, and H(plus) = 2 H(parent) - H(minus).  Order 1 and every finite order up to POSTERIOR_MAX_ORDER (6)
 walk the symmetric grid over proxy points with the posterior kernel
 (each dyadic box of ratios with more than 24 groups becomes 24 Chebyshev
 points with barycentric Lagrange weights, exact up to rounding as the
@@ -92,10 +103,12 @@ from .entropy import (
     posterior_logs,
     posterior_term,
     snap_to_unit,
+    symbol_mean_entropies,
     _TINY,
 )
 
-#: Refuse transforms whose raw (pre-merge) output would exceed this many atoms.
+#: Refuse transforms whose raw (pre-merge) output would exceed this many
+#: atoms, and sweep steps whose raw ratio-state points would.
 DEFAULT_ATOM_CAP = 50_000_000
 
 #: Split evaluation streams its pair grids in constant memory, so its work
@@ -107,25 +120,28 @@ _SPLIT_WORK_FACTOR = 100
 #: faster than at 2^22, and materialization did not slow down.
 _PAIR_CHUNK = 1 << 18
 
+_LN2 = math.log(2.0)
+
 
 def _check_step(
-    a: JointDistribution, b: JointDistribution, atom_cap: int, where: str, hint: str = ""
+    raw: int, low: tuple, atom_cap: int, where: str, names=("atoms", "entries"), hint: str = ""
 ) -> None:
-    """Refuse a step of ``a`` and ``b`` over ``atom_cap`` raw atoms or whose products underflow.
+    """Refuse a step over ``atom_cap`` raw outputs, or whose products underflow.
 
-    Products below the smallest normal double lose their digits.  Both
-    messages start with ``where``; the raw-atom one ends with ``hint``.
+    ``raw`` counts the step's raw outputs and ``low`` holds the two
+    factors' smallest positive values; ``names`` names both in the
+    messages.  Products below the smallest normal double lose their
+    digits.  Both messages start with ``where``; the raw one ends with
+    ``hint``.
     """
-    raw = 2 * a.n_atoms * b.n_atoms
     if raw > atom_cap:
         raise CapacityError(
-            f"{where} would create {raw} raw atoms (cap {atom_cap}); "
+            f"{where} would create {raw} raw {names[0]} (cap {atom_cap}); "
             f"raise atom_cap to allow it{hint}"
         )
-    low = [np.min(x, where=x > 0.0, initial=1.0) for x in (np.r_[a.p0, a.p1], np.r_[b.p0, b.p1])]
     if low[0] * low[1] < _TINY:
         raise DistributionError(
-            f"{where}: product {low[0]:.3e} * {low[1]:.3e} of smallest positive entries underflows"
+            f"{where}: product {low[0]:.3e} * {low[1]:.3e} of smallest positive {names[1]} underflows"
         )
 
 
@@ -171,7 +187,8 @@ def transform_pair(
     if b is None:
         b = a
     na, nb = a.n_atoms, b.n_atoms
-    _check_step(a, b, atom_cap, "transform")
+    low = [np.min(x, where=x > 0.0, initial=1.0) for x in (np.r_[a.p0, a.p1], np.r_[b.p0, b.p1])]
+    _check_step(2 * na * nb, low, atom_cap, "transform")
     rows = max(1, _PAIR_CHUNK // max(1, nb))
 
     def build(s: int):
@@ -235,11 +252,17 @@ _CHEB_BARY[[0, -1]] *= 0.5
 
 
 class _RatioView:
-    """Parent atoms scaled and grouped by their exact odds ratio p1/p0.
+    """The ratio state of a subchannel: its atoms' odds ratios and per-order masses.
 
-    Scaling: probabilities by 1/max symbol mass, weights by 1/total weight.
-    Grouping by bitwise-equal ratio is an exact reordering of pair sums,
-    since every pair term factors through p0i^a * p0j^a * f(r_i, r_j).
+    ``ratios`` are the sorted distinct odds ratios r = p1/p0 in [0, 1] of
+    the canonical atoms, one point per ratio group.  ``rows`` holds one row
+    per order of ``orders``: log2 of sum w p0^alpha over each group at a
+    finite order (order 1 included), and log2 of the group's largest p0 at
+    order inf; each row is shifted so that its largest entry is 0.  These
+    are power sums within a ratio class, not merged symbols, and every
+    entropy of the subchannel and of its descendants at those orders
+    depends on them alone: the pair terms of the polar maps factor through
+    p0i^a p0j^a f(r_i, r_j) (see :meth:`children`).
 
     The pair kernels f(1 + xy) + f(x + y) are analytic in x on every dyadic
     box [2^(e-1), 2^e] for y >= 0 (nearest singularity at x = -y, a
@@ -248,47 +271,113 @@ class _RatioView:
     Lagrange weights, exact up to rounding: see :meth:`to_proxies`.
     """
 
-    def __init__(self, d: JointDistribution):
-        max_mass = float(np.max(d.p0 + d.p1))
-        p0 = d.p0 / max_mass
-        p1 = d.p1 / max_mass
-        w = d.weight / float(np.sum(d.weight))
-        r = p1 / p0  # canonical atoms have p0 >= p1, hence p0 > 0
-        order = np.argsort(r, kind="stable")
-        self.p0 = p0[order]
-        self.w = w[order]
-        r = r[order]
-        boundary = np.empty(r.shape[0], dtype=bool)
-        boundary[0] = True
-        boundary[1:] = r[1:] != r[:-1]
-        self.starts = np.flatnonzero(boundary)
-        self.group = np.cumsum(boundary) - 1  # group index of every atom
-        self.ratios = r[self.starts]
-        self._log2_w = np.log2(self.w)
-        self._log2_p0 = np.log2(self.p0)
-        self._log2_1r = np.log2(1.0 + self.ratios)
-        self._group_log2_sums = {}
+    def __init__(self, ratios: np.ndarray, orders: Sequence[Order], rows: np.ndarray):
+        self.ratios = ratios
+        self.orders = list(orders)
+        self.rows = rows
+        self._row_of = {o.alpha: k for k, o in enumerate(self.orders)}
+        self._log2_1r = np.log1p(ratios) / _LN2
 
-    def group_sum(self, values: np.ndarray) -> np.ndarray:
-        """Sum an atom-aligned array within each ratio group."""
-        return np.add.reduceat(values, self.starts)
+    @classmethod
+    def from_atoms(cls, d: JointDistribution, orders: Sequence[Order]) -> "_RatioView":
+        """The state of ``d``, whose atoms have p0 >= p1, at finite and infinite ``orders``.
+
+        Probabilities are scaled by the largest p0 and weights by the
+        largest weight first, so the logs of the terms that matter are
+        near 0.
+        """
+        lp0 = np.log2(d.p0 / np.max(d.p0))  # canonical atoms have p0 >= p1, hence p0 > 0
+        lw = np.log2(d.weight / np.max(d.weight))
+        raw = np.array([lp0 if o.kind == "infinity" else lw + o.alpha * lp0 for o in orders])
+        return cls._merged(d.p1 / d.p0, raw, orders)
+
+    @classmethod
+    def _merged(cls, ratios: np.ndarray, raw: np.ndarray, orders: Sequence[Order]) -> "_RatioView":
+        """The state of raw points: bitwise-equal ratios merge, per row.
+
+        One stable argsort of the ratios serves every row.  A finite row
+        sums its group's terms in the log domain, shifted by the group's
+        largest; the row of order inf takes the group's largest term.
+        """
+        order = np.argsort(ratios, kind="stable")
+        r = ratios[order]
+        first = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+        group = np.repeat(np.arange(first.size), np.diff(np.r_[first, r.size]))
+        rows = np.empty((len(orders), first.size))
+        for k, o in enumerate(orders):
+            t = raw[k, order]
+            rows[k] = np.maximum.reduceat(t, first)
+            if o.kind != "infinity":
+                rows[k] += np.log2(np.add.reduceat(np.exp2(t - rows[k, group]), first))
+            rows[k] -= rows[k].max()
+        return cls(r[first], orders, rows)
+
+    def children(self) -> tuple["_RatioView", "_RatioView"]:
+        """The states of the minus and plus children of a step with itself.
+
+        Points x, y of the state, over the triangle i <= j, give with
+        c = 1 off the diagonal (pair weight 2) and 0 on it:
+
+        * minus: (x + y) / (1 + xy) at L_i + L_j + alpha log2(1 + xy) + c;
+        * plus: xy at L_i + L_j + c, and min/max(x, y) at
+          L_i + L_j + alpha log2 max(x, y) + c, dropped when x = y = 0.
+
+        The row of order inf takes alpha = 1 and no c.  The triangle is
+        built in blocks of about _PAIR_CHUNK pairs, as in
+        :func:`transform_pair`.
+        """
+        r, n = self.ratios, self.ratios.size
+        inf = np.array([[o.kind == "infinity"] for o in self.orders])
+        alpha = np.where(inf, 1.0, [[o.alpha] for o in self.orders])
+        parts, step = [], max(1, _PAIR_CHUNK // n)
+        for s in range(0, n, step):
+            k = min(step, n - s)
+            upper = np.triu(np.ones((k, n - s), dtype=bool))
+            x = np.broadcast_to(r[s : s + k, None], upper.shape)[upper]
+            y = np.broadcast_to(r[s:], upper.shape)[upper]
+            pair = (self.rows[:, s : s + k, None] + self.rows[:, None, s:])[:, upper]
+            pair += np.where(inf, 0.0, ~np.eye(k, n - s, dtype=bool)[upper])
+            xy = x * y
+            hi, lo = np.maximum(x, y), np.minimum(x, y)
+            keep = hi > 0.0
+            parts.append((
+                ((x + y) / (1.0 + xy), pair + alpha * (np.log1p(xy) / _LN2)),
+                (xy, pair),
+                (lo[keep] / hi[keep], pair[:, keep] + alpha * np.log2(hi[keep])),
+            ))
+
+        def merged(pieces):
+            ratios, raw = zip(*pieces)
+            return _RatioView._merged(np.concatenate(ratios), np.hstack(raw), self.orders)
+
+        # each kind's blocks in row order: the raw points do not depend on the blocks
+        minus, prod, quot = zip(*parts)
+        return merged(minus), merged(prod + quot)
+
+    def check_step(self, atom_cap: int, where: str, hint: str) -> None:
+        """:func:`_check_step` on the raw points and ratio products of :meth:`children`."""
+        n = self.ratios.size
+        low = np.min(self.ratios, where=self.ratios > 0.0, initial=1.0)
+        _check_step(3 * n * (n + 1) // 2, (low, low), atom_cap, where, ("points", "ratios"), hint)
+
+    def entropies(self, orders: Sequence[Order]) -> np.ndarray:
+        """H of the subchannel at finite ``orders``, by :func:`symbol_mean_entropies`.
+
+        A ratio group x is one symbol of posterior (1, x) / (1 + x) and
+        log2 weight L + alpha log2(1 + x) at order alpha.
+        """
+        lw = np.array([self.symbol_log2_weights(o.alpha) for o in orders])
+        lw -= lw.max(axis=-1, keepdims=True)
+        uv = np.stack([1.0 / (1.0 + self.ratios), self.ratios / (1.0 + self.ratios)])
+        return symbol_mean_entropies(lw[None], uv[None, None], list(orders))[0]
 
     def symbol_log2_weights(self, alpha: float) -> np.ndarray:
-        """log2 of sum w s^alpha within each ratio group x, s = p0 (1 + x)."""
+        """The order-alpha row plus alpha log2(1 + x): log2 of sum w s^alpha per group x, shifted."""
         return self.group_log2_sums(alpha) + alpha * self._log2_1r
 
     def group_log2_sums(self, alpha: float) -> np.ndarray:
-        """log2 of sum w p0^alpha within each ratio group, in the log domain.
-
-        Each group is shifted by its own largest term, as in
-        :func:`log2_power_sum`, so no group under- or overflows at any order.
-        Computed once per order.
-        """
-        if alpha not in self._group_log2_sums:
-            t = self._log2_w + alpha * self._log2_p0
-            top = np.maximum.reduceat(t, self.starts)
-            self._group_log2_sums[alpha] = top + np.log2(self.group_sum(np.exp2(t - top[self.group])))
-        return self._group_log2_sums[alpha]
+        """The row of order ``alpha``: log2 of sum w p0^alpha per group, largest 0."""
+        return self.rows[self._row_of[alpha]]
 
     def kept_groups(self, alpha: float) -> np.ndarray:
         """Indices of the ratio groups that can move the order-alpha pair sum.
@@ -473,29 +562,28 @@ def _grid_minus(view: _RatioView, alpha: float, kept: np.ndarray) -> float:
     return _pair_grid_sum(view.ratios[kept], lw, alpha) / (1.0 - alpha)
 
 
-def _infinity_children(d: JointDistribution) -> tuple[float, float]:
-    """H_inf of both children from parent maxima.
+def _infinity_children(view: _RatioView) -> tuple[float, float]:
+    """H_inf of both children from three maxima of the row of order inf.
 
     The largest minus-child entry sits on the diagonal of the pair grid
     (Cauchy-Schwarz), and the largest plus-child symbol mass equals that
-    same quantity, so three parent maxima settle both children.
+    same quantity, so the largest symbol mass, entry and diagonal term
+    p0^2 (1 + x^2) of the parent settle both children.
     """
-    max_mass = float(np.max(d.p0 + d.p1))
-    max_entry = float(np.max(d.p0))  # canonical orientation: p0 >= p1
-    diag = float(np.max(d.p0 * d.p0 + d.p1 * d.p1))
-    h_minus = 2.0 * math.log2(max_mass) - math.log2(diag)
-    h_plus = math.log2(diag) - 2.0 * math.log2(max_entry)
-    return h_minus, h_plus
+    row = view.group_log2_sums(math.inf)  # log2 of the largest p0 per group
+    mass = float(np.max(row + view._log2_1r))
+    entry = float(np.max(row))
+    diag = float(np.max(2.0 * row + np.log1p(view.ratios * view.ratios) / _LN2))
+    return 2.0 * mass - diag, diag - 2.0 * entry
 
 
-def _minus_entropies(parent: JointDistribution, orders: list[Order], atom_cap: int) -> np.ndarray:
+def _minus_entropies(view: _RatioView, orders: list[Order], atom_cap: int) -> np.ndarray:
     """H of the minus child at every finite order of ``orders``, by the split kernels.
 
     Checks every order's work budget before any kernel runs (see
     :func:`child_entropies`).  The walker orders share one walk; each
     other order runs the log-domain grid over its kept groups.
     """
-    view = _RatioView(parent)
     walk, grid, points = [], {}, []
     for k, o in enumerate(orders):
         kept = None if posterior_eps(o) is not None else view.kept_groups(o.alpha)
@@ -520,6 +608,24 @@ def _minus_entropies(parent: JointDistribution, orders: list[Order], atom_cap: i
     return out
 
 
+def _split(view: _RatioView, atom_cap: int) -> np.ndarray:
+    """H of both children of the state at each of its orders, (orders x 2), minus first.
+
+    H(plus) = 2 H(parent) - H(minus) at finite orders; order inf takes
+    :func:`_infinity_children`.
+    """
+    fin = [k for k, o in enumerate(view.orders) if o.kind != "infinity"]
+    out = np.empty((len(view.orders), 2))
+    if fin:
+        orders = [view.orders[k] for k in fin]
+        out[fin, 0] = _minus_entropies(view, orders, atom_cap)
+        out[fin, 1] = 2.0 * view.entropies(orders) - out[fin, 0]
+    for k, o in enumerate(view.orders):
+        if o.kind == "infinity":
+            out[k] = _infinity_children(view)
+    return snap_to_unit(out)
+
+
 def child_entropies(
     parent: JointDistribution,
     orders: Sequence,
@@ -532,6 +638,10 @@ def child_entropies(
     Returns an array of shape (len(orders), 2) with columns (minus, plus).
     Exact up to float rounding; no child distribution is materialized.
     Every row is bitwise the one a call with that order alone gives.
+    Orders other than 0 build the parent's ratio state once (see
+    :class:`_RatioView`) and split it as a sweep splits its states, H of
+    the parent included; order 0 takes one step of the erasure maps from
+    the parent's weighted counts (see :func:`level_profile_sweep`).
 
     Raises
     ------
@@ -543,28 +653,21 @@ def child_entropies(
         n counts the points that order's grid streams: the proxy points
         at order 1, at every finite order up to 6 and wherever the
         walker runs above it, else the ratio groups kept by pruning.
-        Order 0 takes one step of the erasure maps from the parent's
-        weighted counts (see :func:`level_profile_sweep`) and order inf
-        three parent maxima; neither streams a grid.
-        The grid is streamed, not stored, so its budget is time, not
-        memory; raising ``atom_cap`` widens both budgets together.
+        Orders 0 and inf stream no grid: order inf takes three maxima of
+        its row.  The grid is streamed, not stored, so its budget is time,
+        not memory; raising ``atom_cap`` widens both budgets together.
     """
     if np.any(parent.p1 > parent.p0):
         raise DistributionError("parent must be canonical (p0 >= p1 per atom)")
     orders = [as_order(o) for o in orders]
-    finite = [k for k, o in enumerate(orders) if o.kind in ("finite", "one")]
     out = np.empty((len(orders), 2))
-    if finite:
-        # the ratio view and its proxy map are freed before the parent's own
-        # (orders x atoms) entropies run, so their memory peaks do not add
-        fin = [orders[k] for k in finite]
-        out[finite, 0] = _minus_entropies(parent, fin, atom_cap)
-        out[finite, 1] = 2.0 * conditional_entropies(parent, fin) - out[finite, 0]
+    rest = [k for k, o in enumerate(orders) if o.kind != "zero"]
+    if rest:
+        view = _RatioView.from_atoms(parent, [orders[k] for k in rest])
+        out[rest] = _split(view, atom_cap)
     for k, o in enumerate(orders):
         if o.kind == "zero":
             out[k] = next(_erasure_sweep(parent, 1, o))
-        elif o.kind == "infinity":
-            out[k] = _infinity_children(parent)
     return snap_to_unit(out)
 
 
@@ -627,8 +730,6 @@ class PolarizationProfile:
 #: Finite orders up to this evaluate a state through expm1(ln 2 * (alpha - 1)),
 #: which stays finite to alpha 1025; higher ones go through the log domain.
 _EXPM1_MAX_ORDER = 1000.0
-
-_LN2 = math.log(2.0)
 
 
 def _is_erasure_type(d: JointDistribution) -> bool:
@@ -802,34 +903,39 @@ def level_profile_sweep(
     The quotient of the two follows the polar maps in closed form, exactly
     up to rounding.
 
-    The other orders of other roots materialize the root level by level
-    (canonical, merged), and level k entropies come from split evaluation
-    of the level k-1 parents, so the deepest level is never built and the
-    sweep costs barely more than the deepest profile.
+    Every other order of every other root runs on one ratio state per
+    subchannel (see :class:`_RatioView`): its distinct odds ratios and one
+    row of log2 masses per order, built from the root's atoms once and
+    stepped level by level with no atoms.  Level k entropies come from
+    split evaluation of the level k-1 states, so the deepest level is
+    never built and the sweep costs barely more than the deepest profile.
 
     Raises
     ------
     CapacityError
-        Before any work, when some order runs on the state and the
+        Before any work, when some order runs on the erasure state and the
         profiles' sum over levels L of 2^L * len(orders) entries exceeds
         ``atom_cap``; the message names the first level over it.  When a
         parent's split exceeds its work budget; the message names the
         level and the parent.
     CapacityError, DistributionError
         Before any work on a level that :func:`_check_step` refuses for
-        one of its parents: over ``atom_cap`` raw atoms, or products
-        below the smallest normal double.  The message names the level
-        and the parent; when the call includes order 0, the raw-atom
-        refusal adds that order 0 alone runs without atoms.
+        one of its parent states: a step of n points makes 3 n (n + 1) / 2
+        raw points, refused over ``atom_cap``, and a product of the
+        smallest positive ratio with itself below the smallest normal
+        double is refused too.  The message names the level and the
+        parent; when the call includes order 0, the raw-point refusal
+        adds that order 0 alone runs without ratio states.
     """
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
     orders = tuple(as_order(o) for o in orders)
     root_entropy = conditional_entropies(root, orders)
-    current = [canonicalize_orientation(root)]
-    erasure = _is_erasure_type(current[0])
+    # no entropy depends on the orientation (see canonicalize_orientation)
+    root = JointDistribution(np.maximum(root.p0, root.p1), np.minimum(root.p0, root.p1), root.weight)
+    erasure = _is_erasure_type(root)
     state = [k for k, o in enumerate(orders) if erasure or o.kind == "zero"]
-    atoms = [k for k in range(len(orders)) if k not in state]
+    ratio = [k for k in range(len(orders)) if k not in state]
     total = 0
     for lvl in range(1, max_level + 1) if state else ():
         total += len(orders) << lvl
@@ -840,23 +946,25 @@ def level_profile_sweep(
             )
     entries = [np.empty((len(orders), 1 << lvl)) for lvl in range(1, max_level + 1)]
     for k in state:
-        for rows, got in zip(entries, _erasure_sweep(current[0], max_level, orders[k])):
+        for rows, got in zip(entries, _erasure_sweep(root, max_level, orders[k])):
             rows[k] = got
-    hint = "; order 0 alone runs without atoms" if state else ""
-    for lvl in range(1, max_level + 1) if atoms else ():
-        # the refusals of transform_pair, checked for the whole level up front
-        for i, parent in enumerate(current if lvl < max_level else (), 1):
-            where = f"level {lvl} cannot be materialized: parent {i} of {len(current)}"
-            _check_step(parent, parent, atom_cap, where, hint)
-        cols = []
-        for i, parent in enumerate(current, 1):
+    hint = "; order 0 alone runs without ratio states" if state else ""
+    views = [_RatioView.from_atoms(root, [orders[k] for k in ratio])] if ratio else []
+    for lvl in range(1, max_level + 1) if ratio else ():
+        last = lvl == max_level
+        # the refusals of a step, checked for the whole level up front
+        for i, view in enumerate(views if not last else (), 1):
+            view.check_step(atom_cap, f"level {lvl} cannot be built: parent {i} of {len(views)}", hint)
+        cols, parents, views = [], views, []
+        for i in range(1, len(parents) + 1):
+            view, parents[i - 1] = parents[i - 1], None  # its proxy map goes once split
             try:
-                cols.append(child_entropies(parent, [orders[k] for k in atoms], atom_cap=atom_cap))
+                cols.append(_split(view, atom_cap))
             except CapacityError as exc:
-                raise CapacityError(f"level {lvl}: parent {i} of {len(current)}: {exc}") from exc
-        entries[lvl - 1][atoms] = np.hstack(cols)
-        if lvl < max_level:
-            current = [c for parent in current for c in transform_pair(parent, atom_cap=atom_cap)]
+                raise CapacityError(f"level {lvl}: parent {i} of {len(parents)}: {exc}") from exc
+            if not last:
+                views += view.children()
+        entries[lvl - 1][ratio] = np.hstack(cols)
     return [
         PolarizationProfile(lvl, orders, _freeze(rows), _freeze(root_entropy.copy()))
         for lvl, rows in enumerate(entries, 1)

@@ -176,8 +176,10 @@ def test_polarize_refuses_subnormal_products(n, capsys):
     code = run(["polarize", "--channel", "bsc:2e-315", "--n", str(n), "--alpha", "0.5"])
     out, err = capsys.readouterr()
     assert code == EXIT_USAGE and out == ""
-    assert len(err.splitlines()) == 1
-    assert "level 1 cannot be materialized: parent 1 of 1: " in err
+    assert err == (
+        "polarlens: level 1 cannot be built: parent 1 of 1: "
+        "product 2.000e-315 * 2.000e-315 of smallest positive ratios underflows\n"
+    )
 
 
 def test_polarize_subnormal_root_runs_one_level(capsys):

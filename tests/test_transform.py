@@ -202,6 +202,7 @@ def test_transform_capacity_error():
 
 
 def test_child_entropies_pair_grid_work_budget():
+    from polarlens import as_order
     from polarlens.distributions import canonicalize_orientation
     from polarlens.transform import _SPLIT_WORK_FACTOR, _RatioView
 
@@ -212,7 +213,7 @@ def test_child_entropies_pair_grid_work_budget():
     parent = canonicalize_orientation(
         make_from_atoms(np.column_stack([p, np.ones(n)]))
     )
-    view = _RatioView(parent)
+    view = _RatioView.from_atoms(parent, [as_order(40.5), as_order(512.0)])
     groups, proxies = view.ratios.size, view.proxy_ratios.size
     assert proxies < groups == parent.n_atoms
 
@@ -263,11 +264,12 @@ def test_child_entropies_budget_counts_the_streamed_grid():
 
 def test_child_entropies_budget_counts_the_kept_groups():
     # the full grid over 2,000 ratio groups is over budget, the kept one not
+    from polarlens import as_order
     from polarlens.distributions import canonicalize_orientation
     from polarlens.transform import _SPLIT_WORK_FACTOR, _RatioView
 
     root = canonicalize_orientation(random_joint(np.random.default_rng(1), 2000, 2000))
-    view = _RatioView(root)
+    view = _RatioView.from_atoms(root, [as_order(40.5)])
     groups, kept = view.ratios.size, view.kept_groups(40.5).size
     assert groups == 2000 and kept < groups
     cap = (2 * groups * groups - 1) // _SPLIT_WORK_FACTOR
@@ -294,7 +296,7 @@ def _split_class(parent, o):
         return o.kind
     if posterior_eps(o) is not None:
         return "walk"
-    view = _RatioView(parent)
+    view = _RatioView.from_atoms(parent, [o])
     walk = o.alpha <= _PROXY_MAX_ORDER and view.kept_groups(o.alpha).size > view.proxy_ratios.size
     return "walk" if walk else "grid"
 
@@ -340,7 +342,7 @@ def test_combined_calls_match_single_order_calls(which):
 
     parent = _combined_call_parent(which)
     if which == "tiny-grid":
-        assert _RatioView(parent).proxy_ratios.size < 8
+        assert _RatioView.from_atoms(parent, [as_order(1.0)]).proxy_ratios.size < 8
     orders = [as_order(o) for o in SPLIT_ORDERS + (0.1, 3.5, 6.0, 31.9, 1e5)]
     combined = child_entropies(parent, orders)
     conditional = conditional_entropies(parent, orders)
@@ -377,24 +379,24 @@ def test_sweep_refuses_a_level_before_working_on_it(monkeypatch):
     import polarlens.transform as transform
 
     calls = []
-    real = transform.transform_pair
+    real = transform._RatioView.children
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].n_atoms)
-        return real(*args, **kwargs)
+    def counted(view):
+        calls.append(view.ratios.size)
+        return real(view)
 
-    monkeypatch.setattr(transform, "transform_pair", counted)
-    # BSC(0.2) level-3 parents hold 1, 2, 3, 4, 6, 7, 6, 5 atoms: the fifth
-    # is the first whose 2 * 6 * 6 raw atoms exceed the cap of 50
+    monkeypatch.setattr(transform._RatioView, "children", counted)
+    # BSC(0.2) level-3 states hold 1, 2, 2, 3, 2, 3, 4, 5 points: the eighth
+    # is the first whose 3 * 5 * 6 / 2 = 45 raw points exceed the cap of 44
     with pytest.raises(CapacityError) as err:
-        level_profile_sweep(make_bsc(0.2), 5, orders=(0.5, 2.0), atom_cap=50)
+        level_profile_sweep(make_bsc(0.2), 5, orders=(0.5, 2.0), atom_cap=44)
     assert str(err.value) == (
-        "level 4 cannot be materialized: parent 5 of 8 would create 72 raw "
-        "atoms (cap 50); raise atom_cap to allow it"
+        "level 4 cannot be built: parent 8 of 8 would create 45 raw "
+        "points (cap 44); raise atom_cap to allow it"
     )
     assert len(calls) == 1 + 2 + 4  # levels 1 to 3 only
-    # the deepest level is never materialized, so it needs no room
-    assert len(level_profile_sweep(make_bsc(0.2), 4, orders=(0.5,), atom_cap=50)) == 4
+    # the deepest level is never built, so it needs no room
+    assert len(level_profile_sweep(make_bsc(0.2), 4, orders=(0.5,), atom_cap=44)) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +522,9 @@ PROXY_ORDERS = (1e-3, 0.1, 0.5, 0.999, 1.0, 1.001, 3.7, 7.5, 20.5, 31.9, 32.0)
 RATIO_DRAWS = {"uniform": (None, None), "log": (0.0, 1000.0), "deep": (996.0, 1000.0)}
 
 
-def _ratio_view(seed, groups, draw):
-    """A view over ``groups`` atoms with random odds, r = 0 and r = 1 included."""
+def _ratio_view(seed, groups, draw, orders):
+    """The state at ``orders`` of ``groups`` atoms with random odds, r = 0 and r = 1 included."""
+    from polarlens import as_order
     from polarlens.transform import _RatioView
 
     rng = np.random.default_rng(seed)
@@ -533,7 +536,8 @@ def _ratio_view(seed, groups, draw):
     r[:2] = (0.0, 1.0)
     p0 = rng.uniform(0.1, 1.0, groups)
     atoms = np.column_stack([p0, p0 * r, rng.uniform(0.5, 2.0, groups)])
-    return _RatioView(make_from_atoms(atoms, normalization_tol=None))
+    root = make_from_atoms(atoms, normalization_tol=None)
+    return _RatioView.from_atoms(root, [as_order(a) for a in orders])
 
 
 def _proxy_errors(view, orders):
@@ -555,7 +559,7 @@ def _proxy_errors(view, orders):
 @pytest.mark.parametrize("draw", sorted(RATIO_DRAWS))
 @pytest.mark.parametrize("groups", [200, 1000])
 def test_proxy_pair_sums_match_direct_grid(groups, draw):
-    view = _ratio_view(163 + groups, groups, draw)
+    view = _ratio_view(163 + groups, groups, draw, PROXY_ORDERS)
     assert view.ratios.size == groups
     if draw != "log":
         assert view.proxy_ratios.size < groups
@@ -564,13 +568,14 @@ def test_proxy_pair_sums_match_direct_grid(groups, draw):
 
 
 def test_proxy_pair_sums_on_bsc_level6_parent():
+    from polarlens import as_order
     from polarlens.distributions import canonicalize_orientation
     from polarlens.transform import _RatioView
 
     level = [canonicalize_orientation(make_bsc(0.2))]
     for _ in range(6):
         level = [child for parent in level for child in transform_pair(parent)]
-    views = [_RatioView(parent) for parent in level]
+    views = [_RatioView.from_atoms(parent, [as_order(a) for a in PROXY_ORDERS]) for parent in level]
     view = min((v for v in views if v.ratios.size >= 3000), key=lambda v: v.ratios.size)
     assert view.proxy_ratios.size < view.ratios.size // 4
     for key, err in _proxy_errors(view, PROXY_ORDERS).items():
@@ -585,7 +590,7 @@ def test_proxy_pair_sums_on_bsc_level6_parent():
     alpha=st.floats(1e-3, 32.0),
 )
 def test_proxy_pair_sums_property(seed, groups, draw, alpha):
-    errs = _proxy_errors(_ratio_view(seed, groups, draw), (alpha,))
+    errs = _proxy_errors(_ratio_view(seed, groups, draw, (alpha,)), (alpha,))
     assert max(errs.values()) <= 1e-13
 
 
@@ -600,7 +605,7 @@ def test_pruned_pair_grid_property(seed, groups, draw, alpha):
     # the pairs of the dropped groups total under 2^-58 of the pair sum
     from polarlens.transform import _pair_grid_sum
 
-    view = _ratio_view(seed, groups, draw)
+    view = _ratio_view(seed, groups, draw, (alpha,))
     lw, kept = view.group_log2_sums(alpha), view.kept_groups(alpha)
     full = _pair_grid_sum(view.ratios, lw, alpha)
     pruned = _pair_grid_sum(view.ratios[kept], lw[kept], alpha)
@@ -609,10 +614,11 @@ def test_pruned_pair_grid_property(seed, groups, draw, alpha):
 
 def test_proxy_map_passes_small_boxes_through():
     # a BEC parent has two ratio groups, r = 0 and r = 1: nothing to squeeze
+    from polarlens import as_order
     from polarlens.distributions import canonicalize_orientation
     from polarlens.transform import _RatioView
 
-    view = _RatioView(canonicalize_orientation(make_bec(0.35)))
+    view = _RatioView.from_atoms(canonicalize_orientation(make_bec(0.35)), [as_order(1.0)])
     assert np.array_equal(view.proxy_ratios, view.ratios)
     values = np.array([0.3, 0.7])
     assert np.array_equal(view.to_proxies(values), values)
@@ -648,6 +654,88 @@ def _reference_entropy(d, alpha):
         return float(mpmath.log(num / den, 2) / (1 - a))
 
 
+def _exact_levels(atoms, depth):
+    """Levels 0 .. depth of float (p0, p1, w) atoms, each a list of subchannels, exactly.
+
+    Each entry is Fraction(float) of the root's.  Every subchannel's atoms
+    are oriented (p0 >= p1) and equal atoms merged; a step builds the
+    atom pairs i <= j, those off the diagonal at weight 2, with the pair
+    rule of transform.py's docstring.  Subchannel i's children are 2i - 1
+    (minus) and 2i (plus).
+    """
+    from fractions import Fraction
+
+    def merged(triples):
+        out = {}
+        for a0, a1, w in triples:
+            if a0 or a1:
+                key = (max(a0, a1), min(a0, a1))
+                out[key] = out.get(key, 0) + w
+        return [(a0, a1, w) for (a0, a1), w in out.items()]
+
+    levels = [[merged([tuple(Fraction(v) for v in atom) for atom in atoms])]]
+    for _ in range(depth):
+        children = []
+        for d in levels[-1]:
+            minus, plus = [], []
+            for i, (a0, a1, wa) in enumerate(d):
+                for j in range(i, len(d)):
+                    b0, b1, wb = d[j]
+                    w = wa * wb * (1 if i == j else 2)
+                    minus.append((a0 * b0 + a1 * b1, a1 * b0 + a0 * b1, w))
+                    plus += [(a0 * b0, a1 * b1, w), (a1 * b0, a0 * b1, w)]
+            children += [merged(minus), merged(plus)]
+        levels.append(children)
+    return levels
+
+
+def _exact_entropy(d, order):
+    """H of exact (p0, p1, w) atoms at ``order`` (a float, inf included), at 40 digits.
+
+    Orders 0 and inf are ratios of exact support counts and maxima; order
+    1 divides by the mass, as in :func:`_reference_entropy`.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+
+        def mp(x):
+            return mpmath.mpf(x.numerator) / x.denominator
+
+        if order == 0.0:
+            joint = sum(w * ((a0 > 0) + (a1 > 0)) for a0, a1, w in d)
+            return float(mpmath.log(mp(joint / sum(w for _, _, w in d)), 2))
+        if order == math.inf:
+            return float(mpmath.log(mp(max(a0 + a1 for a0, a1, _ in d) / max(a0 for a0, _, _ in d)), 2))
+        atoms = [(mp(w), mp(a0), mp(a1)) for a0, a1, w in d]
+        if order == 1.0:
+
+            def xlnx(v):
+                return v * mpmath.log(v) if v else v
+
+            h = mpmath.fsum(w * (xlnx(x + y) - xlnx(x) - xlnx(y)) for w, x, y in atoms)
+            return float(h / (mpmath.fsum(w * (x + y) for w, x, y in atoms) * mpmath.log(2)))
+        a = mpmath.mpf(order)
+        num = mpmath.fsum(w * (x**a + (y**a if y else 0)) for w, x, y in atoms)
+        den = mpmath.fsum(w * (x + y) ** a for w, x, y in atoms)
+        return float(mpmath.log(num / den, 2) / (1 - a))
+
+
+def test_sweep_matches_exact_rational_subchannels():
+    # BSC(0.2)'s float entries carried exactly to n = 5; order inf was
+    # 6.6e-15 off through the atom engine's maxima
+    from polarlens import EXTENDED_ORDER_GRID
+
+    root = make_bsc(0.2)
+    orders = EXTENDED_ORDER_GRID + (40.5,)
+    exact = _exact_levels(zip(root.p0.tolist(), root.p1.tolist(), root.weight.tolist()), 5)
+    sweep = level_profile_sweep(root, 5, orders)
+    for level in range(1, 6):
+        for k, a in enumerate(orders):
+            ref = [_exact_entropy(d, a) for d in exact[level]]
+            assert np.max(np.abs(sweep[level - 1].entries[k] - ref)) <= 1e-15, (level, a)
+
+
 @pytest.mark.parametrize(
     "root,level",
     [
@@ -671,10 +759,11 @@ def test_near_order_one_matches_40_digit_reference(root, level):
         assert np.max(np.abs(entries[k] - ref)) <= 1e-14, a
 
 
-def _mp_split_references(view, orders):
-    """H_alpha of the minus child of a view's parent at each order, at 40 digits.
+def _mp_split_references(parent, orders):
+    """H_alpha of the minus child of a canonical parent at each order, at 40 digits.
 
-    Sums over pairs of ratio groups (x, y): the pair's symbols have
+    Groups the parent's atoms by bitwise-equal odds ratio p1/p0 and sums
+    over pairs of ratio groups (x, y): the pair's symbols have
     posterior u = (1 + xy) / S, v = (x + y) / S, S = (1 + x)(1 + y), and
     mass weight m_x m_y S, with m = sum w p0 per group; at order a the
     weight is M_x M_y S^a, with M = sum w p0^a, so the pair adds
@@ -684,10 +773,11 @@ def _mp_split_references(view, orders):
     """
     import mpmath
 
+    distinct, group = np.unique(parent.p1 / parent.p0, return_inverse=True)
     with mpmath.workdps(40):
-        ratios = [mpmath.mpf(x) for x in view.ratios.tolist()]
-        log_p0 = [mpmath.log(x) for x in view.p0.tolist()]
-        w = [mpmath.mpf(x) for x in view.w.tolist()]
+        ratios = [mpmath.mpf(x) for x in distinct.tolist()]
+        log_p0 = [mpmath.log(x) for x in parent.p0.tolist()]
+        w = [mpmath.mpf(x) for x in parent.weight.tolist()]
         pairs = []  # (multiplicity, i, j, s u, s v, ln(s u), ln(s v), ln s)
         for i, x in enumerate(ratios):
             for j in range(i, len(ratios)):
@@ -700,7 +790,7 @@ def _mp_split_references(view, orders):
         for alpha in orders:
             a = mpmath.mpf(alpha)
             group_sums = [mpmath.mpf(0)] * len(ratios)
-            for g, lp, m in zip(view.group.tolist(), log_p0, w):
+            for g, lp, m in zip(group.tolist(), log_p0, w):
                 group_sums[g] += m * mpmath.exp(a * lp)
             norm = mpmath.fsum(m * (1 + x) ** a for m, x in zip(group_sums, ratios)) ** 2
             if alpha == 1.0:
@@ -734,19 +824,20 @@ def test_posterior_proxy_path_matches_40_digit_reference():
     # every finite order, not only those near 1
     import mpmath
 
+    from polarlens import as_order
     from polarlens.transform import _RatioView
 
     parents = _levels(make_bsc(0.2), 6)[6]
-    views = [_RatioView(p) for p in parents]
+    orders = NEAR_ONE_ORDERS + SPLIT_REFERENCE_ORDERS
+    views = [_RatioView.from_atoms(p, [as_order(a) for a in orders]) for p in parents]
     k = min(
         (k for k, v in enumerate(views) if v.proxy_ratios.size < v.ratios.size),
         key=lambda k: views[k].ratios.size,
     )
-    orders = NEAR_ONE_ORDERS + SPLIT_REFERENCE_ORDERS
     # pruning drops groups at some order, so its bound is exercised too
     assert any(views[k].kept_groups(a).size < views[k].ratios.size for a in orders if a > 6)
     rows = child_entropies(parents[k], orders)
-    refs = _mp_split_references(views[k], orders)
+    refs = _mp_split_references(parents[k], orders)
     for (minus, plus), a, ref_minus in zip(rows, orders, refs):
         with mpmath.workdps(40):
             ref_plus = 2 * mpmath.mpf(_reference_entropy(parents[k], a)) - ref_minus
@@ -789,8 +880,12 @@ def test_subnormal_posteriors_keep_their_terms(alpha):
 def test_subnormal_products_are_refused():
     # level 6 of BSC(1e-5) underflowed products to 0 and one level-7 entry
     # came out below 1
-    with pytest.raises(DistributionError, match="level 6 cannot be materialized: parent 32 of 32"):
+    with pytest.raises(DistributionError) as ratios:
         level_profile(make_bsc(1e-5), 7, [0.5])
+    assert str(ratios.value) == (
+        "level 6 cannot be built: parent 32 of 32: "
+        "product 1.000e-160 * 1.000e-160 of smallest positive ratios underflows"
+    )
     # order 0 forms no products; every BSC subchannel has full support, so
     # each of its entries is exactly 1
     assert np.all(level_profile(make_bsc(1e-5), 7, [0]).entries == 1.0)
@@ -878,17 +973,17 @@ def test_erasure_state_path_is_taken_only_for_ratios_zero_and_one(monkeypatch):
     import polarlens.transform as transform
 
     calls = []
-    real = transform.child_entropies
+    real = transform._split
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(transform, "child_entropies", counted)
+    monkeypatch.setattr(transform, "_split", counted)
     level_profile_sweep(make_bec(0.35), 4, ORDERS)
     level_profile_sweep(make_from_atoms([(0.5, 0.0), (0.125, 0.125, 2.0)]), 4, ORDERS)
     assert calls == []
-    # a non-uniform prior moves the erased ratio off 1: atoms again
+    # a non-uniform prior moves the erased ratio off 1: ratio states again
     level_profile_sweep(make_bec(0.35, prior0=0.3), 2, ORDERS)
     assert len(calls) == 1 + 2
 
@@ -1046,10 +1141,12 @@ def test_zero_only_sweep_needs_no_atoms(root, monkeypatch):
     import polarlens.transform as transform
 
     def no_atoms(*args, **kwargs):
-        raise AssertionError("order 0 alone must not build or split atoms")
+        raise AssertionError("order 0 alone must not build or split atoms or ratio states")
 
     monkeypatch.setattr(transform, "transform_pair", no_atoms)
     monkeypatch.setattr(transform, "child_entropies", no_atoms)
+    monkeypatch.setattr(transform._RatioView, "from_atoms", no_atoms)
+    monkeypatch.setattr(transform, "_split", no_atoms)
     sweep = level_profile_sweep(root, 20, [0])
     assert len(sweep) == 20 and sweep[-1].entries.shape == (1, 1 << 20)
     for profile in sweep:
@@ -1059,15 +1156,94 @@ def test_zero_only_sweep_needs_no_atoms(root, monkeypatch):
 
 
 def test_mixed_call_refusal_says_order_zero_runs_alone():
-    cap = 1000  # the 11th level-4 parent of BSC(0.2) has 25 atoms
+    # the 26th level-5 state of BSC(0.2) has 31 points; the three orders'
+    # entries through level 7 (762) fit the cap
+    cap = 1000
     with pytest.raises(CapacityError) as plain:
-        level_profile_sweep(make_bsc(0.2), 6, [0.5, math.inf], atom_cap=cap)
+        level_profile_sweep(make_bsc(0.2), 7, [0.5, math.inf], atom_cap=cap)
     assert str(plain.value) == (
-        "level 5 cannot be materialized: parent 11 of 16 would create 1250 raw atoms "
+        "level 6 cannot be built: parent 26 of 32 would create 1488 raw points "
         "(cap 1000); raise atom_cap to allow it"
     )
     with pytest.raises(CapacityError) as mixed:
-        level_profile_sweep(make_bsc(0.2), 6, [0.5, 0, math.inf], atom_cap=cap)
-    assert str(mixed.value) == str(plain.value) + "; order 0 alone runs without atoms"
-    alone = level_profile_sweep(make_bsc(0.2), 6, [0], atom_cap=cap)
+        level_profile_sweep(make_bsc(0.2), 7, [0.5, 0, math.inf], atom_cap=cap)
+    assert str(mixed.value) == str(plain.value) + "; order 0 alone runs without ratio states"
+    alone = level_profile_sweep(make_bsc(0.2), 7, [0], atom_cap=cap)
     assert np.all(alone[-1].entries == 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Ratio states: every other order of every other root, with no child atoms.
+# ---------------------------------------------------------------------------
+
+
+def test_ratio_state_sweep_builds_no_atoms(monkeypatch):
+    import polarlens.transform as transform
+    from polarlens import EXTENDED_ORDER_GRID
+
+    def no_atoms(*args, **kwargs):
+        raise AssertionError("a sweep must not build or merge atoms")
+
+    want = level_profile_sweep(make_bsc(0.2), 5, EXTENDED_ORDER_GRID)
+    monkeypatch.setattr(transform, "transform_pair", no_atoms)
+    monkeypatch.setattr(transform, "canonicalize_orientation", no_atoms)
+    got = level_profile_sweep(make_bsc(0.2), 5, EXTENDED_ORDER_GRID)
+    assert all(np.array_equal(g.entries, w.entries) for g, w in zip(got, want))
+
+
+def test_one_order_sweep_rows_are_the_grid_rows():
+    # the states share one argsort per child, and every row merges alone
+    from polarlens import EXTENDED_ORDER_GRID
+
+    grid = level_profile_sweep(make_bsc(0.2), 6, EXTENDED_ORDER_GRID + (40.5,))
+    for k, a in enumerate(EXTENDED_ORDER_GRID + (40.5,)):
+        alone = level_profile_sweep(make_bsc(0.2), 6, [a])
+        for g, one in zip(grid, alone):
+            assert np.array_equal(one.entries[0], g.entries[k]), (g.level, a)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    symbols=st.integers(2, 8),
+    depth=st.integers(1, 3),
+    alpha=st.sampled_from([1e-3, 0.3, 0.999999, 1.5, 4.5, 37.5, 300.5]),
+)
+def test_ratio_states_match_materialized_atoms(seed, symbols, depth, alpha):
+    # level 3 of a root with more than three atoms holds millions of atoms
+    from polarlens import EXTENDED_ORDER_GRID, as_order, conditional_entropies_many
+    from polarlens.distributions import canonicalize_orientation
+    from polarlens.transform import _RatioView
+
+    root = random_joint(np.random.default_rng(seed), symbols, symbols)
+    depth = min(depth, 3 if root.n_atoms <= 3 else 2)
+    orders = EXTENDED_ORDER_GRID + (alpha,)
+    sweep = level_profile_sweep(root, depth, orders)
+    levels = _levels(root, depth)
+    views = [_RatioView.from_atoms(levels[0][0], [as_order(a) for a in orders[1:]])]
+    for level in range(1, depth + 1):
+        want = conditional_entropies_many(levels[level], orders).T
+        assert np.max(np.abs(sweep[level - 1].entries - want)) <= 1e-13, level
+        views = [c for v in views for c in v.children()]
+        for v in views:
+            assert v.ratios.min() >= 0.0 and v.ratios.max() <= 1.0
+            assert np.all(np.diff(v.ratios) > 0.0)
+            assert np.all(v.rows.max(axis=1) == 0.0)
+
+
+def test_ratio_state_blocks_do_not_change_bytes(monkeypatch):
+    import polarlens.transform as transform
+    from polarlens import as_order
+
+    def states(chunk):
+        monkeypatch.setattr(transform, "_PAIR_CHUNK", chunk)
+        views = [transform._RatioView.from_atoms(_levels(make_bsc(0.2), 0)[0][0], orders)]
+        for _ in range(6):
+            views = [c for v in views for c in v.children()]
+        return views
+
+    orders = [as_order(a) for a in ORDERS[1:]]
+    # 64 pairs per block: the level-5 states of up to 100 points span many blocks
+    for got, want in zip(states(64), states(1 << 18)):
+        assert np.array_equal(got.ratios, want.ratios)
+        assert np.array_equal(got.rows, want.rows)
