@@ -33,25 +33,27 @@ mu_x mu_y and min/max(x, y) of mass mu_x mu_y max(x, y)^alpha.  A sweep
 carries each subchannel as such a ratio state (:class:`_RatioView`): its
 distinct ratios and one row of log2 masses per order.  They are power
 sums within a ratio class, not merged symbols, so the chain-rule
-entropies stay exact.  The entropies of a level come from split
-evaluation of the states of the level before, so the deepest level is
-never built.  A self-paired parent's minus child has one symbol per pair
-of parent atoms, weighted nu_i nu_j (the symbol weights of
+entropies stay exact.  Every level above the deepest takes its entropies
+from its own states, one symbol per ratio group.  The deepest level is
+never built: its entropies come from split evaluation of the states of
+the level before.  A self-paired parent's minus child has one symbol per
+pair of parent atoms, weighted nu_i nu_j (the symbol weights of
 :mod:`polarlens.entropy`), whose posterior depends only on the two
 atoms' odds ratios: its mean is a pair sum over the parent's ratio
-groups, and H(plus) = 2 H(parent) - H(minus).  Order 1 and every finite order up to POSTERIOR_MAX_ORDER (6)
-walk the symmetric grid over proxy points with the posterior kernel
-(each dyadic box of ratios with more than 24 groups becomes 24 Chebyshev
-points with barycentric Lagrange weights, exact up to rounding as the
-kernels are analytic there).  Every higher order sums a^alpha + b^alpha
-over the ratio groups that can move the pair sum, a certified pruning
-that drops under 2^-58 of it: the same walker on the proxy points while
-alpha <= 32 and the proxies are fewer, else the grid over the kept groups
-in the log domain, so nothing overflows.  One walk per parent serves
-every walker order: each block of the grid takes its posteriors and their
-logs once, and each order applies its own kernel and weights.  The blocks
-depend only on the grid's size, so each order's sum is bitwise that of a
-walk at that order alone.
+groups, and H(plus) = 2 H(parent) - H(minus).  Order 1 and every finite
+order up to POSTERIOR_MAX_ORDER (6) walk the symmetric grid over proxy
+points with the posterior kernel (each dyadic box of ratios with more
+than 24 groups becomes 24 Chebyshev points with barycentric Lagrange
+weights, exact up to rounding as the kernels are analytic there).  Every
+higher order sums a^alpha + b^alpha over the ratio groups that can move
+the pair sum, a certified pruning that drops under 2^-58 of it: the same
+walker on the proxy points while alpha <= 32 and the proxies are fewer,
+else the grid over the kept groups in the log domain, so nothing
+overflows.  One walk per parent serves every walker order: each block of
+the grid takes its posteriors and their logs once, and each order
+applies its own kernel and weights.  The blocks depend only on the
+grid's size, so each order's sum is bitwise that of a walk at that order
+alone.
 
 Erasure-type roots never need atoms past the root, and order 0 of no
 root does.  Canonical atoms fall in two classes, p1 > 0 and p1 = 0.  When
@@ -76,6 +78,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -121,6 +124,12 @@ _SPLIT_WORK_FACTOR = 100
 _PAIR_CHUNK = 1 << 18
 
 _LN2 = math.log(2.0)
+
+
+def _check_atom_cap(atom_cap) -> None:
+    """Refuse an ``atom_cap`` that is not an integer >= 1 (NaN would disable every budget)."""
+    if isinstance(atom_cap, bool) or not isinstance(atom_cap, numbers.Integral) or atom_cap < 1:
+        raise ValueError(f"atom_cap must be an integer >= 1, got {atom_cap!r}")
 
 
 def _check_step(
@@ -178,11 +187,14 @@ def transform_pair(
 
     Raises
     ------
+    ValueError
+        If ``atom_cap`` is not an integer >= 1.
     CapacityError, DistributionError
         From :func:`_check_step`: if the raw product would exceed
         ``atom_cap`` atoms, or the two parents' smallest positive entries
         multiply to below the smallest normal double.
     """
+    _check_atom_cap(atom_cap)
     triangle = b is None or b is a
     if b is None:
         b = a
@@ -360,16 +372,28 @@ class _RatioView:
         low = np.min(self.ratios, where=self.ratios > 0.0, initial=1.0)
         _check_step(3 * n * (n + 1) // 2, (low, low), atom_cap, where, ("points", "ratios"), hint)
 
-    def entropies(self, orders: Sequence[Order]) -> np.ndarray:
-        """H of the subchannel at finite ``orders``, by :func:`symbol_mean_entropies`.
+    def entropies(self) -> np.ndarray:
+        """H of the subchannel at each of its orders, unsnapped.
 
         A ratio group x is one symbol of posterior (1, x) / (1 + x) and
-        log2 weight L + alpha log2(1 + x) at order alpha.
+        log2 weight L + alpha log2(1 + x) at order alpha; finite orders go
+        through :func:`symbol_mean_entropies`.  At order inf H is the
+        log2 of the largest symbol mass over the largest entry,
+        max(L + log2(1 + x)) - max(L) on that order's row.
         """
-        lw = np.array([self.symbol_log2_weights(o.alpha) for o in orders])
-        lw -= lw.max(axis=-1, keepdims=True)
-        uv = np.stack([1.0 / (1.0 + self.ratios), self.ratios / (1.0 + self.ratios)])
-        return symbol_mean_entropies(lw[None], uv[None, None], list(orders))[0]
+        orders = self.orders
+        out = np.empty(len(orders))
+        fin = [k for k, o in enumerate(orders) if o.kind != "infinity"]
+        if fin:
+            lw = np.array([self.symbol_log2_weights(orders[k].alpha) for k in fin])
+            lw -= lw.max(axis=-1, keepdims=True)
+            uv = np.stack([1.0 / (1.0 + self.ratios), self.ratios / (1.0 + self.ratios)])
+            out[fin] = symbol_mean_entropies(lw[None], uv[None, None], [orders[k] for k in fin])[0]
+        for k, o in enumerate(orders):
+            if o.kind == "infinity":
+                row = self.group_log2_sums(math.inf)
+                out[k] = np.max(row + self._log2_1r) - np.max(row)
+        return out
 
     def symbol_log2_weights(self, alpha: float) -> np.ndarray:
         """The order-alpha row plus alpha log2(1 + x): log2 of sum w s^alpha per group x, shifted."""
@@ -562,19 +586,18 @@ def _grid_minus(view: _RatioView, alpha: float, kept: np.ndarray) -> float:
     return _pair_grid_sum(view.ratios[kept], lw, alpha) / (1.0 - alpha)
 
 
-def _infinity_children(view: _RatioView) -> tuple[float, float]:
-    """H_inf of both children from three maxima of the row of order inf.
+def _infinity_children(view: _RatioView, h: float) -> tuple[float, float]:
+    """H_inf of both children from the parent's ``h`` = H_inf and two maxima of its row.
 
     The largest minus-child entry sits on the diagonal of the pair grid
     (Cauchy-Schwarz), and the largest plus-child symbol mass equals that
-    same quantity, so the largest symbol mass, entry and diagonal term
-    p0^2 (1 + x^2) of the parent settle both children.
+    same quantity, so the parent's largest diagonal term p0^2 (1 + x^2)
+    over its largest entry squared is H(plus), and H(minus) = 2 h - H(plus).
     """
     row = view.group_log2_sums(math.inf)  # log2 of the largest p0 per group
-    mass = float(np.max(row + view._log2_1r))
-    entry = float(np.max(row))
     diag = float(np.max(2.0 * row + np.log1p(view.ratios * view.ratios) / _LN2))
-    return 2.0 * mass - diag, diag - 2.0 * entry
+    plus = diag - 2.0 * float(np.max(row))
+    return 2.0 * h - plus, plus
 
 
 def _minus_entropies(view: _RatioView, orders: list[Order], atom_cap: int) -> np.ndarray:
@@ -608,21 +631,21 @@ def _minus_entropies(view: _RatioView, orders: list[Order], atom_cap: int) -> np
     return out
 
 
-def _split(view: _RatioView, atom_cap: int) -> np.ndarray:
+def _split(view: _RatioView, h: np.ndarray, atom_cap: int) -> np.ndarray:
     """H of both children of the state at each of its orders, (orders x 2), minus first.
 
-    H(plus) = 2 H(parent) - H(minus) at finite orders; order inf takes
+    ``h`` holds the state's own :meth:`_RatioView.entropies`, unsnapped.
+    H(plus) = 2 h - H(minus) at finite orders; order inf takes
     :func:`_infinity_children`.
     """
     fin = [k for k, o in enumerate(view.orders) if o.kind != "infinity"]
     out = np.empty((len(view.orders), 2))
     if fin:
-        orders = [view.orders[k] for k in fin]
-        out[fin, 0] = _minus_entropies(view, orders, atom_cap)
-        out[fin, 1] = 2.0 * view.entropies(orders) - out[fin, 0]
+        out[fin, 0] = _minus_entropies(view, [view.orders[k] for k in fin], atom_cap)
+        out[fin, 1] = 2.0 * h[fin] - out[fin, 0]
     for k, o in enumerate(view.orders):
         if o.kind == "infinity":
-            out[k] = _infinity_children(view)
+            out[k] = _infinity_children(view, h[k])
     return snap_to_unit(out)
 
 
@@ -639,12 +662,15 @@ def child_entropies(
     Exact up to float rounding; no child distribution is materialized.
     Every row is bitwise the one a call with that order alone gives.
     Orders other than 0 build the parent's ratio state once (see
-    :class:`_RatioView`) and split it as a sweep splits its states, H of
-    the parent included; order 0 takes one step of the erasure maps from
-    the parent's weighted counts (see :func:`level_profile_sweep`).
+    :class:`_RatioView`), evaluate H of the parent on it and split it as a
+    sweep splits the parents of its deepest level; order 0 takes one step
+    of the erasure maps from the parent's weighted counts (see
+    :func:`level_profile_sweep`).
 
     Raises
     ------
+    ValueError
+        If ``atom_cap`` is not an integer >= 1.
     DistributionError
         If some atom has p1 > p0; see :func:`canonicalize_orientation`.
     CapacityError
@@ -657,6 +683,7 @@ def child_entropies(
         its row.  The grid is streamed, not stored, so its budget is time,
         not memory; raising ``atom_cap`` widens both budgets together.
     """
+    _check_atom_cap(atom_cap)
     if np.any(parent.p1 > parent.p0):
         raise DistributionError("parent must be canonical (p0 >= p1 per atom)")
     orders = [as_order(o) for o in orders]
@@ -664,7 +691,7 @@ def child_entropies(
     rest = [k for k, o in enumerate(orders) if o.kind != "zero"]
     if rest:
         view = _RatioView.from_atoms(parent, [orders[k] for k in rest])
-        out[rest] = _split(view, atom_cap)
+        out[rest] = _split(view, view.entropies(), atom_cap)
     for k, o in enumerate(orders):
         if o.kind == "zero":
             out[k] = next(_erasure_sweep(parent, 1, o))
@@ -906,18 +933,23 @@ def level_profile_sweep(
     Every other order of every other root runs on one ratio state per
     subchannel (see :class:`_RatioView`): its distinct odds ratios and one
     row of log2 masses per order, built from the root's atoms once and
-    stepped level by level with no atoms.  Level k entropies come from
-    split evaluation of the level k-1 states, so the deepest level is
-    never built and the sweep costs barely more than the deepest profile.
+    stepped level by level with no atoms.  Every level below max_level
+    takes its entries from its own states by :meth:`_RatioView.entropies`.
+    Only level max_level comes from split evaluation of the states of the
+    level before, whose entropies the sweep already holds, so the deepest
+    level is never built and the sweep costs barely more than the deepest
+    profile.
 
     Raises
     ------
+    ValueError
+        If ``max_level`` < 1, or ``atom_cap`` is not an integer >= 1.
     CapacityError
         Before any work, when some order runs on the erasure state and the
         profiles' sum over levels L of 2^L * len(orders) entries exceeds
-        ``atom_cap``; the message names the first level over it.  When a
-        parent's split exceeds its work budget; the message names the
-        level and the parent.
+        ``atom_cap``; the message names the first level over it.  When the
+        split of a parent of the deepest level exceeds its work budget;
+        the message names max_level and the parent.
     CapacityError, DistributionError
         Before any work on a level that :func:`_check_step` refuses for
         one of its parent states: a step of n points makes 3 n (n + 1) / 2
@@ -929,6 +961,7 @@ def level_profile_sweep(
     """
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
+    _check_atom_cap(atom_cap)
     orders = tuple(as_order(o) for o in orders)
     root_entropy = conditional_entropies(root, orders)
     # no entropy depends on the orientation (see canonicalize_orientation)
@@ -948,23 +981,29 @@ def level_profile_sweep(
     for k in state:
         for rows, got in zip(entries, _erasure_sweep(root, max_level, orders[k])):
             rows[k] = got
-    hint = "; order 0 alone runs without ratio states" if state else ""
-    views = [_RatioView.from_atoms(root, [orders[k] for k in ratio])] if ratio else []
-    for lvl in range(1, max_level + 1) if ratio else ():
-        last = lvl == max_level
-        # the refusals of a step, checked for the whole level up front
-        for i, view in enumerate(views if not last else (), 1):
-            view.check_step(atom_cap, f"level {lvl} cannot be built: parent {i} of {len(views)}", hint)
-        cols, parents, views = [], views, []
-        for i in range(1, len(parents) + 1):
-            view, parents[i - 1] = parents[i - 1], None  # its proxy map goes once split
+    if ratio:
+        hint = "; order 0 alone runs without ratio states" if state else ""
+        views = [_RatioView.from_atoms(root, [orders[k] for k in ratio])]
+        h = [views[0].entropies()]
+        for lvl in range(1, max_level):
+            # the refusals of a step, checked for the whole level up front
+            for i, view in enumerate(views, 1):
+                where = f"level {lvl} cannot be built: parent {i} of {len(views)}"
+                view.check_step(atom_cap, where, hint)
+            parents, views = views, []
+            while parents:  # each parent state goes once stepped
+                views += parents.pop(0).children()
+            h = [view.entropies() for view in views]
+            entries[lvl - 1][ratio] = snap_to_unit(np.column_stack(h))
+        cols = []
+        for i in range(1, len(views) + 1):
+            view, views[i - 1] = views[i - 1], None  # its proxy map goes once split
             try:
-                cols.append(_split(view, atom_cap))
+                cols.append(_split(view, h[i - 1], atom_cap))
             except CapacityError as exc:
-                raise CapacityError(f"level {lvl}: parent {i} of {len(parents)}: {exc}") from exc
-            if not last:
-                views += view.children()
-        entries[lvl - 1][ratio] = np.hstack(cols)
+                where = f"level {max_level}: parent {i} of {len(views)}"
+                raise CapacityError(f"{where}: {exc}") from exc
+        entries[-1][ratio] = np.hstack(cols)
     return [
         PolarizationProfile(lvl, orders, _freeze(rows), _freeze(root_entropy.copy()))
         for lvl, rows in enumerate(entries, 1)

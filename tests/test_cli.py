@@ -628,6 +628,14 @@ def test_capacity_exit_code(tmp_path, capsys):
     assert "resource limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", ["-5", "0"])
+def test_atom_cap_below_one_is_a_usage_error(cap, capsys):
+    code = run(["polarize", "--channel", "bsc:0.2", "--n", "2", "--alpha", "1", "--atom-cap", cap])
+    assert code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"polarlens: atom_cap must be an integer >= 1, got {cap}\n"
+
+
 def test_table_round_trip():
     sections = [
         make_section("demo", ["a", "b"], [[1, 0.25], ["x", float("inf")]]),

@@ -172,12 +172,18 @@ def test_profile_average_is_root_entropy():
 
 
 def test_level_profile_sweep_consistent_with_single_levels():
+    # a sweep splits only its deepest level, which is bitwise the single
+    # call's; the levels above come from their own states, within rounding
+    # of the split that a single call to that level runs
     root = make_bsc(0.3)
     sweep = level_profile_sweep(root, 4, orders=(0.5, 1.0, 2.0))
     assert [p.level for p in sweep] == [1, 2, 3, 4]
     for p in sweep:
         single = level_profile(root, p.level, orders=(0.5, 1.0, 2.0))
-        assert np.array_equal(p.entries, single.entries)
+        if p.level == 4:
+            assert np.array_equal(p.entries, single.entries)
+        else:
+            assert np.max(np.abs(p.entries - single.entries)) <= 1e-15, p.level
         assert p.entries.shape == (3, 2**p.level)
 
 
@@ -983,9 +989,32 @@ def test_erasure_state_path_is_taken_only_for_ratios_zero_and_one(monkeypatch):
     level_profile_sweep(make_bec(0.35), 4, ORDERS)
     level_profile_sweep(make_from_atoms([(0.5, 0.0), (0.125, 0.125, 2.0)]), 4, ORDERS)
     assert calls == []
-    # a non-uniform prior moves the erased ratio off 1: ratio states again
+    # a non-uniform prior moves the erased ratio off 1: ratio states again,
+    # and only the level-1 states are split
     level_profile_sweep(make_bec(0.35, prior0=0.3), 2, ORDERS)
-    assert len(calls) == 1 + 2
+    assert len(calls) == 2
+
+
+def test_sweep_splits_only_the_deepest_level(monkeypatch):
+    import polarlens.transform as transform
+    from polarlens import as_order
+    from polarlens.distributions import canonicalize_orientation
+
+    split = []
+    real = transform._split
+
+    def counted(view, *args, **kwargs):
+        split.append(view.ratios)
+        return real(view, *args, **kwargs)
+
+    monkeypatch.setattr(transform, "_split", counted)
+    level_profile_sweep(make_bsc(0.2), 5, ORDERS)
+    root = canonicalize_orientation(make_bsc(0.2))
+    states = [transform._RatioView.from_atoms(root, [as_order(a) for a in ORDERS[1:]])]
+    for _ in range(4):
+        states = [c for v in states for c in v.children()]
+    assert len(split) == len(states) == 16
+    assert all(np.array_equal(got, want.ratios) for got, want in zip(split, states))
 
 
 @pytest.mark.parametrize("erasure", [0.0, 1.0])
@@ -1229,6 +1258,41 @@ def test_ratio_states_match_materialized_atoms(seed, symbols, depth, alpha):
             assert v.ratios.min() >= 0.0 and v.ratios.max() <= 1.0
             assert np.all(np.diff(v.ratios) > 0.0)
             assert np.all(v.rows.max(axis=1) == 0.0)
+
+
+def test_state_entropies_match_the_atoms():
+    # the evaluator of every level above a sweep's deepest, order inf included
+    from polarlens import as_order, conditional_entropies
+    from polarlens.distributions import canonicalize_orientation
+    from polarlens.transform import _RatioView
+
+    orders = [as_order(a) for a in (0.1, 0.5, 1.0, 2.0, 10.0, 40.5, 100.0, 300.5, 1e5, math.inf)]
+    rng = np.random.default_rng(281)
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        p = rng.exponential(size=(n, 2))
+        p[rng.random(n) < 0.3, 1] = 0.0  # ratio-0 atoms
+        w = rng.integers(1, 4, size=n).astype(float)
+        p /= np.sum(w[:, None] * p)
+        d = make_from_atoms(np.column_stack([p, w]))
+        got = _RatioView.from_atoms(canonicalize_orientation(d), orders).entropies()
+        assert np.max(np.abs(got - conditional_entropies(d, orders))) <= 1e-15
+
+
+@pytest.mark.parametrize("cap", [float("nan"), None, 0, -5, 2.5, 1e9])
+def test_atom_cap_must_be_a_positive_integer(cap):
+    from polarlens.distributions import canonicalize_orientation
+
+    parent = canonicalize_orientation(make_bsc(0.2))
+    calls = [
+        lambda: transform_pair(parent, atom_cap=cap),
+        lambda: child_entropies(parent, [1.0], atom_cap=cap),
+        lambda: level_profile_sweep(make_bsc(0.2), 2, [1.0], atom_cap=cap),
+        lambda: level_profile_sweep(make_bec(0.35), 2, [1.0], atom_cap=cap),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"atom_cap must be an integer >= 1, got {cap!r}"):
+            call()
 
 
 def test_ratio_state_blocks_do_not_change_bytes(monkeypatch):
