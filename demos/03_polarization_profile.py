@@ -7,7 +7,7 @@ sub-channels look good, and how many, depends on the order alpha: the
 level average equals H_a(X|Y), which shrinks as alpha grows, so high
 orders see fewer good-looking indices.
 
-Run time: 0.37-0.55 s for the full n=7 sweep at eight orders, as a whole
+Run time: 0.27-0.37 s for the full n=7 sweep at eight orders, as a whole
 process on a shared 2-core Xeon host (Python 3.11, numpy 2.4).
 """
 

@@ -41,19 +41,25 @@ pair of parent atoms, weighted nu_i nu_j (the symbol weights of
 :mod:`polarlens.entropy`), whose posterior depends only on the two
 atoms' odds ratios: its mean is a pair sum over the parent's ratio
 groups, and H(plus) = 2 H(parent) - H(minus).  Order 1 and every finite
-order up to POSTERIOR_MAX_ORDER (6) walk the symmetric grid over proxy
-points with the posterior kernel (each dyadic box of ratios with more
-than 24 groups becomes 24 Chebyshev points with barycentric Lagrange
-weights, exact up to rounding as the kernels are analytic there).  Every
-higher order sums a^alpha + b^alpha over the ratio groups that can move
-the pair sum, a certified pruning that drops under 2^-58 of it: the same
-walker on the proxy points while alpha <= 32 and the proxies are fewer,
-else the grid over the kept groups in the log domain, so nothing
-overflows.  One walk per parent serves every walker order: each block of
-the grid takes its posteriors and their logs once, and each order
-applies its own kernel and weights.  The blocks depend only on the
-grid's size, so each order's sum is bitwise that of a walk at that order
-alone.
+order up to POSTERIOR_MAX_ORDER (6) walk the pairs of proxy points with
+the posterior kernel (each dyadic box of ratios with more than 24 groups
+becomes 24 Chebyshev points with barycentric Lagrange weights, exact up
+to rounding as the kernels are analytic there).  The walk splits near
+from far, as the fast multipole method does (Greengard & Rokhlin,
+J. Comput. Phys. 1987): a box [c, 2c) meets its own points as a full
+square and every point below it through 24 Chebyshev nodes on [0, c],
+exact up to rounding for the same reason, whose weights one upward pass
+carries from box to box.  A box of P points costs P (P + 24) elements,
+where the symmetric grid cost half the square of the parent's point
+count.  Every higher order sums a^alpha + b^alpha over the ratio groups
+that can move the pair sum, a certified pruning that drops under 2^-58
+of it: the same walker on the proxy points while alpha <= 32 and the
+proxies are fewer, else the grid over the kept groups in the log domain,
+so nothing overflows.  The walker orders of every parent of a level share
+one stacked pass: the boxes of all parents run bucketed by size, each
+block takes its posteriors and their logs once, and each order applies
+its own kernel and weights.  A box's sum depends on that box alone, so
+every parent and order gets bitwise the value of a walk of it alone.
 
 Erasure-type roots never need atoms past the root, and order 0 of no
 root does.  Canonical atoms fall in two classes, p1 > 0 and p1 = 0.  When
@@ -126,10 +132,10 @@ _PAIR_CHUNK = 1 << 18
 _LN2 = math.log(2.0)
 
 
-def _check_atom_cap(atom_cap) -> None:
-    """Refuse an ``atom_cap`` that is not an integer >= 1 (NaN would disable every budget)."""
-    if isinstance(atom_cap, bool) or not isinstance(atom_cap, numbers.Integral) or atom_cap < 1:
-        raise ValueError(f"atom_cap must be an integer >= 1, got {atom_cap!r}")
+def _check_count(name: str, value) -> None:
+    """Refuse a ``value`` that is not an integer >= 1 (a NaN ``atom_cap`` would disable every budget)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _check_step(
@@ -194,7 +200,7 @@ def transform_pair(
         ``atom_cap`` atoms, or the two parents' smallest positive entries
         multiply to below the smallest normal double.
     """
-    _check_atom_cap(atom_cap)
+    _check_count("atom_cap", atom_cap)
     triangle = b is None or b is a
     if b is None:
         b = a
@@ -241,7 +247,8 @@ def transform_pair(
 # ---------------------------------------------------------------------------
 
 
-#: Chebyshev points that stand in for the ratio groups of one dyadic box.
+#: Chebyshev points that stand in for the ratio groups of one dyadic box,
+#: and for every point below a box in a walk.
 _PROXY_NODES = 24
 
 #: Orders above this run the pair grid over the kept ratio groups, never
@@ -256,11 +263,61 @@ _PROXY_MAX_ORDER = 32
 #: :meth:`_RatioView.kept_groups`.
 _PRUNE_BITS = 60
 
+#: Exponent given to the r = 0 box: 2^(_ZERO_BOX - 1) is 0.0.
+_ZERO_BOX = -2000
+
 # Second-kind Chebyshev points on [0, 1], ascending, and their barycentric
 # weights, which do not depend on the interval they are mapped to.
 _CHEB_UNIT = 0.5 - 0.5 * np.cos(np.pi * np.arange(_PROXY_NODES) / (_PROXY_NODES - 1))
 _CHEB_BARY = (-1.0) ** np.arange(_PROXY_NODES)
 _CHEB_BARY[[0, -1]] *= 0.5
+
+
+def _cheb_basis(t: np.ndarray) -> np.ndarray:
+    """The Lagrange basis of the unit Chebyshev points at each t in [0, 1], a row each.
+
+    Barycentric form.  A t on a node takes that node's unit row, and a t
+    below 2^-100 (where 1 / t could overflow) the row of node 0, from which
+    its own differs by under 2^-88.
+    """
+    t = np.where(t < 2.0**-100, 0.0, t)
+    coef = t[:, None] - _CHEB_UNIT
+    with np.errstate(divide="ignore"):
+        np.divide(_CHEB_BARY, coef, out=coef)  # infinite on a node only
+    total = coef.sum(axis=1, keepdims=True)
+    on_node = np.flatnonzero(np.isinf(total))
+    hit = np.argmax(np.isinf(coef[on_node]), axis=1)
+    total[on_node] = 1.0
+    coef /= total
+    coef[on_node] = np.eye(_PROXY_NODES)[hit]
+    return coef
+
+
+@functools.cache
+def _far_maps() -> np.ndarray:
+    """Entry g carries weights on the nodes of [0, c 2^-g] to the nodes of [0, c].
+
+    Row n of entry g is the basis of the upper nodes at lower node n.  From
+    g = 128 on every row is that of node 0, so the table stops there.  It
+    is built on first use: a process that splits nothing never holds it.
+    """
+    maps = _cheb_basis(np.ldexp(_CHEB_UNIT, -np.arange(129)[:, None]).ravel())
+    return maps.reshape(129, _PROXY_NODES, _PROXY_NODES)
+
+
+def _dyadic_boxes(r: np.ndarray, item: np.ndarray | None = None) -> tuple:
+    """(first index, size, exponent e) of each dyadic box [2^(e-1), 2^e) of sorted ``r``.
+
+    A box is a run of equal np.frexp exponent; r = 0 is a box of its own,
+    with e = _ZERO_BOX, and no box spans two values of ``item``.
+    """
+    _, e = np.frexp(r)
+    e[r == 0.0] = _ZERO_BOX
+    cut = e[1:] != e[:-1]
+    if item is not None:
+        cut |= item[1:] != item[:-1]
+    first = np.flatnonzero(np.concatenate(([True], cut)))
+    return first, np.diff(first, append=r.size), e[first]
 
 
 class _RatioView:
@@ -277,10 +334,13 @@ class _RatioView:
     p0i^a p0j^a f(r_i, r_j) (see :meth:`children`).
 
     The pair kernels f(1 + xy) + f(x + y) are analytic in x on every dyadic
-    box [2^(e-1), 2^e] for y >= 0 (nearest singularity at x = -y, a
-    Bernstein ellipse of parameter 3 + sqrt(8)).  So the groups of a box
-    can be replaced by _PROXY_NODES Chebyshev points carrying barycentric
-    Lagrange weights, exact up to rounding: see :meth:`to_proxies`.
+    box [c, 2c] for y >= 0, and on [0, c] for y >= c: the nearest
+    singularity is at x = -y, so both intervals sit in a Bernstein ellipse
+    of parameter 3 + sqrt(8).  So the groups of a box can be replaced by
+    _PROXY_NODES Chebyshev points carrying barycentric Lagrange weights
+    (see :meth:`proxies`), and every point below a box by _PROXY_NODES
+    Chebyshev points on [0, c] (see :func:`_far_walk`), exact up to
+    rounding.
     """
 
     def __init__(self, ratios: np.ndarray, orders: Sequence[Order], rows: np.ndarray):
@@ -418,67 +478,49 @@ class _RatioView:
         floor = log2_sum_exp2(lg) - (_PRUNE_BITS + alpha + math.log2(lg.size))
         return np.flatnonzero(lg >= floor)
 
-    @functools.cached_property
-    def _proxy_map(self):
-        """(proxy ratios, group index, proxy index, coefficient) per map entry.
+    @property
+    def proxy_count(self) -> int:
+        """The number of proxy points (see :meth:`proxies`)."""
+        _, size, _ = _dyadic_boxes(self.ratios)
+        return int(np.minimum(size, _PROXY_NODES).sum())
 
-        Ratios are sorted, so the dyadic boxes np.frexp assigns are runs of
-        consecutive groups.  The r = 0 group and every box of at most
-        _PROXY_NODES groups pass through unchanged; every other box becomes
-        _PROXY_NODES Chebyshev points spanning its groups, and each group
-        spreads its weight over them by its Lagrange basis values.
+    def proxies(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted proxy points, and each row of ``values`` (one entry per group) on them.
+
+        Ratios are sorted, so the dyadic boxes are runs of consecutive
+        groups.  The r = 0 group and every box of at most _PROXY_NODES
+        groups pass through unchanged, their values bit for bit; every
+        other box becomes _PROXY_NODES Chebyshev points spanning its
+        groups, and each group spreads its value over them by its Lagrange
+        basis values.  For every kernel K above, sum_a values_a K(r_a, y)
+        then equals sum_m out_m K(x_m, y) up to rounding.  The basis values,
+        _PROXY_NODES per squeezed group, go when the call returns.
         """
         r = self.ratios
-        _, box = np.frexp(r)
-        box[r == 0.0] = np.iinfo(box.dtype).min  # r = 0 shares no box
-        first = np.flatnonzero(np.r_[True, box[1:] != box[:-1]])
-        size = np.diff(np.r_[first, r.size])
+        first, size, _ = _dyadic_boxes(r)
         big = size > _PROXY_NODES
         width = np.where(big, _PROXY_NODES, size)
         base = np.cumsum(width) - width  # first proxy of every box
         of = np.repeat(np.arange(first.size), size)  # box of every group
-        proxies = np.empty(int(width.sum()))
+        points = np.empty(int(width.sum()))
 
         keep = np.flatnonzero(~big[of])
         keep_at = base[of[keep]] + keep - first[of[keep]]
-        proxies[keep_at] = r[keep]
+        points[keep_at] = r[keep]
 
         lo = r[first[big]]
         hi = r[first[big] + size[big] - 1]
-        nodes = lo[:, None] + (hi - lo)[:, None] * _CHEB_UNIT
-        proxies[base[big][:, None] + np.arange(_PROXY_NODES)] = nodes
+        nodes = base[big][:, None] + np.arange(_PROXY_NODES)
+        points[nodes] = lo[:, None] + (hi - lo)[:, None] * _CHEB_UNIT
         squeeze = np.flatnonzero(big[of])
         row = (np.cumsum(big) - 1)[of[squeeze]]  # row of nodes for every group
-        diff = r[squeeze, None] - nodes[row]
-        hit = diff == 0.0
-        coef = _CHEB_BARY / np.where(hit, 1.0, diff)
-        coef /= coef.sum(axis=1, keepdims=True)
-        on_node = hit.any(axis=1)
-        coef[on_node] = np.eye(_PROXY_NODES)[hit[on_node].argmax(axis=1)]
-
-        return (
-            proxies,
-            np.r_[keep, np.repeat(squeeze, _PROXY_NODES)],
-            np.r_[keep_at, (base[big][row][:, None] + np.arange(_PROXY_NODES)).ravel()],
-            np.r_[np.ones(keep.size), coef.ravel()],
-        )
-
-    @property
-    def proxy_ratios(self) -> np.ndarray:
-        """Sorted proxy points: pass-through ratios and Chebyshev nodes."""
-        return self._proxy_map[0]
-
-    def to_proxies(self, values: np.ndarray) -> np.ndarray:
-        """Map a group-aligned weight vector onto :attr:`proxy_ratios`.
-
-        For every kernel K above, sum_a values_a K(r_a, y) equals
-        sum_m out_m K(x_m, y) up to rounding; pass-through groups keep
-        their value bit for bit.
-        """
-        proxies, group, at, coef = self._proxy_map
-        terms = values[group]
-        terms *= coef  # in place: the map can hold far more entries than the groups
-        return np.bincount(at, terms, minlength=proxies.size)
+        basis = _cheb_basis((r[squeeze] - lo[row]) / (hi - lo)[row])
+        seg = np.cumsum(size[big]) - size[big]
+        out = np.empty((len(values), points.size))
+        for v, o in zip(values, out):
+            o[keep_at] = v[keep]
+            o[nodes] = np.add.reduceat(v[squeeze, None] * basis, seg, axis=0)
+        return points, out
 
 
 def _pair_grid_sum(ratios: np.ndarray, log_weights: np.ndarray, alpha: float) -> float:
@@ -519,64 +561,109 @@ def _pair_grid_sum(ratios: np.ndarray, log_weights: np.ndarray, alpha: float) ->
     return top + math.log2(math.fsum(v * 2.0 ** (t - top) for t, v in parts))
 
 
-def _walk_minus(ratios: np.ndarray, weights: np.ndarray, orders: Sequence[Order]) -> list[float]:
-    """H of the minus child at every order by one walk over its pair grid.
+def _far_walk(walks, orders: Sequence[Order]) -> np.ndarray:
+    """H of the minus child at every order for each (ratios, weights) of ``walks``, (walks x orders).
 
-    Ratios (x, y) make a minus-child symbol of posterior a = (1 + xy) c,
-    b = (x + y) c, c = 1 / ((1 + x)(1 + y)), weighted w_x w_y by row k of
-    ``weights`` at orders[k].  Each block of the grid takes its posteriors
-    and their logs once; every order then applies its kernel, the
-    posterior form or a^alpha + b^alpha, and its weights, so its sum is
-    bitwise that of a walk at that order alone.  The grid is symmetric,
-    so a block of rows meets only the columns from its first row on: its
-    own square counts once, the columns past it twice.  The mean of the
-    kernel is its sum over (sum w)^2.
+    ``ratios`` are sorted points, at most _PROXY_NODES in each dyadic box
+    (proxy points), and row k of ``weights`` their symbol weights at
+    orders[k].  Ratios (x, y) make a minus-child symbol of posterior
+    a = (1 + xy) c, b = (x + y) c, c = 1 / ((1 + x)(1 + y)), weighted
+    w_x w_y; the mean of its kernel, the posterior form or a^alpha + b^alpha,
+    is the pair sum over (sum w)^2.
+
+    A box [c, 2c) meets its own points as a full square, and every point
+    below it through _PROXY_NODES far weights on the Chebyshev nodes of
+    [0, c], counted twice for the mirror pairs (see :class:`_RatioView`).
+    The far weights come from one upward pass: each point is projected
+    onto the nodes of the box above its own, and the running weights are
+    carried from box to box by one map of :func:`_far_maps` per octave
+    gap.  The boxes of every walk are stacked, bucketed by their row count
+    padded to a multiple of 4, and evaluated in blocks of at most
+    _PAIR_CHUNK / 4 elements, as a block holds six arrays that size; each
+    block takes its posteriors and their logs once for every order.  A
+    box's sum depends on that box alone and a walk's total is an exactly
+    rounded sum over its boxes, so every row is bitwise that of a walk at
+    that order alone, stacked with no other walk.
     """
-    n = ratios.shape[0]
-    inv = 1.0 / (1.0 + ratios)
-    rows = max(1, min(_PAIR_CHUNK // n, -(-n // 8)))  # eighths: near the triangle's cost
+    x = np.concatenate([r for r, _ in walks])
+    w = np.hstack([v for _, v in walks])
+    item = np.repeat(np.arange(len(walks)), [r.size for r, _ in walks])
+    first, size, e = _dyadic_boxes(x, item)
+    nbox = first.size
+    start = np.flatnonzero(np.diff(item[first], prepend=-1))  # first box of each walk
+    rank = np.arange(nbox) - start[item[first]]
+    c = np.ldexp(1.0, e - 1)
+    far = np.zeros((len(orders), nbox, _PROXY_NODES))
+
+    # upward pass: each box but the top one of its walk feeds the box above
+    feeds = np.append(rank[1:] != 0, False)
+    below = np.flatnonzero(feeds)
+    box = np.repeat(np.arange(nbox), size)
+    low = feeds[box]
+    basis = _cheb_basis(x[low] / c[box[low] + 1])
+    seg = np.cumsum(size[below]) - size[below]
+    for k in range(len(orders)):
+        far[k, below + 1] = np.add.reduceat(w[k, low, None] * basis, seg, axis=0)
+    del basis
+    maps = _far_maps()
+    gap = np.minimum(np.diff(e, prepend=e[0]), len(maps) - 1)
+    for step in range(1, int(rank.max()) + 1):
+        at = np.flatnonzero(rank == step)
+        # one (1 x nodes) @ (nodes x nodes) product per walk and order
+        far[:, at] += (far[:, at - 1, None] @ maps[gap[at]])[:, :, 0]
+
+    inv = 1.0 / (1.0 + x)
+    nodes = c[:, None] * _CHEB_UNIT
+    node_inv = 1.0 / (1.0 + nodes)
     eps = [posterior_eps(o) for o in orders]
     posterior = any(v is not None for v in eps)
 
-    def block(s: int) -> list[float]:
-        e = min(s + rows, n)
-        x, y = ratios[s:e, None], ratios[s:]
-        c = inv[s:e, None] * inv[s:]
-        a = x * y
+    def block(b: np.ndarray, p: int) -> np.ndarray:
+        """The pair sums of boxes ``b``, each padded to ``p`` rows, at every order."""
+        # pad rows repeat the box's last point, at weight 0
+        j = first[b, None] + np.minimum(np.arange(p), size[b, None] - 1)
+        own = np.where(np.arange(p) < size[b, None], w[:, j], 0.0)
+        cols = np.concatenate([own, 2.0 * far[:, b]], axis=2)
+        xr = x[j][:, :, None]
+        y = np.concatenate([x[j], nodes[b]], axis=1)[:, None, :]
+        cc = inv[j][:, :, None] * np.concatenate([inv[j], node_inv[b]], axis=1)[:, None, :]
+        a = xr * y
         a += 1.0
-        a *= c
-        b = x + y
-        b *= c
+        a *= cc
+        bb = xr + y
+        bb *= cc
         if posterior:
-            logs = posterior_logs(a, out=c), posterior_logs(b)
-        del c
+            logs = posterior_logs(a, out=cc), posterior_logs(bb)
+        del cc
         k, tmp = np.empty_like(a), np.empty_like(a)
-        cols = weights[:, s:].copy()
-        cols[:, e - s :] *= 2.0
-        row_sums = np.empty((len(orders), e - s))
+        out = np.empty((len(orders), b.size))
         for row, (o, v) in enumerate(zip(orders, eps)):
             if v is None:
                 np.power(a, o.alpha, out=k)
-                k += np.power(b, o.alpha, out=tmp)
+                k += np.power(bb, o.alpha, out=tmp)
             else:
                 posterior_term(logs[0], v, out=k)
                 k += posterior_term(logs[1], v, out=tmp)
-            row_sums[row] = np.einsum("ij,j->i", k, cols[row])
-        row_sums *= weights[:, s:e]
-        return np.sum(row_sums, axis=1).tolist()
+            k *= cols[row][:, None, :]
+            r = np.sum(k, axis=2)
+            r *= own[row]
+            out[row] = np.sum(r, axis=1)
+        return out
 
-    parts = zip(*[block(s) for s in range(0, n, rows)])
-    out = []
-    for w, o, v, p in zip(weights, orders, eps, parts):
-        mean = math.fsum(p) / float(np.sum(w)) ** 2
-        out.append(math.log2(mean) / (1.0 - o.alpha) if v is None else posterior_entropy(mean, v))
+    sums = np.empty((len(orders), nbox))
+    rows = np.where(size <= 2, size, -(-size // 4) * 4)
+    for p in np.unique(rows).tolist():
+        boxes = np.flatnonzero(rows == p)
+        per = max(1, _PAIR_CHUNK // 4 // (p * (p + _PROXY_NODES)))
+        for s in range(0, boxes.size, per):
+            sums[:, boxes[s : s + per]] = block(boxes[s : s + per], p)
+
+    out = np.empty((len(walks), len(orders)))
+    for i, ((_, v), boxes) in enumerate(zip(walks, np.split(sums, start[1:], axis=1))):
+        for row, (o, ep, total, pair) in enumerate(zip(orders, eps, np.sum(v, axis=1), boxes)):
+            mean = math.fsum(pair.tolist()) / float(total) ** 2
+            out[i, row] = math.log2(mean) / (1.0 - o.alpha) if ep is None else posterior_entropy(mean, ep)
     return out
-
-
-def _proxy_weights(view: _RatioView, alpha: float) -> np.ndarray:
-    """The order-alpha symbol weights of the view's groups on its proxy points, largest 1."""
-    lnu = view.symbol_log2_weights(alpha)
-    return view.to_proxies(np.exp2(lnu - lnu.max()))
 
 
 def _grid_minus(view: _RatioView, alpha: float, kept: np.ndarray) -> float:
@@ -600,53 +687,75 @@ def _infinity_children(view: _RatioView, h: float) -> tuple[float, float]:
     return 2.0 * h - plus, plus
 
 
-def _minus_entropies(view: _RatioView, orders: list[Order], atom_cap: int) -> np.ndarray:
-    """H of the minus child at every finite order of ``orders``, by the split kernels.
+def _plan(view: _RatioView, atom_cap: int) -> tuple[list[int], dict]:
+    """The state's walker orders, and its grid orders with their kept groups.
 
-    Checks every order's work budget before any kernel runs (see
-    :func:`child_entropies`).  The walker orders share one walk; each
-    other order runs the log-domain grid over its kept groups.
+    Refuses the first finite order whose grid exceeds its work budget (see
+    :func:`child_entropies`).
     """
-    walk, grid, points = [], {}, []
-    for k, o in enumerate(orders):
+    walk, grid = [], {}
+    proxies = view.proxy_count
+    for k, o in enumerate(view.orders):
+        if o.kind == "infinity":
+            continue
         kept = None if posterior_eps(o) is not None else view.kept_groups(o.alpha)
-        if kept is None or (o.alpha <= _PROXY_MAX_ORDER and kept.size > view.proxy_ratios.size):
+        if kept is None or (o.alpha <= _PROXY_MAX_ORDER and kept.size > proxies):
             walk.append(k)
-            points.append(view.proxy_ratios.size)
+            size = proxies
         else:
             grid[k] = kept
-            points.append(kept.size)
-    for o, size in zip(orders, points):
+            size = kept.size
         if 2 * size * size > _SPLIT_WORK_FACTOR * atom_cap:
             raise CapacityError(
                 f"order {o}: pair grid over {size} points exceeds "
                 f"work budget {_SPLIT_WORK_FACTOR} * {atom_cap}"
             )
-    out = np.empty(len(orders))
-    if walk:
-        weights = np.array([_proxy_weights(view, orders[k].alpha) for k in walk])
-        out[walk] = _walk_minus(view.proxy_ratios, weights, [orders[k] for k in walk])
-    for k, kept in grid.items():
-        out[k] = _grid_minus(view, orders[k].alpha, kept)
-    return out
+    return walk, grid
 
 
-def _split(view: _RatioView, h: np.ndarray, atom_cap: int) -> np.ndarray:
-    """H of both children of the state at each of its orders, (orders x 2), minus first.
+def _split(views, hs, atom_cap: int, where: str = "") -> list[np.ndarray]:
+    """H of both children of each state at each of its orders, (orders x 2) per state, minus first.
 
-    ``h`` holds the state's own :meth:`_RatioView.entropies`, unsnapped.
+    ``hs`` holds each state's own :meth:`_RatioView.entropies`, unsnapped.
+    Every state's work budget is checked before any kernel runs; given
+    ``where``, a refusal names it and the state.  Each state in turn runs
+    its grid orders and takes its walker weights onto its proxy points, so
+    one state's proxy basis is alive at a time; then the walker orders of
+    every state share one :func:`_far_walk` per set of walker orders.
     H(plus) = 2 h - H(minus) at finite orders; order inf takes
-    :func:`_infinity_children`.
+    :func:`_infinity_children`.  Each state's rows are bitwise those of a
+    call with it alone.
     """
-    fin = [k for k, o in enumerate(view.orders) if o.kind != "infinity"]
-    out = np.empty((len(view.orders), 2))
-    if fin:
-        out[fin, 0] = _minus_entropies(view, [view.orders[k] for k in fin], atom_cap)
-        out[fin, 1] = 2.0 * h[fin] - out[fin, 0]
-    for k, o in enumerate(view.orders):
-        if o.kind == "infinity":
-            out[k] = _infinity_children(view, h[k])
-    return snap_to_unit(out)
+    plans = []
+    for i, view in enumerate(views, 1):
+        try:
+            plans.append(_plan(view, atom_cap))
+        except CapacityError as exc:
+            if not where:
+                raise
+            raise CapacityError(f"{where}: parent {i} of {len(views)}: {exc}") from exc
+    outs, walks = [], {}
+    for view, h, (walk, grid) in zip(views, hs, plans):
+        out = np.empty((len(view.orders), 2))
+        for k, kept in grid.items():
+            out[k, 0] = _grid_minus(view, view.orders[k].alpha, kept)
+        if walk:
+            lnu = np.array([view.symbol_log2_weights(view.orders[k].alpha) for k in walk])
+            points, weights = view.proxies(np.exp2(lnu - lnu.max(axis=1, keepdims=True)))
+            key = tuple(view.orders[k] for k in walk)
+            walks.setdefault(key, []).append((len(outs), walk, points, weights))
+        outs.append(out)
+    for key, items in walks.items():
+        got = _far_walk([(points, weights) for _, _, points, weights in items], key)
+        for (i, walk, _, _), row in zip(items, got):
+            outs[i][walk, 0] = row
+    for view, h, out in zip(views, hs, outs):
+        for k, o in enumerate(view.orders):
+            if o.kind == "infinity":
+                out[k] = _infinity_children(view, h[k])
+            else:
+                out[k, 1] = 2.0 * h[k] - out[k, 0]
+    return [snap_to_unit(out) for out in outs]
 
 
 def child_entropies(
@@ -663,7 +772,8 @@ def child_entropies(
     Every row is bitwise the one a call with that order alone gives.
     Orders other than 0 build the parent's ratio state once (see
     :class:`_RatioView`), evaluate H of the parent on it and split it as a
-    sweep splits the parents of its deepest level; order 0 takes one step
+    stack of one, by the code a sweep runs on all the parents of its
+    deepest level at once; order 0 takes one step
     of the erasure maps from the parent's weighted counts (see
     :func:`level_profile_sweep`).
 
@@ -678,12 +788,14 @@ def child_entropies(
         square, has 2 n^2 > ``_SPLIT_WORK_FACTOR * atom_cap`` elements.
         n counts the points that order's grid streams: the proxy points
         at order 1, at every finite order up to 6 and wherever the
-        walker runs above it, else the ratio groups kept by pruning.
-        Orders 0 and inf stream no grid: order inf takes three maxima of
-        its row.  The grid is streamed, not stored, so its budget is time,
-        not memory; raising ``atom_cap`` widens both budgets together.
+        walker runs above it, else the ratio groups kept by pruning.  For
+        the walker 2 n^2 is an upper bound: its boxes stream their own
+        squares and 24 far nodes per point.  Orders 0 and inf stream no
+        grid: order inf takes three maxima of its row.  The grid is
+        streamed, not stored, so its budget is time, not memory; raising
+        ``atom_cap`` widens both budgets together.
     """
-    _check_atom_cap(atom_cap)
+    _check_count("atom_cap", atom_cap)
     if np.any(parent.p1 > parent.p0):
         raise DistributionError("parent must be canonical (p0 >= p1 per atom)")
     orders = [as_order(o) for o in orders]
@@ -691,7 +803,7 @@ def child_entropies(
     rest = [k for k, o in enumerate(orders) if o.kind != "zero"]
     if rest:
         view = _RatioView.from_atoms(parent, [orders[k] for k in rest])
-        out[rest] = _split(view, view.entropies(), atom_cap)
+        out[rest] = _split([view], [view.entropies()], atom_cap)[0]
     for k, o in enumerate(orders):
         if o.kind == "zero":
             out[k] = next(_erasure_sweep(parent, 1, o))
@@ -936,20 +1048,22 @@ def level_profile_sweep(
     stepped level by level with no atoms.  Every level below max_level
     takes its entries from its own states by :meth:`_RatioView.entropies`.
     Only level max_level comes from split evaluation of the states of the
-    level before, whose entropies the sweep already holds, so the deepest
-    level is never built and the sweep costs barely more than the deepest
-    profile.
+    level before, whose entropies the sweep already holds, all of them in
+    one stacked pass, so the deepest level is never built and the sweep
+    costs barely more than the deepest profile.
 
     Raises
     ------
     ValueError
-        If ``max_level`` < 1, or ``atom_cap`` is not an integer >= 1.
+        If ``max_level`` or ``atom_cap`` is not an integer >= 1 (a bool
+        is refused too).
     CapacityError
         Before any work, when some order runs on the erasure state and the
         profiles' sum over levels L of 2^L * len(orders) entries exceeds
-        ``atom_cap``; the message names the first level over it.  When the
-        split of a parent of the deepest level exceeds its work budget;
-        the message names max_level and the parent.
+        ``atom_cap``; the message names the first level over it.  Before
+        any split, when some parent of the deepest level exceeds its split
+        work budget; the message names max_level and the first such
+        parent.
     CapacityError, DistributionError
         Before any work on a level that :func:`_check_step` refuses for
         one of its parent states: a step of n points makes 3 n (n + 1) / 2
@@ -959,9 +1073,8 @@ def level_profile_sweep(
         parent; when the call includes order 0, the raw-point refusal
         adds that order 0 alone runs without ratio states.
     """
-    if max_level < 1:
-        raise ValueError("max_level must be >= 1")
-    _check_atom_cap(atom_cap)
+    _check_count("max_level", max_level)
+    _check_count("atom_cap", atom_cap)
     orders = tuple(as_order(o) for o in orders)
     root_entropy = conditional_entropies(root, orders)
     # no entropy depends on the orientation (see canonicalize_orientation)
@@ -995,14 +1108,7 @@ def level_profile_sweep(
                 views += parents.pop(0).children()
             h = [view.entropies() for view in views]
             entries[lvl - 1][ratio] = snap_to_unit(np.column_stack(h))
-        cols = []
-        for i in range(1, len(views) + 1):
-            view, views[i - 1] = views[i - 1], None  # its proxy map goes once split
-            try:
-                cols.append(_split(view, h[i - 1], atom_cap))
-            except CapacityError as exc:
-                where = f"level {max_level}: parent {i} of {len(views)}"
-                raise CapacityError(f"{where}: {exc}") from exc
+        cols = _split(views, h, atom_cap, f"level {max_level}")
         entries[-1][ratio] = np.hstack(cols)
     return [
         PolarizationProfile(lvl, orders, _freeze(rows), _freeze(root_entropy.copy()))

@@ -1,6 +1,7 @@
 """Basic transform step, split evaluation and profiles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -220,7 +221,7 @@ def test_child_entropies_pair_grid_work_budget():
         make_from_atoms(np.column_stack([p, np.ones(n)]))
     )
     view = _RatioView.from_atoms(parent, [as_order(40.5), as_order(512.0)])
-    groups, proxies = view.ratios.size, view.proxy_ratios.size
+    groups, proxies = view.ratios.size, view.proxy_count
     assert proxies < groups == parent.n_atoms
 
     def tight(points):
@@ -303,7 +304,7 @@ def _split_class(parent, o):
     if posterior_eps(o) is not None:
         return "walk"
     view = _RatioView.from_atoms(parent, [o])
-    walk = o.alpha <= _PROXY_MAX_ORDER and view.kept_groups(o.alpha).size > view.proxy_ratios.size
+    walk = o.alpha <= _PROXY_MAX_ORDER and view.kept_groups(o.alpha).size > view.proxy_count
     return "walk" if walk else "grid"
 
 
@@ -348,7 +349,7 @@ def test_combined_calls_match_single_order_calls(which):
 
     parent = _combined_call_parent(which)
     if which == "tiny-grid":
-        assert _RatioView.from_atoms(parent, [as_order(1.0)]).proxy_ratios.size < 8
+        assert _RatioView.from_atoms(parent, [as_order(1.0)]).proxy_count < 8
     orders = [as_order(o) for o in SPLIT_ORDERS + (0.1, 3.5, 6.0, 31.9, 1e5)]
     combined = child_entropies(parent, orders)
     conditional = conditional_entropies(parent, orders)
@@ -517,7 +518,7 @@ def test_self_paired_blocks_and_threads_do_not_change_bytes(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Proxy-point pair walks against the same walk over the ratio groups.
+# Far-interval walks over proxy points against a dense grid over the groups.
 # ---------------------------------------------------------------------------
 
 PROXY_ORDERS = (1e-3, 0.1, 0.5, 0.999, 1.0, 1.001, 3.7, 7.5, 20.5, 31.9, 32.0)
@@ -527,6 +528,11 @@ PROXY_ORDERS = (1e-3, 0.1, 0.5, 0.999, 1.0, 1.001, 3.7, 7.5, 20.5, 31.9, 32.0)
 #: few groups per dyadic box; log-uniform over four boxes near 2^-1000.
 RATIO_DRAWS = {"uniform": (None, None), "log": (0.0, 1000.0), "deep": (996.0, 1000.0)}
 
+#: The draws of the far-interval walk: RATIO_DRAWS and odds hugging the
+#: subnormal floor, where the far nodes c u_m of the lowest boxes are
+#: subnormal.
+FAR_DRAWS = {**RATIO_DRAWS, "floor": (1000.0, 1022.0)}
+
 
 def _ratio_view(seed, groups, draw, orders):
     """The state at ``orders`` of ``groups`` atoms with random odds, r = 0 and r = 1 included."""
@@ -534,7 +540,7 @@ def _ratio_view(seed, groups, draw, orders):
     from polarlens.transform import _RatioView
 
     rng = np.random.default_rng(seed)
-    lo, hi = RATIO_DRAWS[draw]
+    lo, hi = FAR_DRAWS[draw]
     if lo is None:
         r = rng.uniform(0.0, 1.0, groups)
     else:
@@ -546,29 +552,54 @@ def _ratio_view(seed, groups, draw, orders):
     return _RatioView.from_atoms(root, [as_order(a) for a in orders])
 
 
+def _dense_minus(ratios, nu, alpha):
+    """H_alpha of the minus child by the full pair grid over ``ratios`` weighted ``nu``.
+
+    Ratios (x, y) make a symbol of posterior a = (1 + xy) c, b = (x + y) c,
+    c = 1 / ((1 + x)(1 + y)), weighted nu_x nu_y; no box, proxy or far node.
+    """
+    from polarlens.entropy import as_order, posterior_entropy, posterior_eps, posterior_logs, posterior_term
+
+    eps = posterior_eps(as_order(alpha))
+    inv = 1.0 / (1.0 + ratios)
+    sums = []
+    for s in range(0, ratios.size, 256):
+        x = ratios[s : s + 256, None]
+        c = inv[s : s + 256, None] * inv
+        a, b = (1.0 + x * ratios) * c, (x + ratios) * c
+        if eps is None:
+            k = a**alpha + b**alpha
+        else:
+            k = posterior_term(posterior_logs(a), eps) + posterior_term(posterior_logs(b), eps)
+        sums += (np.sum(k * nu, axis=1) * nu[s : s + 256]).tolist()
+    mean = math.fsum(sums) / math.fsum(nu) ** 2
+    return math.log2(mean) / (1.0 - alpha) if eps is None else posterior_entropy(mean, eps)
+
+
 def _proxy_errors(view, orders):
-    """Minus-child entropy by the pair walker over the proxy points, against
-    the same walker over the ratio groups, at every order."""
+    """Minus-child entropy by the far-interval walk over the proxy points,
+    against the dense pair grid over the ratio groups, at every order."""
     from polarlens.entropy import as_order
-    from polarlens.transform import _walk_minus
+    from polarlens.transform import _far_walk
 
     errs = {}
     for a in orders:
         lnu = view.symbol_log2_weights(a)
         nu = np.exp2(lnu - lnu.max())
-        (direct,) = _walk_minus(view.ratios, nu[None], [as_order(a)])
-        (proxy,) = _walk_minus(view.proxy_ratios, view.to_proxies(nu)[None], [as_order(a)])
-        errs[a] = abs(proxy - direct)
+        ((walk,),) = _far_walk([view.proxies(nu[None])], [as_order(a)])
+        errs[a] = abs(walk - _dense_minus(view.ratios, nu, a))
     return errs
 
 
-@pytest.mark.parametrize("draw", sorted(RATIO_DRAWS))
+@pytest.mark.parametrize("draw", sorted(FAR_DRAWS))
 @pytest.mark.parametrize("groups", [200, 1000])
 def test_proxy_pair_sums_match_direct_grid(groups, draw):
     view = _ratio_view(163 + groups, groups, draw, PROXY_ORDERS)
     assert view.ratios.size == groups
-    if draw != "log":
-        assert view.proxy_ratios.size < groups
+    if draw in ("uniform", "deep"):
+        assert view.proxy_count < groups
+    if draw == "floor":  # boxes of c <= 2^-1014: their far nodes c u_m are subnormal
+        assert view.ratios[1] < 2.0**-1014
     for key, err in _proxy_errors(view, PROXY_ORDERS).items():
         assert err <= 1e-13, key
 
@@ -583,7 +614,7 @@ def test_proxy_pair_sums_on_bsc_level6_parent():
         level = [child for parent in level for child in transform_pair(parent)]
     views = [_RatioView.from_atoms(parent, [as_order(a) for a in PROXY_ORDERS]) for parent in level]
     view = min((v for v in views if v.ratios.size >= 3000), key=lambda v: v.ratios.size)
-    assert view.proxy_ratios.size < view.ratios.size // 4
+    assert view.proxy_count < view.ratios.size // 4
     for key, err in _proxy_errors(view, PROXY_ORDERS).items():
         assert err <= 1e-13, key
 
@@ -625,11 +656,43 @@ def test_proxy_map_passes_small_boxes_through():
     from polarlens.transform import _RatioView
 
     view = _RatioView.from_atoms(canonicalize_orientation(make_bec(0.35)), [as_order(1.0)])
-    assert np.array_equal(view.proxy_ratios, view.ratios)
-    values = np.array([0.3, 0.7])
-    assert np.array_equal(view.to_proxies(values), values)
+    values = np.array([[0.3, 0.7], [1.0, 0.25]])
+    points, mapped = view.proxies(values)
+    assert view.proxy_count == 2
+    assert np.array_equal(points, view.ratios)
+    assert np.array_equal(mapped, values)
 
 
+def _level_states(root, level, orders):
+    from polarlens import as_order
+    from polarlens.distributions import canonicalize_orientation
+    from polarlens.transform import _RatioView
+
+    views = [_RatioView.from_atoms(canonicalize_orientation(root), [as_order(a) for a in orders])]
+    for _ in range(level):
+        views = [c for v in views for c in v.children()]
+    return views
+
+
+def test_stacked_split_columns_are_those_of_a_stack_of_one():
+    # the parents of a sweep's deepest level share one far-interval walk;
+    # each parent's columns must be bitwise those of _split on it alone,
+    # in any stack order; 7.5 and 10 walk on some level-6 parents and take
+    # the grid on the others, so the stack mixes walker-order sets
+    from polarlens import DEFAULT_ATOM_CAP, EXTENDED_ORDER_GRID
+    from polarlens.transform import _plan, _split
+
+    orders = EXTENDED_ORDER_GRID[1:] + (7.5, 40.5)
+    views = _level_states(make_bsc(0.2), 6, orders)
+    hs = [v.entropies() for v in views]
+    stacked = _split(views, hs, DEFAULT_ATOM_CAP)
+    for view, h, got in zip(views, hs, stacked):
+        assert np.array_equal(_split([view], [h], DEFAULT_ATOM_CAP)[0], got)
+    reverse = _split(views[::-1], hs[::-1], DEFAULT_ATOM_CAP)[::-1]
+    assert all(np.array_equal(a, b) for a, b in zip(reverse, stacked))
+    sweep = level_profile_sweep(make_bsc(0.2), 7, orders)
+    assert np.array_equal(np.hstack(stacked), sweep[-1].entries)
+    assert len({tuple(_plan(v, DEFAULT_ATOM_CAP)[0]) for v in views}) == 3
 # ---------------------------------------------------------------------------
 # Orders near 1 on roots that materialize: the posterior kernel at 40 digits.
 # ---------------------------------------------------------------------------
@@ -837,7 +900,7 @@ def test_posterior_proxy_path_matches_40_digit_reference():
     orders = NEAR_ONE_ORDERS + SPLIT_REFERENCE_ORDERS
     views = [_RatioView.from_atoms(p, [as_order(a) for a in orders]) for p in parents]
     k = min(
-        (k for k, v in enumerate(views) if v.proxy_ratios.size < v.ratios.size),
+        (k for k, v in enumerate(views) if v.proxy_count < v.ratios.size),
         key=lambda k: views[k].ratios.size,
     )
     # pruning drops groups at some order, so its bound is exercised too
@@ -981,40 +1044,38 @@ def test_erasure_state_path_is_taken_only_for_ratios_zero_and_one(monkeypatch):
     calls = []
     real = transform._split
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(views, *args, **kwargs):
+        calls.append([v.ratios for v in views])
+        return real(views, *args, **kwargs)
 
     monkeypatch.setattr(transform, "_split", counted)
     level_profile_sweep(make_bec(0.35), 4, ORDERS)
     level_profile_sweep(make_from_atoms([(0.5, 0.0), (0.125, 0.125, 2.0)]), 4, ORDERS)
     assert calls == []
     # a non-uniform prior moves the erased ratio off 1: ratio states again,
-    # and only the level-1 states are split
+    # and only the two level-1 states are split, in one call
     level_profile_sweep(make_bec(0.35, prior0=0.3), 2, ORDERS)
-    assert len(calls) == 2
+    states = _level_states(make_bec(0.35, prior0=0.3), 1, ORDERS[1:])
+    assert len(calls) == 1 and len(calls[0]) == len(states) == 2
+    assert all(np.array_equal(got, want.ratios) for got, want in zip(calls[0], states))
 
 
 def test_sweep_splits_only_the_deepest_level(monkeypatch):
     import polarlens.transform as transform
-    from polarlens import as_order
-    from polarlens.distributions import canonicalize_orientation
 
     split = []
     real = transform._split
 
-    def counted(view, *args, **kwargs):
-        split.append(view.ratios)
-        return real(view, *args, **kwargs)
+    def counted(views, *args, **kwargs):
+        split.append([v.ratios for v in views])
+        return real(views, *args, **kwargs)
 
     monkeypatch.setattr(transform, "_split", counted)
     level_profile_sweep(make_bsc(0.2), 5, ORDERS)
-    root = canonicalize_orientation(make_bsc(0.2))
-    states = [transform._RatioView.from_atoms(root, [as_order(a) for a in ORDERS[1:]])]
-    for _ in range(4):
-        states = [c for v in states for c in v.children()]
-    assert len(split) == len(states) == 16
-    assert all(np.array_equal(got, want.ratios) for got, want in zip(split, states))
+    # one call, which receives the 16 level-4 states and no other
+    states = _level_states(make_bsc(0.2), 4, ORDERS[1:])
+    assert len(split) == 1 and len(split[0]) == len(states) == 16
+    assert all(np.array_equal(got, want.ratios) for got, want in zip(split[0], states))
 
 
 @pytest.mark.parametrize("erasure", [0.0, 1.0])
@@ -1293,6 +1354,15 @@ def test_atom_cap_must_be_a_positive_integer(cap):
     for call in calls:
         with pytest.raises(ValueError, match=f"atom_cap must be an integer >= 1, got {cap!r}"):
             call()
+
+
+@pytest.mark.parametrize("level", [2.5, "3", True, 0, -1])
+def test_max_level_must_be_a_positive_integer(level):
+    # 2.5 and "3" raised a raw TypeError, and True ran as level 1
+    for call in (level_profile_sweep, level_profile):
+        for root in (make_bsc(0.2), make_bec(0.35)):
+            with pytest.raises(ValueError, match=f"^max_level must be an integer >= 1, got {re.escape(repr(level))}$"):
+                call(root, level, [1.0])
 
 
 def test_ratio_state_blocks_do_not_change_bytes(monkeypatch):
