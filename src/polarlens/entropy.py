@@ -23,18 +23,21 @@ limits a -> 0, infinity are taken analytically and dispatched through
 Each evaluator has one stacked core, which reads a (laws x atoms) stack
 of equal-size laws once for all the orders it is given: the symbol
 masses, posteriors and their logs are taken once, and each order class
-runs as one (laws x orders x symbols) array.  Its reductions run along
-the symbols and its scalar finishes in float arithmetic, so rows do not
-depend on each other: every law and order gets the bits a call with it
-alone gives.  :func:`conditional_entropies`, :func:`renyi_entropies` and
-:func:`chain_rule_entropies` are stacks of one.  The ``_many`` forms
-of the conditional and chain evaluators take a sequence of laws, bucket
-them by atom count, cut each bucket into blocks of at most STACK_BLOCK
-elements, and return one row per law in input order.  The one-order
-names wrap the one-law ones.  The finite branch of the conditional core,
-:func:`symbol_mean_entropies`, reads only the rows of log2 nu and the
-posteriors, so the ratio states of :mod:`polarlens.transform` take their
-entropies through it too.
+runs as one array over laws, orders and symbols.  Its reductions run
+along the symbols and its scalar finishes in float arithmetic, so rows
+do not depend on each other: every law and order gets the bits a call
+with it alone gives.  :func:`conditional_entropies`,
+:func:`renyi_entropies` and :func:`chain_rule_entropies` are stacks of
+one.  The ``_many`` forms of the conditional and chain evaluators take a
+sequence of laws, bucket them by atom count, cut each bucket into blocks
+of at most STACK_BLOCK elements, and return one row per law in input
+order.  The one-order names wrap the one-law ones.  The finite branch of
+the conditional core, :func:`symbol_mean_entropies`, reads only the rows
+of log2 nu and the posteriors, one segment of symbols per law, or,
+given where each segment begins, ragged segments of one axis, each sum
+bitwise the segment's own np.sum (:func:`segment_sums`).  So the stacked
+ratio states of :mod:`polarlens.transform` take their entropies through
+it too, one segment per subchannel.
 
 All logarithms are base 2; entropies of a binary conditional are in [0, 1].
 """
@@ -154,19 +157,36 @@ def log2_power_sum(values: np.ndarray, alpha, weights: np.ndarray):
         return log2_sum_exp2(alpha * np.log2(values) + np.log2(weights))
 
 
-def log2_sum_exp2(terms: np.ndarray):
+def segment_sums(x: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
+    """Sums along the last axis, of each row, or of each segment that begins at ``starts``.
+
+    Each is bitwise np.sum of its row or segment alone: reduceat adds a
+    segment's first entry to the pairwise sum of the rest, where np.sum
+    adds every entry pairwise onto 0, so a 0 goes before each segment.
+    """
+    if starts is None:
+        return x.sum(axis=-1)
+    return np.add.reduceat(np.insert(x, starts, 0.0, axis=-1), starts + np.arange(starts.size), axis=-1)
+
+
+def log2_sum_exp2(terms: np.ndarray, starts: np.ndarray | None = None):
     """log2 of sum 2^terms along the last axis, shifted by the largest term.
 
     One sum per row, as an array of the leading shape, or a float for 1-D
     input; each is bitwise that of its row alone.  An empty or all -inf row
-    sums to -inf.
+    sums to -inf.  Given ``starts``, one sum per row and per segment of the
+    last axis that begins there, each bitwise that of the segment alone.
     """
-    top = terms.max(axis=-1, initial=-math.inf)
-    shifted = terms - np.where(top > -math.inf, top, 0.0)[..., None]
-    sums = np.exp2(shifted, out=shifted).sum(axis=-1)
+    if starts is None:
+        top = terms.max(axis=-1, initial=-math.inf)
+        spread = top[..., None]
+    else:
+        top = np.maximum.reduceat(terms, starts, axis=-1)
+        spread = np.repeat(top, np.diff(starts, append=terms.shape[-1]), axis=-1)
+    sums = segment_sums(np.exp2(terms - np.where(spread > -math.inf, spread, 0.0)), starts)
     pairs = zip(top.ravel().tolist(), sums.ravel().tolist())
     out = [t + math.log2(s) if s else t for t, s in pairs]
-    return out[0] if terms.ndim == 1 else np.array(out).reshape(top.shape)
+    return out[0] if top.ndim == 0 else np.array(out).reshape(top.shape)
 
 
 def symbol_terms(p0, p1, weight, alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -393,35 +413,42 @@ def _stacked_conditional(
     if fin:
         alpha = np.array([[orders[k].alpha] for k in fin])
         lw, uv = symbol_terms(p0[:, None], p1[:, None], w[:, None], alpha)
+        # orders, then laws, then symbols: a law's symbols are one segment
+        lw, uv = lw.transpose(1, 0, 2), uv[:, 0].transpose(1, 0, 2)
         out[:, fin] = symbol_mean_entropies(lw, uv, [orders[k] for k in fin])
     return snap_to_unit(out)
 
 
-def symbol_mean_entropies(lw: np.ndarray, uv: np.ndarray, orders: list[Order]) -> np.ndarray:
-    """H at finite ``orders`` from the symbol terms of :func:`symbol_terms`, (laws x orders).
+def symbol_mean_entropies(lw: np.ndarray, uv: np.ndarray, orders: list[Order], starts=None) -> np.ndarray:
+    """H at finite ``orders`` of each segment of symbols, (segments x orders).
 
-    ``lw`` holds a row of log2 nu per law and order, largest 0, and ``uv``
-    the posteriors with a unit order axis.  The posterior rows (order 1
+    ``lw`` holds log2 nu on a leading axis of orders and ``uv`` the two
+    posteriors on a leading axis of (u, v), the symbols along the last
+    axis.  A segment is a row of the axis before the symbols, or, given
+    ``starts``, the run of the last axis that begins at each start; each
+    order's largest nu in each segment is 1.  The posterior rows (order 1
     included) finish in the posterior form, the others in the log domain.
+    Every sum is bitwise that of its segment alone.
     """
-    out = np.empty(lw.shape[:2])
+    out = np.empty((lw.shape[-2] if starts is None else starts.size, len(orders)))
+    column = (-1,) + (1,) * (uv.ndim - 1)  # one order per leading entry
     post = [k for k, o in enumerate(orders) if posterior_eps(o) is not None]
     rest = [k for k in range(len(orders)) if k not in post]
     if rest:
-        a, lwa = np.array([orders[k].alpha for k in rest]), lw[:, rest]
-        lk = log2_power_kernel(uv[:, :, 0], uv[:, :, 1], a[:, None])
+        a, lwa = np.array([orders[k].alpha for k in rest]), lw[rest]
+        lk = log2_power_kernel(uv[0], uv[1], a.reshape(column))
         lk += lwa
-        sums = log2_sum_exp2(np.concatenate([lk, lwa], axis=1))
-        out[:, rest] = (sums[:, : a.size] - sums[:, a.size :]) / (1.0 - a)
+        sums = log2_sum_exp2(np.concatenate([lk, lwa]), starts)
+        out[:, rest] = ((sums[: a.size] - sums[a.size :]) / (1.0 - a[:, None])).T
     if post:
-        eps = np.array([[[posterior_eps(orders[k])]] for k in post])
-        nu = np.exp2(lw[:, post])
-        terms = posterior_term(posterior_logs(uv), eps)  # laws x orders x (u, v) x symbols
-        kernel = terms[:, :, 0]
-        kernel += terms[:, :, 1]
+        eps = np.array([posterior_eps(orders[k]) for k in post]).reshape(column + (1,))
+        nu = np.exp2(lw[post])
+        terms = posterior_term(posterior_logs(uv), eps)  # orders x (u, v) x symbols
+        kernel = terms[:, 0]
+        kernel += terms[:, 1]
         kernel *= nu
-        means = kernel.sum(axis=-1) / nu.sum(axis=-1)
-        out[:, post] = _posterior_entropies(means, eps)
+        means = segment_sums(kernel, starts) / segment_sums(nu, starts)
+        out[:, post] = _posterior_entropies(means.T, eps)
     return out
 
 

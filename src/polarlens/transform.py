@@ -30,13 +30,19 @@ mu(r) = sum w p0^alpha over its atoms of odds ratio r = p1/p0 in [0, 1]
 that measure to itself: points x, y give the minus point (x + y) /
 (1 + xy) of mass mu_x mu_y (1 + xy)^alpha, and the plus points xy of mass
 mu_x mu_y and min/max(x, y) of mass mu_x mu_y max(x, y)^alpha.  A sweep
-carries each subchannel as such a ratio state (:class:`_RatioView`): its
-distinct ratios and one row of log2 masses per order.  They are power
-sums within a ratio class, not merged symbols, so the chain-rule
-entropies stay exact.  Every level above the deepest takes its entropies
-from its own states, one symbol per ratio group.  The deepest level is
-never built: its entropies come from split evaluation of the states of
-the level before.  A self-paired parent's minus child has one symbol per
+carries each subchannel as such a ratio state: its distinct ratios and
+one row of log2 masses per order.  They are power sums within a ratio
+class, not merged symbols, so the chain-rule entropies stay exact.  A
+level is one stack of the states of all its subchannels
+(:class:`_RatioView`), and the level is the unit of work: one step makes
+the stack of the next level, one evaluation gives every entropy of a
+level, one plan and one split serve the deepest.  Each works by
+segmented reductions over the stack, in parts of whole subchannels that
+bound its memory, and every subchannel gets bitwise what a stack of it
+alone gets.  Every level above the deepest takes its entropies from its
+own states, one symbol per ratio group.  The deepest level is never
+built: its entropies come from split evaluation of the states of the
+level before.  A self-paired parent's minus child has one symbol per
 pair of parent atoms, weighted nu_i nu_j (the symbol weights of
 :mod:`polarlens.entropy`), whose posterior depends only on the two
 atoms' odds ratios: its mean is a pair sum over the parent's ratio
@@ -55,11 +61,12 @@ count.  Every higher order sums a^alpha + b^alpha over the ratio groups
 that can move the pair sum, a certified pruning that drops under 2^-58
 of it: the same walker on the proxy points while alpha <= 32 and the
 proxies are fewer, else the grid over the kept groups in the log domain,
-so nothing overflows.  The walker orders of every parent of a level share
-one stacked pass: the boxes of all parents run bucketed by size, each
-block takes its posteriors and their logs once, and each order applies
-its own kernel and weights.  A box's sum depends on that box alone, so
-every parent and order gets bitwise the value of a walk of it alone.
+so nothing overflows.  Every parent of a level walks in one stacked pass,
+whatever its walker orders: the boxes of all parents run bucketed by
+size and by their parent's set of walker orders, each block takes its
+posteriors and their logs once, and each order applies its own kernel
+and weights.  A box's sum depends on that box alone, so every parent and
+order gets bitwise the value of a walk of it alone.
 
 Erasure-type roots never need atoms past the root, and order 0 of no
 root does.  Canonical atoms fall in two classes, p1 > 0 and p1 = 0.  When
@@ -111,6 +118,7 @@ from .entropy import (
     posterior_eps,
     posterior_logs,
     posterior_term,
+    segment_sums,
     snap_to_unit,
     symbol_mean_entropies,
     _TINY,
@@ -320,18 +328,39 @@ def _dyadic_boxes(r: np.ndarray, item: np.ndarray | None = None) -> tuple:
     return first, np.diff(first, append=r.size), e[first]
 
 
-class _RatioView:
-    """The ratio state of a subchannel: its atoms' odds ratios and per-order masses.
+def _blocks(cost: np.ndarray, limit: int) -> list[int]:
+    """Cut points of runs of consecutive items whose ``cost`` totals at most ``limit``.
 
-    ``ratios`` are the sorted distinct odds ratios r = p1/p0 in [0, 1] of
-    the canonical atoms, one point per ratio group.  ``rows`` holds one row
-    per order of ``orders``: log2 of sum w p0^alpha over each group at a
-    finite order (order 1 included), and log2 of the group's largest p0 at
-    order inf; each row is shifted so that its largest entry is 0.  These
-    are power sums within a ratio class, not merged symbols, and every
-    entropy of the subchannel and of its descendants at those orders
+    An item over ``limit`` runs alone.  Runs i go from cuts[i] to cuts[i + 1].
+    """
+    cuts, total = [0], 0
+    for i, c in enumerate(cost.tolist()):
+        if total and total + c > limit:
+            cuts.append(i)
+            total = 0
+        total += c
+    return cuts + [len(cost)]
+
+
+class _RatioView:
+    """The ratio states of a stack of subchannels: odds ratios and per-order masses.
+
+    The state of one subchannel is its canonical atoms' sorted distinct
+    odds ratios r = p1/p0 in [0, 1], one point per ratio group, and one
+    row per order of ``orders``: log2 of sum w p0^alpha over each group at
+    a finite order (order 1 included), and log2 of the group's largest p0
+    at order inf; each row is shifted so that its largest entry is 0.
+    These are power sums within a ratio class, not merged symbols, and
+    every entropy of the subchannel and of its descendants at those orders
     depends on them alone: the pair terms of the polar maps factor through
     p0i^a p0j^a f(r_i, r_j) (see :meth:`children`).
+
+    A stack concatenates the states of its subchannels: ``ratios`` and the
+    columns of ``rows`` run over every point of every subchannel, and
+    subchannel i's points begin at ``starts[i]``.  A sweep holds each level
+    as one stack, and a single subchannel is a stack of one.  Every method
+    works on the whole stack with segmented reductions, and each
+    subchannel gets bitwise what a stack of it alone gets.
 
     The pair kernels f(1 + xy) + f(x + y) are analytic in x on every dyadic
     box [c, 2c] for y >= 0, and on [0, c] for y >= c: the nearest
@@ -343,16 +372,19 @@ class _RatioView:
     rounding.
     """
 
-    def __init__(self, ratios: np.ndarray, orders: Sequence[Order], rows: np.ndarray):
+    def __init__(self, ratios: np.ndarray, orders: Sequence[Order], rows: np.ndarray, starts: np.ndarray):
         self.ratios = ratios
         self.orders = list(orders)
         self.rows = rows
+        self.starts = starts
+        self.sizes = np.diff(starts, append=ratios.size)
+        self.seg = np.repeat(np.arange(starts.size), self.sizes)  # subchannel of every point
         self._row_of = {o.alpha: k for k, o in enumerate(self.orders)}
         self._log2_1r = np.log1p(ratios) / _LN2
 
     @classmethod
     def from_atoms(cls, d: JointDistribution, orders: Sequence[Order]) -> "_RatioView":
-        """The state of ``d``, whose atoms have p0 >= p1, at finite and infinite ``orders``.
+        """The stack of one of ``d``, whose atoms have p0 >= p1, at finite and infinite ``orders``.
 
         Probabilities are scaled by the largest p0 and weights by the
         largest weight first, so the logs of the terms that matter are
@@ -361,79 +393,112 @@ class _RatioView:
         lp0 = np.log2(d.p0 / np.max(d.p0))  # canonical atoms have p0 >= p1, hence p0 > 0
         lw = np.log2(d.weight / np.max(d.weight))
         raw = np.array([lp0 if o.kind == "infinity" else lw + o.alpha * lp0 for o in orders])
-        return cls._merged(d.p1 / d.p0, raw, orders)
+        return cls._merged(d.p1 / d.p0, raw, orders, np.zeros(d.n_atoms, dtype=np.int64))
 
     @classmethod
-    def _merged(cls, ratios: np.ndarray, raw: np.ndarray, orders: Sequence[Order]) -> "_RatioView":
-        """The state of raw points: bitwise-equal ratios merge, per row.
+    def _merged(cls, ratios, raw, orders: Sequence[Order], child) -> "_RatioView":
+        """The stack of raw points, point k going to subchannel child[k]: bitwise-equal ratios merge.
 
-        One stable argsort of the ratios serves every row.  A finite row
-        sums its group's terms in the log domain, shifted by the group's
-        largest; the row of order inf takes the group's largest term.
+        Every subchannel number up to the largest must occur.  One stable
+        lexsort by subchannel, then ratio, serves every row, so each
+        subchannel's points keep their input order within a group.  A
+        finite row sums its group's terms in the log domain, shifted by the
+        group's largest; the row of order inf takes the group's largest
+        term.  Each subchannel's rows are then shifted to a largest entry 0.
         """
-        order = np.argsort(ratios, kind="stable")
-        r = ratios[order]
-        first = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
-        group = np.repeat(np.arange(first.size), np.diff(np.r_[first, r.size]))
+        order = np.lexsort((ratios, child))
+        r, c = ratios[order], child[order]
+        new = np.concatenate(([True], (r[1:] != r[:-1]) | (c[1:] != c[:-1])))
+        first = np.flatnonzero(new)
+        group = np.cumsum(new) - 1
         rows = np.empty((len(orders), first.size))
         for k, o in enumerate(orders):
             t = raw[k, order]
             rows[k] = np.maximum.reduceat(t, first)
             if o.kind != "infinity":
                 rows[k] += np.log2(np.add.reduceat(np.exp2(t - rows[k, group]), first))
-            rows[k] -= rows[k].max()
-        return cls(r[first], orders, rows)
+        view = cls(r[first], orders, rows, np.flatnonzero(np.diff(c[first], prepend=-1)))
+        rows -= np.maximum.reduceat(rows, view.starts, axis=1)[:, view.seg]
+        return view
 
-    def children(self) -> tuple["_RatioView", "_RatioView"]:
-        """The states of the minus and plus children of a step with itself.
+    @classmethod
+    def stacked(cls, views: Sequence["_RatioView"]) -> "_RatioView":
+        """One stack of the subchannels of ``views``, in order; they share their orders."""
+        offsets = np.cumsum([0] + [v.ratios.size for v in views[:-1]])
+        starts = np.concatenate([v.starts + o for v, o in zip(views, offsets)])
+        ratios, rows = np.concatenate([v.ratios for v in views]), np.hstack([v.rows for v in views])
+        return cls(ratios, views[0].orders, rows, starts)
 
-        Points x, y of the state, over the triangle i <= j, give with
-        c = 1 off the diagonal (pair weight 2) and 0 on it:
+    def parts(self, cost: np.ndarray) -> list["_RatioView"]:
+        """The stack cut into stacks of consecutive subchannels, by :func:`_blocks`.
+
+        ``cost`` holds one entry per subchannel; each part's total is at
+        most _PAIR_CHUNK / 4, and a subchannel over that is a part alone.
+        """
+        cuts = _blocks(cost, _PAIR_CHUNK // 4)
+        ends = self.starts.tolist() + [self.ratios.size]
+        spans = [(slice(ends[a], ends[b]), a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+        return [
+            _RatioView(self.ratios[s], self.orders, self.rows[:, s], self.starts[a:b] - s.start)
+            for s, a, b in spans
+        ]
+
+    def children(self) -> "_RatioView":
+        """The stack of the minus and plus children of a step of each subchannel with itself.
+
+        Subchannel i's children are 2i (minus) and 2i + 1 (plus).  Points
+        x, y of a state, over its triangle i <= j, give with c = 1 off the
+        diagonal (pair weight 2) and 0 on it:
 
         * minus: (x + y) / (1 + xy) at L_i + L_j + alpha log2(1 + xy) + c;
         * plus: xy at L_i + L_j + c, and min/max(x, y) at
           L_i + L_j + alpha log2 max(x, y) + c, dropped when x = y = 0.
 
-        The row of order inf takes alpha = 1 and no c.  The triangle is
-        built in blocks of about _PAIR_CHUNK pairs, as in
-        :func:`transform_pair`.
+        The row of order inf takes alpha = 1 and no c.  Parents step in
+        :meth:`parts` by the rows of their 3 n (n + 1) / 2 raw points, and
+        each part merges by itself: no step holds the raw points of more
+        than one part.  Each child receives its raw points in the order of
+        the triangle, rows first, and the plus child all its products
+        before its quotients, so every child is bitwise the child of a
+        stack of one, whatever the parts.
         """
-        r, n = self.ratios, self.ratios.size
-        inf = np.array([[o.kind == "infinity"] for o in self.orders])
-        alpha = np.where(inf, 1.0, [[o.alpha] for o in self.orders])
-        parts, step = [], max(1, _PAIR_CHUNK // n)
-        for s in range(0, n, step):
-            k = min(step, n - s)
-            upper = np.triu(np.ones((k, n - s), dtype=bool))
-            x = np.broadcast_to(r[s : s + k, None], upper.shape)[upper]
-            y = np.broadcast_to(r[s:], upper.shape)[upper]
-            pair = (self.rows[:, s : s + k, None] + self.rows[:, None, s:])[:, upper]
-            pair += np.where(inf, 0.0, ~np.eye(k, n - s, dtype=bool)[upper])
-            xy = x * y
-            hi, lo = np.maximum(x, y), np.minimum(x, y)
-            keep = hi > 0.0
-            parts.append((
-                ((x + y) / (1.0 + xy), pair + alpha * (np.log1p(xy) / _LN2)),
-                (xy, pair),
-                (lo[keep] / hi[keep], pair[:, keep] + alpha * np.log2(hi[keep])),
-            ))
-
-        def merged(pieces):
-            ratios, raw = zip(*pieces)
-            return _RatioView._merged(np.concatenate(ratios), np.hstack(raw), self.orders)
-
-        # each kind's blocks in row order: the raw points do not depend on the blocks
-        minus, prod, quot = zip(*parts)
-        return merged(minus), merged(prod + quot)
+        r, sizes, orders = self.ratios, self.sizes, self.orders
+        if len(parts := self.parts(3 * sizes * (sizes + 1) // 2 * len(orders))) > 1:
+            return _RatioView.stacked([part.children() for part in parts])
+        inf = np.array([[o.kind == "infinity"] for o in orders])
+        alpha = np.where(inf, 1.0, [[o.alpha] for o in orders])
+        # point g pairs with itself and every later point of its subchannel
+        g = np.arange(r.size)
+        count = (self.starts + sizes)[self.seg] - g
+        i = np.repeat(g, count)
+        j = np.arange(i.size) - np.repeat(np.cumsum(count) - count - g, count)
+        x, y = r[i], r[j]
+        pair = self.rows[:, i] + self.rows[:, j]
+        pair += np.where(inf, 0.0, i != j)
+        xy = x * y
+        hi, lo = np.maximum(x, y), np.minimum(x, y)
+        keep = hi > 0.0
+        minus = 2 * self.seg[i]
+        ratios = np.concatenate(((x + y) / (1.0 + xy), xy, lo[keep] / hi[keep]))
+        child = np.concatenate((minus, minus + 1, minus[keep] + 1))
+        raw = (pair + alpha * (np.log1p(xy) / _LN2), pair, pair[:, keep] + alpha * np.log2(hi[keep]))
+        return _RatioView._merged(ratios, np.hstack(raw), orders, child)
 
     def check_step(self, atom_cap: int, where: str, hint: str) -> None:
-        """:func:`_check_step` on the raw points and ratio products of :meth:`children`."""
-        n = self.ratios.size
-        low = np.min(self.ratios, where=self.ratios > 0.0, initial=1.0)
-        _check_step(3 * n * (n + 1) // 2, (low, low), atom_cap, where, ("points", "ratios"), hint)
+        """:func:`_check_step` on the raw points and ratio products of :meth:`children`.
+
+        The first subchannel that either check refuses is named in the
+        message, after ``where``, as "parent i of N".
+        """
+        n = self.sizes
+        raw = 3 * n * (n + 1) // 2
+        low = np.minimum.reduceat(np.where(self.ratios > 0.0, self.ratios, 1.0), self.starts)
+        i = int(np.argmax((raw > atom_cap) | (low * low < _TINY)))  # the first refused, if any
+        where = f"{where}: parent {i + 1} of {n.size}"
+        _check_step(int(raw[i]), (low[i], low[i]), atom_cap, where, ("points", "ratios"), hint)
 
     def entropies(self) -> np.ndarray:
-        """H of the subchannel at each of its orders, unsnapped.
+        """H of each subchannel at each of its orders, unsnapped, (subchannels x orders).
 
         A ratio group x is one symbol of posterior (1, x) / (1 + x) and
         log2 weight L + alpha log2(1 + x) at order alpha; finite orders go
@@ -441,30 +506,36 @@ class _RatioView:
         log2 of the largest symbol mass over the largest entry,
         max(L + log2(1 + x)) - max(L) on that order's row.
         """
-        orders = self.orders
-        out = np.empty(len(orders))
+        orders, starts = self.orders, self.starts
+        if len(parts := self.parts(self.sizes * len(orders))) > 1:
+            return np.concatenate([part.entropies() for part in parts])
+        out = np.empty((starts.size, len(orders)))
         fin = [k for k, o in enumerate(orders) if o.kind != "infinity"]
         if fin:
-            lw = np.array([self.symbol_log2_weights(orders[k].alpha) for k in fin])
-            lw -= lw.max(axis=-1, keepdims=True)
+            lw = self.symbol_rows(fin)
             uv = np.stack([1.0 / (1.0 + self.ratios), self.ratios / (1.0 + self.ratios)])
-            out[fin] = symbol_mean_entropies(lw[None], uv[None, None], [orders[k] for k in fin])[0]
-        for k, o in enumerate(orders):
-            if o.kind == "infinity":
-                row = self.group_log2_sums(math.inf)
-                out[k] = np.max(row + self._log2_1r) - np.max(row)
+            out[:, fin] = symbol_mean_entropies(lw, uv, [orders[k] for k in fin], starts)
+        inf = [k for k, o in enumerate(orders) if o.kind == "infinity"]
+        top = np.maximum.reduceat(self.rows[inf] + self._log2_1r, starts, axis=1)
+        out[:, inf] = (top - np.maximum.reduceat(self.rows[inf], starts, axis=1)).T
         return out
+
+    def symbol_rows(self, ks: Sequence[int]) -> np.ndarray:
+        """The :meth:`symbol_log2_weights` of orders ``ks``, a row each, largest 0 per subchannel."""
+        lw = np.array([self.symbol_log2_weights(self.orders[k].alpha) for k in ks])
+        lw -= np.maximum.reduceat(lw, self.starts, axis=1)[:, self.seg]
+        return lw
 
     def symbol_log2_weights(self, alpha: float) -> np.ndarray:
         """The order-alpha row plus alpha log2(1 + x): log2 of sum w s^alpha per group x, shifted."""
         return self.group_log2_sums(alpha) + alpha * self._log2_1r
 
     def group_log2_sums(self, alpha: float) -> np.ndarray:
-        """The row of order ``alpha``: log2 of sum w p0^alpha per group, largest 0."""
+        """The row of order ``alpha``: log2 of sum w p0^alpha per group, largest 0 per subchannel."""
         return self.rows[self._row_of[alpha]]
 
     def kept_groups(self, alpha: float) -> np.ndarray:
-        """Indices of the ratio groups that can move the order-alpha pair sum.
+        """Indices of the ratio groups that can move their subchannel's order-alpha pair sum.
 
         A pair term is G_x G_y [(1 + xy)^alpha + (x + y)^alpha], with
         G = sum w p0^alpha per group, and for ratios in [0, 1] the bracket
@@ -475,38 +546,44 @@ class _RatioView:
         the pair sum: a certified relative bound at every alpha > 0.
         """
         lg = self.group_log2_sums(alpha)
-        floor = log2_sum_exp2(lg) - (_PRUNE_BITS + alpha + math.log2(lg.size))
-        return np.flatnonzero(lg >= floor)
+        total = zip(log2_sum_exp2(lg, self.starts).tolist(), self.sizes.tolist())
+        floor = [t - (_PRUNE_BITS + alpha + math.log2(n)) for t, n in total]
+        return np.flatnonzero(lg >= np.repeat(floor, self.sizes))
 
     @property
-    def proxy_count(self) -> int:
-        """The number of proxy points (see :meth:`proxies`)."""
-        _, size, _ = _dyadic_boxes(self.ratios)
-        return int(np.minimum(size, _PROXY_NODES).sum())
+    def proxy_counts(self) -> np.ndarray:
+        """The number of proxy points of each subchannel (see :meth:`proxies`)."""
+        first, size, _ = _dyadic_boxes(self.ratios, self.seg)
+        return np.bincount(self.seg[first], np.minimum(size, _PROXY_NODES)).astype(np.int64)
 
-    def proxies(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The sorted proxy points, and each row of ``values`` (one entry per group) on them.
+    def proxies(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sorted proxy points, each row of ``values`` (one entry per group) on them,
+        and the first proxy of each subchannel.
 
         Ratios are sorted, so the dyadic boxes are runs of consecutive
-        groups.  The r = 0 group and every box of at most _PROXY_NODES
-        groups pass through unchanged, their values bit for bit; every
-        other box becomes _PROXY_NODES Chebyshev points spanning its
-        groups, and each group spreads its value over them by its Lagrange
-        basis values.  For every kernel K above, sum_a values_a K(r_a, y)
-        then equals sum_m out_m K(x_m, y) up to rounding.  The basis values,
-        _PROXY_NODES per squeezed group, go when the call returns.
+        groups of one subchannel.  The r = 0 group and every box of at most
+        _PROXY_NODES groups pass through unchanged, their values bit for
+        bit; every other box becomes _PROXY_NODES Chebyshev points spanning
+        its groups, and each group spreads its value over them by its
+        Lagrange basis values.  For every kernel K above, sum_a values_a
+        K(r_a, y) then equals sum_m out_m K(x_m, y) up to rounding.  The
+        basis values, _PROXY_NODES per squeezed group, are built for runs
+        of whole boxes of at most _PAIR_CHUNK / 4 of them and go with their
+        run; a box's values depend on that box alone.
         """
         r = self.ratios
-        first, size, _ = _dyadic_boxes(r)
+        first, size, _ = _dyadic_boxes(r, self.seg)
         big = size > _PROXY_NODES
         width = np.where(big, _PROXY_NODES, size)
         base = np.cumsum(width) - width  # first proxy of every box
         of = np.repeat(np.arange(first.size), size)  # box of every group
         points = np.empty(int(width.sum()))
+        out = np.empty((len(values), points.size))
 
         keep = np.flatnonzero(~big[of])
         keep_at = base[of[keep]] + keep - first[of[keep]]
         points[keep_at] = r[keep]
+        out[:, keep_at] = values[:, keep]
 
         lo = r[first[big]]
         hi = r[first[big] + size[big] - 1]
@@ -514,13 +591,14 @@ class _RatioView:
         points[nodes] = lo[:, None] + (hi - lo)[:, None] * _CHEB_UNIT
         squeeze = np.flatnonzero(big[of])
         row = (np.cumsum(big) - 1)[of[squeeze]]  # row of nodes for every group
-        basis = _cheb_basis((r[squeeze] - lo[row]) / (hi - lo)[row])
-        seg = np.cumsum(size[big]) - size[big]
-        out = np.empty((len(values), points.size))
-        for v, o in zip(values, out):
-            o[keep_at] = v[keep]
-            o[nodes] = np.add.reduceat(v[squeeze, None] * basis, seg, axis=0)
-        return points, out
+        seg = np.append(np.cumsum(size[big]) - size[big], squeeze.size)  # first group of each row
+        cuts = _blocks(size[big] * _PROXY_NODES, _PAIR_CHUNK // 4)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            g = slice(seg[a], seg[b])
+            basis = _cheb_basis((r[squeeze[g]] - lo[row[g]]) / (hi - lo)[row[g]])
+            for v, o in zip(values, out):
+                o[nodes[a:b]] = np.add.reduceat(v[squeeze[g], None] * basis, seg[a:b] - seg[a], axis=0)
+        return points, out, base[np.flatnonzero(np.diff(self.seg[first], prepend=-1))]
 
 
 def _pair_grid_sum(ratios: np.ndarray, log_weights: np.ndarray, alpha: float) -> float:
@@ -561,15 +639,17 @@ def _pair_grid_sum(ratios: np.ndarray, log_weights: np.ndarray, alpha: float) ->
     return top + math.log2(math.fsum(v * 2.0 ** (t - top) for t, v in parts))
 
 
-def _far_walk(walks, orders: Sequence[Order]) -> np.ndarray:
-    """H of the minus child at every order for each (ratios, weights) of ``walks``, (walks x orders).
+def _far_walk(x, w, starts, orders: Sequence[Order], walks) -> np.ndarray:
+    """H of the minus child of each walk at the orders it takes, (walks x orders).
 
-    ``ratios`` are sorted points, at most _PROXY_NODES in each dyadic box
-    (proxy points), and row k of ``weights`` their symbol weights at
-    orders[k].  Ratios (x, y) make a minus-child symbol of posterior
-    a = (1 + xy) c, b = (x + y) c, c = 1 / ((1 + x)(1 + y)), weighted
-    w_x w_y; the mean of its kernel, the posterior form or a^alpha + b^alpha,
-    is the pair sum over (sum w)^2.
+    ``x`` are the sorted proxy points of every walk, at most _PROXY_NODES
+    in each dyadic box, walk i's beginning at ``starts[i]``; row k of ``w``
+    holds their symbol weights at orders[k], and walk i takes the orders k
+    with ``walks[i, k]`` (other entries of the result are NaN).  Ratios
+    (x, y) make a minus-child symbol of posterior a = (1 + xy) c,
+    b = (x + y) c, c = 1 / ((1 + x)(1 + y)), weighted w_x w_y; the mean of
+    its kernel, the posterior form or a^alpha + b^alpha, is the pair sum
+    over (sum w)^2.
 
     A box [c, 2c) meets its own points as a full square, and every point
     below it through _PROXY_NODES far weights on the Chebyshev nodes of
@@ -577,17 +657,16 @@ def _far_walk(walks, orders: Sequence[Order]) -> np.ndarray:
     The far weights come from one upward pass: each point is projected
     onto the nodes of the box above its own, and the running weights are
     carried from box to box by one map of :func:`_far_maps` per octave
-    gap.  The boxes of every walk are stacked, bucketed by their row count
-    padded to a multiple of 4, and evaluated in blocks of at most
-    _PAIR_CHUNK / 4 elements, as a block holds six arrays that size; each
-    block takes its posteriors and their logs once for every order.  A
-    box's sum depends on that box alone and a walk's total is an exactly
-    rounded sum over its boxes, so every row is bitwise that of a walk at
-    that order alone, stacked with no other walk.
+    gap.  The boxes of every walk run in one pass, bucketed by their row
+    count padded to a multiple of 4 and by their walk's set of orders, and
+    evaluated in blocks of at most _PAIR_CHUNK / 4 elements, as a block
+    holds six arrays that size; each block takes its posteriors and their
+    logs once for every order of its bucket.  A box's sum depends on that
+    box alone and a walk's total is an exactly rounded sum over its boxes,
+    so every entry is bitwise that of a walk at that order alone, stacked
+    with no other walk.
     """
-    x = np.concatenate([r for r, _ in walks])
-    w = np.hstack([v for _, v in walks])
-    item = np.repeat(np.arange(len(walks)), [r.size for r, _ in walks])
+    item = np.repeat(np.arange(starts.size), np.diff(starts, append=x.size))
     first, size, e = _dyadic_boxes(x, item)
     nbox = first.size
     start = np.flatnonzero(np.diff(item[first], prepend=-1))  # first box of each walk
@@ -616,14 +695,13 @@ def _far_walk(walks, orders: Sequence[Order]) -> np.ndarray:
     nodes = c[:, None] * _CHEB_UNIT
     node_inv = 1.0 / (1.0 + nodes)
     eps = [posterior_eps(o) for o in orders]
-    posterior = any(v is not None for v in eps)
 
-    def block(b: np.ndarray, p: int) -> np.ndarray:
-        """The pair sums of boxes ``b``, each padded to ``p`` rows, at every order."""
+    def block(b: np.ndarray, p: int, ks: list[int]) -> np.ndarray:
+        """The pair sums of boxes ``b``, each padded to ``p`` rows, at orders ``ks``."""
         # pad rows repeat the box's last point, at weight 0
         j = first[b, None] + np.minimum(np.arange(p), size[b, None] - 1)
-        own = np.where(np.arange(p) < size[b, None], w[:, j], 0.0)
-        cols = np.concatenate([own, 2.0 * far[:, b]], axis=2)
+        own = np.where(np.arange(p) < size[b, None], w[np.array(ks)[:, None, None], j], 0.0)
+        cols = np.concatenate([own, 2.0 * far[np.ix_(ks, b)]], axis=2)
         xr = x[j][:, :, None]
         y = np.concatenate([x[j], nodes[b]], axis=1)[:, None, :]
         cc = inv[j][:, :, None] * np.concatenate([inv[j], node_inv[b]], axis=1)[:, None, :]
@@ -632,12 +710,13 @@ def _far_walk(walks, orders: Sequence[Order]) -> np.ndarray:
         a *= cc
         bb = xr + y
         bb *= cc
-        if posterior:
+        kinds = [(orders[q], eps[q]) for q in ks]
+        if any(v is not None for _, v in kinds):
             logs = posterior_logs(a, out=cc), posterior_logs(bb)
         del cc
         k, tmp = np.empty_like(a), np.empty_like(a)
-        out = np.empty((len(orders), b.size))
-        for row, (o, v) in enumerate(zip(orders, eps)):
+        out = np.empty((len(ks), b.size))
+        for row, (o, v) in enumerate(kinds):
             if v is None:
                 np.power(a, o.alpha, out=k)
                 k += np.power(bb, o.alpha, out=tmp)
@@ -652,110 +731,100 @@ def _far_walk(walks, orders: Sequence[Order]) -> np.ndarray:
 
     sums = np.empty((len(orders), nbox))
     rows = np.where(size <= 2, size, -(-size // 4) * 4)
-    for p in np.unique(rows).tolist():
-        boxes = np.flatnonzero(rows == p)
+    patterns, which = np.unique(walks, axis=0, return_inverse=True)
+    key = np.stack([rows, which.reshape(-1)[item[first]]])  # padded rows and order set of every box
+    for p, pattern in np.unique(key, axis=1).T.tolist():
+        ks = np.flatnonzero(patterns[pattern]).tolist()
+        if not ks:  # the states that walk no order
+            continue
+        boxes = np.flatnonzero((key[0] == p) & (key[1] == pattern))
         per = max(1, _PAIR_CHUNK // 4 // (p * (p + _PROXY_NODES)))
         for s in range(0, boxes.size, per):
-            sums[:, boxes[s : s + per]] = block(boxes[s : s + per], p)
+            sums[np.ix_(ks, boxes[s : s + per])] = block(boxes[s : s + per], p, ks)
 
-    out = np.empty((len(walks), len(orders)))
-    for i, ((_, v), boxes) in enumerate(zip(walks, np.split(sums, start[1:], axis=1))):
-        for row, (o, ep, total, pair) in enumerate(zip(orders, eps, np.sum(v, axis=1), boxes)):
-            mean = math.fsum(pair.tolist()) / float(total) ** 2
-            out[i, row] = math.log2(mean) / (1.0 - o.alpha) if ep is None else posterior_entropy(mean, ep)
+    total = segment_sums(w, starts).T.tolist()
+    out = np.full(walks.shape, math.nan)
+    for i, boxes in enumerate(np.split(sums, start[1:], axis=1)):
+        for k in np.flatnonzero(walks[i]).tolist():
+            mean = math.fsum(boxes[k].tolist()) / float(total[i][k]) ** 2
+            v, a = eps[k], orders[k].alpha
+            out[i, k] = math.log2(mean) / (1.0 - a) if v is None else posterior_entropy(mean, v)
     return out
 
 
-def _grid_minus(view: _RatioView, alpha: float, kept: np.ndarray) -> float:
-    """H_alpha of the minus child by the log-domain grid over ``kept`` groups, over (sum nu)^2."""
-    scale = log2_sum_exp2(view.symbol_log2_weights(alpha))
-    lw = view.group_log2_sums(alpha)[kept] - scale
-    return _pair_grid_sum(view.ratios[kept], lw, alpha) / (1.0 - alpha)
+def _plan(view: _RatioView, atom_cap: int, where: str = "") -> tuple[np.ndarray, dict]:
+    """Which orders each state walks, (states x orders), and the kept groups of every pruned order.
 
-
-def _infinity_children(view: _RatioView, h: float) -> tuple[float, float]:
-    """H_inf of both children from the parent's ``h`` = H_inf and two maxima of its row.
-
-    The largest minus-child entry sits on the diagonal of the pair grid
-    (Cauchy-Schwarz), and the largest plus-child symbol mass equals that
-    same quantity, so the parent's largest diagonal term p0^2 (1 + x^2)
-    over its largest entry squared is H(plus), and H(minus) = 2 h - H(plus).
+    A finite order walks the proxy points where the posterior form serves
+    it, or where it is at most _PROXY_MAX_ORDER and the proxies are fewer
+    than its kept groups; else it runs the grid over its kept groups.
+    Refuses the first state, and in it the first finite order, whose grid
+    exceeds its work budget (see :func:`child_entropies`); given
+    ``where``, the message names it and the state.
     """
-    row = view.group_log2_sums(math.inf)  # log2 of the largest p0 per group
-    diag = float(np.max(2.0 * row + np.log1p(view.ratios * view.ratios) / _LN2))
-    plus = diag - 2.0 * float(np.max(row))
-    return 2.0 * h - plus, plus
-
-
-def _plan(view: _RatioView, atom_cap: int) -> tuple[list[int], dict]:
-    """The state's walker orders, and its grid orders with their kept groups.
-
-    Refuses the first finite order whose grid exceeds its work budget (see
-    :func:`child_entropies`).
-    """
-    walk, grid = [], {}
-    proxies = view.proxy_count
+    n, proxies, kept = view.starts.size, view.proxy_counts, {}
+    walk = np.zeros((n, len(view.orders)), dtype=bool)
+    size = np.zeros(walk.shape, dtype=np.int64)
     for k, o in enumerate(view.orders):
         if o.kind == "infinity":
             continue
-        kept = None if posterior_eps(o) is not None else view.kept_groups(o.alpha)
-        if kept is None or (o.alpha <= _PROXY_MAX_ORDER and kept.size > proxies):
-            walk.append(k)
-            size = proxies
-        else:
-            grid[k] = kept
-            size = kept.size
-        if 2 * size * size > _SPLIT_WORK_FACTOR * atom_cap:
-            raise CapacityError(
-                f"order {o}: pair grid over {size} points exceeds "
-                f"work budget {_SPLIT_WORK_FACTOR} * {atom_cap}"
-            )
-    return walk, grid
+        count = proxies + 1  # the posterior form walks whatever the count
+        if posterior_eps(o) is None:
+            kept[k] = view.kept_groups(o.alpha)
+            count = np.bincount(view.seg[kept[k]], minlength=n)
+        walk[:, k] = (o.alpha <= _PROXY_MAX_ORDER) & (count > proxies)
+        size[:, k] = np.where(walk[:, k], proxies, count)
+    over = np.flatnonzero(2 * size * size > _SPLIT_WORK_FACTOR * atom_cap)
+    if over.size:
+        i, k = divmod(int(over[0]), len(view.orders))
+        message = (
+            f"order {view.orders[k]}: pair grid over {size[i, k]} points exceeds "
+            f"work budget {_SPLIT_WORK_FACTOR} * {atom_cap}"
+        )
+        raise CapacityError(f"{where}: parent {i + 1} of {n}: {message}" if where else message)
+    return walk, kept
 
 
-def _split(views, hs, atom_cap: int, where: str = "") -> list[np.ndarray]:
-    """H of both children of each state at each of its orders, (orders x 2) per state, minus first.
+def _split(view: _RatioView, h: np.ndarray, atom_cap: int, where: str = "") -> np.ndarray:
+    """H of both children of each state of a stack at each of its orders, (orders x 2 states).
 
-    ``hs`` holds each state's own :meth:`_RatioView.entropies`, unsnapped.
-    Every state's work budget is checked before any kernel runs; given
-    ``where``, a refusal names it and the state.  Each state in turn runs
-    its grid orders and takes its walker weights onto its proxy points, so
-    one state's proxy basis is alive at a time; then the walker orders of
-    every state share one :func:`_far_walk` per set of walker orders.
-    H(plus) = 2 h - H(minus) at finite orders; order inf takes
-    :func:`_infinity_children`.  Each state's rows are bitwise those of a
-    call with it alone.
+    Column 2i holds state i's minus child and 2i + 1 its plus child.  ``h``
+    holds the states' own :meth:`_RatioView.entropies`, unsnapped.
+    :func:`_plan` checks every state's work budget before any kernel runs.
+    Each pruned order runs its grid over the kept groups of each state
+    that does not walk it.  The walker orders take their weights onto the
+    proxy points of the whole stack at once, and every state walks them
+    in one :func:`_far_walk`.  H(plus) = 2 h - H(minus) at finite orders.
+    At order inf the largest minus-child entry sits on the diagonal of the
+    pair grid (Cauchy-Schwarz), and the largest plus-child symbol mass
+    equals that same quantity, so the largest diagonal term p0^2 (1 + x^2)
+    over the largest entry squared is H(plus), and H(minus) = 2 h -
+    H(plus).  Each state's columns are bitwise those of a stack of it
+    alone.
     """
-    plans = []
-    for i, view in enumerate(views, 1):
-        try:
-            plans.append(_plan(view, atom_cap))
-        except CapacityError as exc:
-            if not where:
-                raise
-            raise CapacityError(f"{where}: parent {i} of {len(views)}: {exc}") from exc
-    outs, walks = [], {}
-    for view, h, (walk, grid) in zip(views, hs, plans):
-        out = np.empty((len(view.orders), 2))
-        for k, kept in grid.items():
-            out[k, 0] = _grid_minus(view, view.orders[k].alpha, kept)
-        if walk:
-            lnu = np.array([view.symbol_log2_weights(view.orders[k].alpha) for k in walk])
-            points, weights = view.proxies(np.exp2(lnu - lnu.max(axis=1, keepdims=True)))
-            key = tuple(view.orders[k] for k in walk)
-            walks.setdefault(key, []).append((len(outs), walk, points, weights))
-        outs.append(out)
-    for key, items in walks.items():
-        got = _far_walk([(points, weights) for _, _, points, weights in items], key)
-        for (i, walk, _, _), row in zip(items, got):
-            outs[i][walk, 0] = row
-    for view, h, out in zip(views, hs, outs):
-        for k, o in enumerate(view.orders):
-            if o.kind == "infinity":
-                out[k] = _infinity_children(view, h[k])
-            else:
-                out[k, 1] = 2.0 * h[k] - out[k, 0]
-    return [snap_to_unit(out) for out in outs]
+    orders, starts, seg = view.orders, view.starts, view.seg
+    walk, kept = _plan(view, atom_cap, where)
+    minus = np.full(walk.shape, math.nan)
+    for k, idx in kept.items():
+        a = orders[k].alpha
+        lw = view.group_log2_sums(a) - log2_sum_exp2(view.symbol_log2_weights(a), starts)[seg]
+        groups = np.split(idx, np.searchsorted(idx, starts[1:]))
+        for i in np.flatnonzero(~walk[:, k]).tolist():
+            minus[i, k] = _pair_grid_sum(view.ratios[groups[i]], lw[groups[i]], a) / (1.0 - a)
+    ks = np.flatnonzero(walk.any(axis=0))
+    if ks.size:
+        # the group weights are freed once on the proxy points: the walk holds only those
+        proxies = view.proxies(np.exp2(view.symbol_rows(ks)))
+        got = _far_walk(*proxies, [orders[k] for k in ks], walk[:, ks])
+        minus[:, ks] = np.where(walk[:, ks], got, minus[:, ks])
+    plus = 2.0 * h - minus
+    inf = [k for k, o in enumerate(orders) if o.kind == "infinity"]
+    if inf:
+        row = view.group_log2_sums(math.inf)  # log2 of the largest p0 per group
+        diag = np.maximum.reduceat(2.0 * row + np.log1p(view.ratios * view.ratios) / _LN2, starts)
+        plus[:, inf] = (diag - 2.0 * np.maximum.reduceat(row, starts))[:, None]
+        minus[:, inf] = 2.0 * h[:, inf] - plus[:, inf]
+    return snap_to_unit(np.stack([minus.T, plus.T], axis=2).reshape(len(orders), -1))
 
 
 def child_entropies(
@@ -803,7 +872,7 @@ def child_entropies(
     rest = [k for k, o in enumerate(orders) if o.kind != "zero"]
     if rest:
         view = _RatioView.from_atoms(parent, [orders[k] for k in rest])
-        out[rest] = _split([view], [view.entropies()], atom_cap)[0]
+        out[rest] = _split(view, view.entropies(), atom_cap)
     for k, o in enumerate(orders):
         if o.kind == "zero":
             out[k] = next(_erasure_sweep(parent, 1, o))
@@ -1043,13 +1112,16 @@ def level_profile_sweep(
     up to rounding.
 
     Every other order of every other root runs on one ratio state per
-    subchannel (see :class:`_RatioView`): its distinct odds ratios and one
-    row of log2 masses per order, built from the root's atoms once and
-    stepped level by level with no atoms.  Every level below max_level
-    takes its entries from its own states by :meth:`_RatioView.entropies`.
-    Only level max_level comes from split evaluation of the states of the
-    level before, whose entropies the sweep already holds, all of them in
-    one stacked pass, so the deepest level is never built and the sweep
+    subchannel: its distinct odds ratios and one row of log2 masses per
+    order, built from the root's atoms once and stepped level by level
+    with no atoms.  A level is one stack of the states of all its
+    subchannels (see :class:`_RatioView`): one :meth:`_RatioView.children`
+    call steps it into the next, bitwise the states a step of each
+    subchannel alone would give, and every level below max_level takes
+    its entries from one :meth:`_RatioView.entropies` call on its stack.
+    Only level max_level comes from split evaluation of the stack of the
+    level before, whose entropies the sweep already holds, in one
+    :func:`_split` call, so the deepest level is never built and the sweep
     costs barely more than the deepest profile.
 
     Raises
@@ -1069,9 +1141,9 @@ def level_profile_sweep(
         one of its parent states: a step of n points makes 3 n (n + 1) / 2
         raw points, refused over ``atom_cap``, and a product of the
         smallest positive ratio with itself below the smallest normal
-        double is refused too.  The message names the level and the
-        parent; when the call includes order 0, the raw-point refusal
-        adds that order 0 alone runs without ratio states.
+        double is refused too.  The message names the level and the first
+        parent refused; when the call includes order 0, the raw-point
+        refusal adds that order 0 alone runs without ratio states.
     """
     _check_count("max_level", max_level)
     _check_count("atom_cap", atom_cap)
@@ -1096,20 +1168,15 @@ def level_profile_sweep(
             rows[k] = got
     if ratio:
         hint = "; order 0 alone runs without ratio states" if state else ""
-        views = [_RatioView.from_atoms(root, [orders[k] for k in ratio])]
-        h = [views[0].entropies()]
+        view = _RatioView.from_atoms(root, [orders[k] for k in ratio])
+        h = view.entropies()
         for lvl in range(1, max_level):
             # the refusals of a step, checked for the whole level up front
-            for i, view in enumerate(views, 1):
-                where = f"level {lvl} cannot be built: parent {i} of {len(views)}"
-                view.check_step(atom_cap, where, hint)
-            parents, views = views, []
-            while parents:  # each parent state goes once stepped
-                views += parents.pop(0).children()
-            h = [view.entropies() for view in views]
-            entries[lvl - 1][ratio] = snap_to_unit(np.column_stack(h))
-        cols = _split(views, h, atom_cap, f"level {max_level}")
-        entries[-1][ratio] = np.hstack(cols)
+            view.check_step(atom_cap, f"level {lvl} cannot be built", hint)
+            view = view.children()
+            h = view.entropies()
+            entries[lvl - 1][ratio] = snap_to_unit(h.T)
+        entries[-1][ratio] = _split(view, h, atom_cap, f"level {max_level}")
     return [
         PolarizationProfile(lvl, orders, _freeze(rows), _freeze(root_entropy.copy()))
         for lvl, rows in enumerate(entries, 1)

@@ -33,7 +33,7 @@ from polarlens import (
     renyi_entropy,
     snap_to_unit,
 )
-from polarlens.entropy import log2_sum_exp2
+from polarlens.entropy import log2_sum_exp2, segment_sums
 
 # BSC(0.2), uniform prior: frozen against independent high-precision runs
 BSC02 = {
@@ -109,6 +109,23 @@ def test_log2_sum_exp2_rows_are_their_one_row_calls():
                 assert one == -math.inf
     assert log2_sum_exp2(stack[0, :1]) == stack[0, 0]
     assert log2_sum_exp2(np.array([3.0, 3.0])) == 4.0
+
+
+def test_segments_are_their_own_calls():
+    # segments of 1 to 300 entries (pairwise sums change shape at 8 and
+    # 128), an all -inf segment among them: each sum is bitwise np.sum of
+    # its segment, and each log-sum-exp bitwise its 1-D call
+    rng = np.random.default_rng(11)
+    sizes = np.array([1, 2, 7, 8, 9, 127, 128, 129, 300, 5, 1])
+    starts = np.cumsum(sizes) - sizes
+    terms = rng.uniform(-60.0, 5.0, size=(3, sizes.sum()))
+    terms[1, starts[4] : starts[5]] = -math.inf
+    sums, logs = segment_sums(np.exp2(terms), starts), log2_sum_exp2(terms, starts)
+    assert sums.shape == logs.shape == (3, sizes.size)
+    for k, row in enumerate(terms):
+        for i, seg in enumerate(np.split(row, starts[1:])):
+            assert _same_bits(float(np.sum(np.exp2(seg))), float(sums[k, i]))
+            assert _same_bits(log2_sum_exp2(seg), float(logs[k, i]))
 
 
 def test_log2_power_sum_matches_direct():

@@ -221,7 +221,7 @@ def test_child_entropies_pair_grid_work_budget():
         make_from_atoms(np.column_stack([p, np.ones(n)]))
     )
     view = _RatioView.from_atoms(parent, [as_order(40.5), as_order(512.0)])
-    groups, proxies = view.ratios.size, view.proxy_count
+    groups, proxies = view.ratios.size, view.proxy_counts[0]
     assert proxies < groups == parent.n_atoms
 
     def tight(points):
@@ -304,7 +304,7 @@ def _split_class(parent, o):
     if posterior_eps(o) is not None:
         return "walk"
     view = _RatioView.from_atoms(parent, [o])
-    walk = o.alpha <= _PROXY_MAX_ORDER and view.kept_groups(o.alpha).size > view.proxy_count
+    walk = o.alpha <= _PROXY_MAX_ORDER and view.kept_groups(o.alpha).size > view.proxy_counts[0]
     return "walk" if walk else "grid"
 
 
@@ -349,7 +349,7 @@ def test_combined_calls_match_single_order_calls(which):
 
     parent = _combined_call_parent(which)
     if which == "tiny-grid":
-        assert _RatioView.from_atoms(parent, [as_order(1.0)]).proxy_count < 8
+        assert _RatioView.from_atoms(parent, [as_order(1.0)]).proxy_counts[0] < 8
     orders = [as_order(o) for o in SPLIT_ORDERS + (0.1, 3.5, 6.0, 31.9, 1e5)]
     combined = child_entropies(parent, orders)
     conditional = conditional_entropies(parent, orders)
@@ -389,7 +389,7 @@ def test_sweep_refuses_a_level_before_working_on_it(monkeypatch):
     real = transform._RatioView.children
 
     def counted(view):
-        calls.append(view.ratios.size)
+        calls.append(view.sizes.tolist())
         return real(view)
 
     monkeypatch.setattr(transform._RatioView, "children", counted)
@@ -401,7 +401,8 @@ def test_sweep_refuses_a_level_before_working_on_it(monkeypatch):
         "level 4 cannot be built: parent 8 of 8 would create 45 raw "
         "points (cap 44); raise atom_cap to allow it"
     )
-    assert len(calls) == 1 + 2 + 4  # levels 1 to 3 only
+    # one step per level, levels 1 to 3 only: the root and levels 1 and 2 step
+    assert calls == [[1], [1, 2], [1, 2, 2, 3]]
     # the deepest level is never built, so it needs no room
     assert len(level_profile_sweep(make_bsc(0.2), 4, orders=(0.5,), atom_cap=44)) == 4
 
@@ -586,7 +587,7 @@ def _proxy_errors(view, orders):
     for a in orders:
         lnu = view.symbol_log2_weights(a)
         nu = np.exp2(lnu - lnu.max())
-        ((walk,),) = _far_walk([view.proxies(nu[None])], [as_order(a)])
+        ((walk,),) = _far_walk(*view.proxies(nu[None]), [as_order(a)], np.ones((1, 1), dtype=bool))
         errs[a] = abs(walk - _dense_minus(view.ratios, nu, a))
     return errs
 
@@ -597,7 +598,7 @@ def test_proxy_pair_sums_match_direct_grid(groups, draw):
     view = _ratio_view(163 + groups, groups, draw, PROXY_ORDERS)
     assert view.ratios.size == groups
     if draw in ("uniform", "deep"):
-        assert view.proxy_count < groups
+        assert view.proxy_counts[0] < groups
     if draw == "floor":  # boxes of c <= 2^-1014: their far nodes c u_m are subnormal
         assert view.ratios[1] < 2.0**-1014
     for key, err in _proxy_errors(view, PROXY_ORDERS).items():
@@ -614,7 +615,7 @@ def test_proxy_pair_sums_on_bsc_level6_parent():
         level = [child for parent in level for child in transform_pair(parent)]
     views = [_RatioView.from_atoms(parent, [as_order(a) for a in PROXY_ORDERS]) for parent in level]
     view = min((v for v in views if v.ratios.size >= 3000), key=lambda v: v.ratios.size)
-    assert view.proxy_count < view.ratios.size // 4
+    assert view.proxy_counts[0] < view.ratios.size // 4
     for key, err in _proxy_errors(view, PROXY_ORDERS).items():
         assert err <= 1e-13, key
 
@@ -657,21 +658,38 @@ def test_proxy_map_passes_small_boxes_through():
 
     view = _RatioView.from_atoms(canonicalize_orientation(make_bec(0.35)), [as_order(1.0)])
     values = np.array([[0.3, 0.7], [1.0, 0.25]])
-    points, mapped = view.proxies(values)
-    assert view.proxy_count == 2
+    points, mapped, starts = view.proxies(values)
+    assert view.proxy_counts.tolist() == [2] and starts.tolist() == [0]
     assert np.array_equal(points, view.ratios)
     assert np.array_equal(mapped, values)
 
 
 def _level_states(root, level, orders):
+    """The stack of the ratio states of ``root``'s level ``level``."""
     from polarlens import as_order
     from polarlens.distributions import canonicalize_orientation
     from polarlens.transform import _RatioView
 
-    views = [_RatioView.from_atoms(canonicalize_orientation(root), [as_order(a) for a in orders])]
+    view = _RatioView.from_atoms(canonicalize_orientation(root), [as_order(a) for a in orders])
     for _ in range(level):
-        views = [c for v in views for c in v.children()]
-    return views
+        view = view.children()
+    return view
+
+
+def _one_each(view):
+    """Each subchannel of a stack as a stack of one, in order."""
+    from polarlens.transform import _RatioView
+
+    ends = np.append(view.starts, view.ratios.size).tolist()
+    return [
+        _RatioView(view.ratios[a:b], view.orders, view.rows[:, a:b], np.array([0]))
+        for a, b in zip(ends[:-1], ends[1:])
+    ]
+
+
+def _segments(view):
+    """The ratios of each subchannel of a stack."""
+    return np.split(view.ratios, view.starts[1:])
 
 
 def test_stacked_split_columns_are_those_of_a_stack_of_one():
@@ -680,19 +698,21 @@ def test_stacked_split_columns_are_those_of_a_stack_of_one():
     # in any stack order; 7.5 and 10 walk on some level-6 parents and take
     # the grid on the others, so the stack mixes walker-order sets
     from polarlens import DEFAULT_ATOM_CAP, EXTENDED_ORDER_GRID
-    from polarlens.transform import _plan, _split
+    from polarlens.transform import _RatioView, _plan, _split
 
     orders = EXTENDED_ORDER_GRID[1:] + (7.5, 40.5)
-    views = _level_states(make_bsc(0.2), 6, orders)
-    hs = [v.entropies() for v in views]
-    stacked = _split(views, hs, DEFAULT_ATOM_CAP)
-    for view, h, got in zip(views, hs, stacked):
-        assert np.array_equal(_split([view], [h], DEFAULT_ATOM_CAP)[0], got)
-    reverse = _split(views[::-1], hs[::-1], DEFAULT_ATOM_CAP)[::-1]
-    assert all(np.array_equal(a, b) for a, b in zip(reverse, stacked))
+    view = _level_states(make_bsc(0.2), 6, orders)
+    h = view.entropies()
+    stacked = _split(view, h, DEFAULT_ATOM_CAP)
+    ones = _one_each(view)
+    for i, one in enumerate(ones):
+        assert np.array_equal(_split(one, h[[i]], DEFAULT_ATOM_CAP), stacked[:, 2 * i : 2 * i + 2])
+    reverse = _split(_RatioView.stacked(ones[::-1]), h[::-1], DEFAULT_ATOM_CAP)
+    pairs = reverse.reshape(len(view.orders), -1, 2)[:, ::-1].reshape(len(view.orders), -1)
+    assert np.array_equal(pairs, stacked)
     sweep = level_profile_sweep(make_bsc(0.2), 7, orders)
-    assert np.array_equal(np.hstack(stacked), sweep[-1].entries)
-    assert len({tuple(_plan(v, DEFAULT_ATOM_CAP)[0]) for v in views}) == 3
+    assert np.array_equal(stacked, sweep[-1].entries)
+    assert len({tuple(row) for row in _plan(view, DEFAULT_ATOM_CAP)[0].tolist()}) == 3
 # ---------------------------------------------------------------------------
 # Orders near 1 on roots that materialize: the posterior kernel at 40 digits.
 # ---------------------------------------------------------------------------
@@ -900,7 +920,7 @@ def test_posterior_proxy_path_matches_40_digit_reference():
     orders = NEAR_ONE_ORDERS + SPLIT_REFERENCE_ORDERS
     views = [_RatioView.from_atoms(p, [as_order(a) for a in orders]) for p in parents]
     k = min(
-        (k for k, v in enumerate(views) if v.proxy_count < v.ratios.size),
+        (k for k, v in enumerate(views) if v.proxy_counts[0] < v.ratios.size),
         key=lambda k: views[k].ratios.size,
     )
     # pruning drops groups at some order, so its bound is exercised too
@@ -1044,20 +1064,20 @@ def test_erasure_state_path_is_taken_only_for_ratios_zero_and_one(monkeypatch):
     calls = []
     real = transform._split
 
-    def counted(views, *args, **kwargs):
-        calls.append([v.ratios for v in views])
-        return real(views, *args, **kwargs)
+    def counted(view, *args, **kwargs):
+        calls.append(_segments(view))
+        return real(view, *args, **kwargs)
 
     monkeypatch.setattr(transform, "_split", counted)
     level_profile_sweep(make_bec(0.35), 4, ORDERS)
     level_profile_sweep(make_from_atoms([(0.5, 0.0), (0.125, 0.125, 2.0)]), 4, ORDERS)
     assert calls == []
     # a non-uniform prior moves the erased ratio off 1: ratio states again,
-    # and only the two level-1 states are split, in one call
+    # and only the stack of the two level-1 states is split, in one call
     level_profile_sweep(make_bec(0.35, prior0=0.3), 2, ORDERS)
-    states = _level_states(make_bec(0.35, prior0=0.3), 1, ORDERS[1:])
+    states = _segments(_level_states(make_bec(0.35, prior0=0.3), 1, ORDERS[1:]))
     assert len(calls) == 1 and len(calls[0]) == len(states) == 2
-    assert all(np.array_equal(got, want.ratios) for got, want in zip(calls[0], states))
+    assert all(np.array_equal(got, want) for got, want in zip(calls[0], states))
 
 
 def test_sweep_splits_only_the_deepest_level(monkeypatch):
@@ -1066,16 +1086,16 @@ def test_sweep_splits_only_the_deepest_level(monkeypatch):
     split = []
     real = transform._split
 
-    def counted(views, *args, **kwargs):
-        split.append([v.ratios for v in views])
-        return real(views, *args, **kwargs)
+    def counted(view, *args, **kwargs):
+        split.append(_segments(view))
+        return real(view, *args, **kwargs)
 
     monkeypatch.setattr(transform, "_split", counted)
     level_profile_sweep(make_bsc(0.2), 5, ORDERS)
-    # one call, which receives the 16 level-4 states and no other
-    states = _level_states(make_bsc(0.2), 4, ORDERS[1:])
+    # one call, which receives the stack of the 16 level-4 states and no other
+    states = _segments(_level_states(make_bsc(0.2), 4, ORDERS[1:]))
     assert len(split) == 1 and len(split[0]) == len(states) == 16
-    assert all(np.array_equal(got, want.ratios) for got, want in zip(split[0], states))
+    assert all(np.array_equal(got, want) for got, want in zip(split[0], states))
 
 
 @pytest.mark.parametrize("erasure", [0.0, 1.0])
@@ -1310,12 +1330,13 @@ def test_ratio_states_match_materialized_atoms(seed, symbols, depth, alpha):
     orders = EXTENDED_ORDER_GRID + (alpha,)
     sweep = level_profile_sweep(root, depth, orders)
     levels = _levels(root, depth)
-    views = [_RatioView.from_atoms(levels[0][0], [as_order(a) for a in orders[1:]])]
+    view = _RatioView.from_atoms(levels[0][0], [as_order(a) for a in orders[1:]])
     for level in range(1, depth + 1):
         want = conditional_entropies_many(levels[level], orders).T
         assert np.max(np.abs(sweep[level - 1].entries - want)) <= 1e-13, level
-        views = [c for v in views for c in v.children()]
-        for v in views:
+        view = view.children()
+        assert view.starts.size == 1 << level
+        for v in _one_each(view):
             assert v.ratios.min() >= 0.0 and v.ratios.max() <= 1.0
             assert np.all(np.diff(v.ratios) > 0.0)
             assert np.all(v.rows.max(axis=1) == 0.0)
@@ -1336,7 +1357,7 @@ def test_state_entropies_match_the_atoms():
         w = rng.integers(1, 4, size=n).astype(float)
         p /= np.sum(w[:, None] * p)
         d = make_from_atoms(np.column_stack([p, w]))
-        got = _RatioView.from_atoms(canonicalize_orientation(d), orders).entropies()
+        (got,) = _RatioView.from_atoms(canonicalize_orientation(d), orders).entropies()
         assert np.max(np.abs(got - conditional_entropies(d, orders))) <= 1e-15
 
 
@@ -1371,13 +1392,106 @@ def test_ratio_state_blocks_do_not_change_bytes(monkeypatch):
 
     def states(chunk):
         monkeypatch.setattr(transform, "_PAIR_CHUNK", chunk)
-        views = [transform._RatioView.from_atoms(_levels(make_bsc(0.2), 0)[0][0], orders)]
+        view = transform._RatioView.from_atoms(_levels(make_bsc(0.2), 0)[0][0], orders)
         for _ in range(6):
-            views = [c for v in views for c in v.children()]
-        return views
+            view = view.children()
+        return view
 
     orders = [as_order(a) for a in ORDERS[1:]]
-    # 64 pairs per block: the level-5 states of up to 100 points span many blocks
-    for got, want in zip(states(64), states(1 << 18)):
-        assert np.array_equal(got.ratios, want.ratios)
-        assert np.array_equal(got.rows, want.rows)
+    # a part of at most 16 raw-row elements: every state of a point or more steps alone
+    got, want = states(64), states(1 << 30)
+    for x in ("ratios", "rows", "starts"):
+        assert np.array_equal(getattr(got, x), getattr(want, x))
+
+
+def _stack_roots():
+    """(root, deepest level) of the stacked-state checks: named roots, then 20 random ones."""
+    from pathlib import Path
+
+    from polarlens import load_file
+
+    rng = np.random.default_rng(307)
+    named = [
+        (make_bsc(0.2), 6),
+        (make_bec(0.35, prior0=0.3), 4),
+        (load_file(str(Path(__file__).parent / "data" / "four-atoms.json")), 3),
+    ]
+    # level 3 of a random root of more than three atoms holds a million points
+    randoms = [random_joint(rng, 2, 6) for _ in range(20)]
+    return named + [(d, 3 if d.n_atoms <= 3 else 2) for d in randoms]
+
+
+def test_stacked_step_is_the_step_of_each_state_alone():
+    # every child of a level stepped as one stack is bitwise the child of
+    # its parent stepped as a stack of one, and its entropies are too
+    from polarlens.transform import _RatioView
+
+    for root, deepest in _stack_roots():
+        view = _level_states(root, 0, ORDERS[1:])
+        for _ in range(deepest):
+            stepped = view.children()
+            alone = _RatioView.stacked([one.children() for one in _one_each(view)])
+            for x in ("ratios", "rows", "starts"):
+                assert np.array_equal(getattr(stepped, x), getattr(alone, x)), x
+            h = stepped.entropies()
+            assert h.shape == (stepped.starts.size, len(ORDERS) - 1)
+            assert np.array_equal(h, np.vstack([one.entropies() for one in _one_each(stepped)]))
+            view = stepped
+
+
+def test_stacked_parts_do_not_change_bytes(monkeypatch):
+    # parts of a few parents each, and one parent larger than a part
+    import polarlens.transform as transform
+
+    view = _level_states(make_bsc(0.2), 4, ORDERS[1:])
+    cost = 3 * view.sizes * (view.sizes + 1) // 2 * len(view.orders)
+    whole = view.children()
+    want = whole.entropies()
+    assert len(view.parts(cost)) == 1 and len(whole.parts(whole.sizes * len(whole.orders))) == 1
+    # parts of at most 1,000 row elements
+    monkeypatch.setattr(transform, "_PAIR_CHUNK", 4 * 1000)
+    sizes = [p.starts.size for p in view.parts(cost)]
+    first = np.cumsum([0] + sizes[:-1])  # the first parent of each part
+    assert max(sizes) > 1 and any(n == 1 and cost[f] > 1000 for n, f in zip(sizes, first))
+    stepped = view.children()
+    for x in ("ratios", "rows", "starts"):
+        assert np.array_equal(getattr(stepped, x), getattr(whole, x)), x
+    assert len(stepped.parts(stepped.sizes * len(stepped.orders))) > 1
+    assert np.array_equal(stepped.entropies(), want)
+
+
+def test_split_refusal_names_the_first_parent_over_budget():
+    # the level's plan refuses before any kernel runs, naming the first
+    # parent over budget (28 and 30 are over too) and its first order
+    from polarlens.transform import _plan
+
+    view = _level_states(make_bsc(0.2), 5, (2.0, 0.5))
+    assert view.proxy_counts[[25, 26, 27, 29]].tolist() == [31, 78, 71, 100]
+    with pytest.raises(CapacityError) as err:
+        _plan(view, 100, "level 6")
+    assert str(err.value) == (
+        "level 6: parent 27 of 32: order 2: pair grid over 78 points exceeds work budget 100 * 100"
+    )
+
+
+def test_sweep_works_level_by_level(monkeypatch):
+    # a structural guard in place of a timing test: one step and one
+    # evaluation per level, one split for the deepest
+    import polarlens.transform as transform
+
+    calls = {"children": 0, "entropies": 0, "_split": 0}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+
+    counted(transform._RatioView, "children")
+    counted(transform._RatioView, "entropies")
+    counted(transform, "_split")
+    level_profile_sweep(make_bsc(0.2), 5, ORDERS)
+    assert calls == {"children": 4, "entropies": 5, "_split": 1}
