@@ -210,36 +210,44 @@ def perturbation_distribution(spec: PerturbationSpec) -> JointDistribution:
     return make_from_atoms(np.column_stack([p0, p1, np.ones_like(q)]))
 
 
-def _perturbation_deviations(spec, order: Order, scale: float) -> tuple[float, float]:
-    """(exact, approx) deviations at one order, with every delta times ``scale``.
+def _perturbation_deviations(spec, order: Order, scales: Sequence[float]) -> list[tuple]:
+    """(exact, approx) deviations at one order, with every delta times each of ``scales``.
 
-    One pass over the symbols; the number type carries the arithmetic
-    policy perturbation_sweep states.
+    Sum Q^a and each symbol's Q^(a-2) (uniform mode) or Q^(a-1)
+    (deterministic mode) do not depend on the scale and are computed once;
+    then one pass over the symbols per scale.  The number type carries the
+    arithmetic policy perturbation_sweep states.
     """
     if order.is_integer:
         num_t, a, precision = Fraction, int(order.alpha), nullcontext()
     else:
         num_t, a, precision = mpmath.mpf, mpmath.mpf(order.alpha), mpmath.workdps(50)
+    uniform = spec.mode == "uniform"
+    out = []
     with precision:
-        num = den = acc = num_t(0)
-        for qf, df in zip(spec.base_weights, spec.deltas):
-            q = num_t(qf)
-            dv = num_t(df * scale)
+        qs = [num_t(qf) for qf in spec.base_weights]
+        den = num_t(0)
+        for q in qs:
             den += q**a
-            if spec.mode == "uniform":
-                num += (q / 2 + dv) ** a + (q / 2 - dv) ** a
-                acc += dv * dv * q ** (a - 2)
+        lead = [q ** (a - 2) if uniform else q ** (a - 1) for q in qs]
+        for scale in scales:
+            num = acc = num_t(0)
+            for q, q_lead, df in zip(qs, lead, spec.deltas):
+                dv = num_t(df * scale)
+                if uniform:
+                    num += (q / 2 + dv) ** a + (q / 2 - dv) ** a
+                    acc += dv * dv * q_lead
+                else:
+                    # 0**a is exactly 0 for every order a > 0, rational or mpf
+                    dv_a = dv**a
+                    num += dv_a + (q - dv) ** a
+                    acc += dv_a - a * dv * q_lead
+            if uniform:
+                exact = num / (den * num_t(2) ** (1 - a)) - 1
+                out.append((float(exact), float(2 * a * (a - 1) * acc / den)))
             else:
-                # 0**a is exactly 0 for every order a > 0, rational or mpf
-                dv_a = dv**a
-                num += dv_a + (q - dv) ** a
-                acc += dv_a - a * dv * q ** (a - 1)
-        if spec.mode == "uniform":
-            return (
-                float(num / (den * num_t(2) ** (1 - a)) - 1),
-                float(2 * a * (a - 1) * acc / den),
-            )
-        return float(num / den - 1), float(acc / den)
+                out.append((float(num / den - 1), float(acc / den)))
+    return out
 
 
 class PerturbationRow(NamedTuple):
@@ -284,10 +292,9 @@ def perturbation_sweep(
     if halvings < 0:
         raise ValueError(f"halvings must be >= 0, got {halvings}")
     rows = []
+    scales = [0.5**k for k in range(halvings + 1)]
     for order in orders:
-        for k in range(halvings + 1):
-            scale = 0.5**k
-            exact, approx = _perturbation_deviations(spec, order, scale)
+        for scale, (exact, approx) in zip(scales, _perturbation_deviations(spec, order, scales)):
             if exact == 0.0:
                 rel = 0.0 if approx == 0.0 else math.inf
             else:

@@ -84,7 +84,15 @@ t follows the same maps from any root.  The maps act in closed form:
 the Renyi counterparts of the erasure recursion z -> 2z - z^2, z^2
 (Arikan, IEEE T-IT 2009) and of the likelihood-ratio law of density
 evolution (Mori & Tanaka, IEEE Comm. Letters 2009).  These sweeps carry
-one number per subchannel and order, exact up to rounding.
+one number per subchannel and order, log2 t split into an integral part
+and a fraction (two doubles, hi + lo, at order inf, whose maps only double
+and shift), exact up to rounding.  The numbers of a level form one stack,
+a row per order and a column per subchannel, and the orders that share a
+branch of the closed forms (finite up to 1000, order 1, finite above
+1000, order inf) step and evaluate together: one call per level and
+branch, each row bitwise that of its order alone.  Orders stack in blocks
+whose deepest level holds at most _PAIR_CHUNK / 4 entries, so from n = 16
+each order runs alone.
 """
 
 from __future__ import annotations
@@ -842,9 +850,9 @@ def child_entropies(
     Orders other than 0 build the parent's ratio state once (see
     :class:`_RatioView`), evaluate H of the parent on it and split it as a
     stack of one, by the code a sweep runs on all the parents of its
-    deepest level at once; order 0 takes one step
-    of the erasure maps from the parent's weighted counts (see
-    :func:`level_profile_sweep`).
+    deepest level at once; order 0 takes one step of the erasure maps
+    from the parent's weighted counts, by the code of an erasure sweep
+    (see :func:`level_profile_sweep`).
 
     Raises
     ------
@@ -873,9 +881,8 @@ def child_entropies(
     if rest:
         view = _RatioView.from_atoms(parent, [orders[k] for k in rest])
         out[rest] = _split(view, view.entropies(), atom_cap)
-    for k, o in enumerate(orders):
-        if o.kind == "zero":
-            out[k] = next(_erasure_sweep(parent, 1, o))
+    zero = [k for k, o in enumerate(orders) if o.kind == "zero"]
+    _erasure_sweep(parent, [orders[k] for k in zero], [out], zero)
     return snap_to_unit(out)
 
 
@@ -939,13 +946,31 @@ class PolarizationProfile:
 #: which stays finite to alpha 1025; higher ones go through the log domain.
 _EXPM1_MAX_ORDER = 1000.0
 
+#: Per child of an erasure step, minus then plus, on the leading axis of a
+#: (2 x orders x subchannels) array: what a finite order adds to a whole
+#: that does not double, and the sign of order inf's test; and what order
+#: inf adds to a doubled whole.
+_SIDES = np.array([1.0, -1.0])[:, None, None]
+_INF_SIDES = np.array([1.0, 0.0])[:, None, None]
+
 
 def _is_erasure_type(d: JointDistribution) -> bool:
     """True if every atom of canonical ``d`` has odds ratio 0 or 1."""
     return bool(np.all((d.p1 == 0.0) | (d.p1 == d.p0)))
 
 
-def _erasure_start(root: JointDistribution, o: Order) -> tuple[float, float]:
+def _erasure_branch(o: Order) -> str:
+    """The branch of the closed forms that steps and evaluates order ``o``.
+
+    "expm1" serves finite orders up to _EXPM1_MAX_ORDER, order 0 included,
+    and "log" those above it; orders 1 and inf have their own.
+    """
+    if o.kind in ("one", "infinity"):
+        return o.kind
+    return "expm1" if o.alpha <= _EXPM1_MAX_ORDER else "log"
+
+
+def _erasure_start(root: JointDistribution, o: Order) -> tuple[float, float, float]:
     """The state of a canonical root at order ``o``: log2 of it, split.
 
     Atoms fall in two classes, p1 > 0 (ratio 1 on an erasure-type root)
@@ -954,11 +979,13 @@ def _erasure_start(root: JointDistribution, o: Order) -> tuple[float, float]:
     class / max p0 of the second.  Order 0 takes t from the weighted
     counts, summed in floats: it is valid for every root, since which
     child entries are positive depends only on which parent entries are.
-    The log2 comes as (whole, frac): an integral float and a fraction in
-    [-1/2, 1/2], so that t keeps full relative precision however far it
-    is from 1; an empty class gives whole = -inf or +inf.  Other orders
-    are summed at 40 digits: p0^alpha multiplies the relative error of a
-    double by alpha, and the recursion doubles it at every level.
+    The log2 comes as (whole, hi, lo): an integral float and a fraction
+    hi + lo, hi in [-1/2, 1/2] and lo its rounding error, so that t keeps
+    full relative precision however far it is from 1; an empty class gives
+    whole = -inf or +inf.  Finite orders use hi alone; order inf keeps lo,
+    as its maps double the error of the start at every level.  Other
+    orders are summed at 40 digits: p0^alpha multiplies the relative error
+    of a double by alpha, and the recursion doubles it at every level.
     """
     classes = (root.p1 > 0.0, root.p1 == 0.0)
     with mpmath.workdps(40):
@@ -976,20 +1003,48 @@ def _erasure_start(root: JointDistribution, o: Order) -> tuple[float, float]:
                 for m in classes
             ]
         if not sides[0] or not sides[1]:
-            return (math.inf if sides[0] else -math.inf), 0.0
+            return (math.inf if sides[0] else -math.inf), 0.0, 0.0
         log_t = mpmath.log(sides[0] / sides[1], 2)
         whole = float(mpmath.nint(log_t))
-        return whole, float(log_t - whole)
+        hi = float(log_t - whole)
+        return whole, hi, float(log_t - whole - hi)
 
 
-def _erasure_children(
-    whole: np.ndarray, frac: np.ndarray, o: Order
-) -> tuple[np.ndarray, np.ndarray]:
-    """Children of every state, minus and plus interleaved, split as the states.
+def _erasure_columns(branch: str, orders: Sequence[Order]) -> dict[str, np.ndarray]:
+    """The constants of ``orders`` on ``branch``, computed with math, one (orders x 1) column each.
 
-    Both polar maps keep the ratio set {0, 1}: a minus atom has ratio
-    (ri + rj) / (1 + ri rj) and mass mu_i mu_j (1 + ri rj)^alpha, the plus
-    atoms ratios ri rj and min/max(ri, rj).  So with l = log2 t:
+    Every finite order has big = floor(alpha), rest = alpha - big and
+    eps = alpha - 1; the expm1 branch adds c = eps ln 2 and expm1(+-c).
+    "step" holds the (1 - big, big, rest) of the minus child and the
+    (-2, 1, 0) of the plus child, three (2 x orders x 1) arrays.
+    """
+    if branch == "infinity":
+        return {}
+    table = []
+    for o in orders:
+        big = math.floor(o.alpha)
+        rest, eps = o.alpha - big, o.alpha - 1.0
+        c = eps * _LN2
+        up, down = (math.expm1(c), math.expm1(-c)) if branch == "expm1" else (0.0, 0.0)
+        table.append((1.0 - big, -2.0, big, 1.0, rest, 0.0, eps, c, up, down))
+    # one array, all views of it: a stack of one costs a single conversion
+    t = np.array(table, dtype=float).T[:, :, None]
+    return {
+        "step": (t[0:2], t[2:4], t[4:6]),
+        "big": t[2], "rest": t[4], "eps": t[6], "c": t[7], "up": t[8], "down": t[9],
+    }
+
+
+def _erasure_children(branch: str, cols: dict, whole: np.ndarray, *frac: np.ndarray) -> tuple:
+    """Children of every state of a stack on ``branch``, minus and plus interleaved, split alike.
+
+    A stack holds one row per order and one column per subchannel:
+    ``whole`` and the fraction ``frac``, which is (hi,) on a finite branch
+    and (hi, lo) at order inf; ``cols`` holds the orders' constants (see
+    :func:`_erasure_columns`).  Both polar maps keep the ratio set {0, 1}:
+    a minus atom has ratio (ri + rj) / (1 + ri rj) and mass
+    mu_i mu_j (1 + ri rj)^alpha, the plus atoms ratios ri rj and
+    min/max(ri, rj).  So with l = log2 t:
 
     * minus, t -> 2t + 2^alpha t^2: l -> max(1 + l, alpha + 2l) + log2(1 + 2^-|d|),
       d = 1 - alpha - l;
@@ -998,44 +1053,65 @@ def _erasure_children(
 
     and order inf has s -> max(s, 2s^2) and s -> s^2 / max(1, s), whose
     logs are exact in the split form.  The integral parts add exactly;
-    d and y are rounded only inside the small log2(1 + 2^-|.|) terms.
+    d and y are rounded only inside the small log2(1 + 2^-|.|) terms.  At
+    order inf hi and lo only double and shift by integers, which is exact,
+    and a two-sum renormalizes the pair after the shift.  Both children
+    run as one (2 x orders x subchannels) array, the plus child's test as
+    -y >= 0, and every entry is computed elementwise with bitwise the
+    result of its own map, so each row is bitwise that of a stack of it
+    alone.
     """
-    out_whole = np.empty(2 * whole.size)
-    out_frac = np.empty(2 * whole.size)
-    if o.kind == "infinity":
-        up = (whole + frac) > -1.0
-        out_whole[0::2] = np.where(up, 2.0 * whole + 1.0, whole)
-        out_frac[0::2] = np.where(up, 2.0 * frac, frac)
-        down = (whole + frac) < 0.0
-        out_whole[1::2] = np.where(down, 2.0 * whole, whole)
-        out_frac[1::2] = np.where(down, 2.0 * frac, frac)
+    # the minus and plus child of every state on a leading axis, so that
+    # every operation runs along whole rows; interleaved once at the end
+    if branch == "infinity":
+        # whole is integral, |hi| <= 1/2 and |lo| <= ulp(hi) / 2: the sign
+        # of (whole + side) + hi is that of the whole sum, exactly
+        hi, lo = frac
+        grow = _SIDES * ((whole + _INF_SIDES) + hi) > 0.0
+        whole = np.where(grow, 2.0 * whole + _INF_SIDES, whole)
+        hi, lo = np.where(grow, 2.0 * hi, hi), np.where(grow, 2.0 * lo, lo)
+        shift = np.rint(hi)
+        whole += shift
+        hi -= shift
+        # fast two-sum, exact as hi is 0 or |hi| >= |lo|: s + lo is hi + lo
+        s = hi + lo
+        lo -= s - hi
+        children = whole, s, lo
     else:
-        big = math.floor(o.alpha)
-        rest = o.alpha - big
-        d = (1.0 - big - whole) - (rest + frac)
+        (frac,) = frac
+        lead, big, rest = cols["step"]
+        d = (lead - whole) - (rest + frac)  # d, and y
+        np.negative(d[1], out=d[1])  # the plus child tests -y >= 0
         first = d >= 0.0
-        out_whole[0::2] = np.where(first, whole + 1.0, 2.0 * whole + big)
-        out_frac[0::2] = np.where(first, frac, 2.0 * frac + rest) + np.logaddexp2(0.0, -np.abs(d))
-        y = (-2.0 - whole) - frac
-        first = y <= 0.0
-        out_whole[1::2] = np.where(first, whole - 1.0, 2.0 * whole + 1.0)
-        out_frac[1::2] = np.where(first, frac, 2.0 * frac) - np.logaddexp2(0.0, -np.abs(y))
-    shift = np.rint(out_frac)  # back to a fraction in [-1/2, 1/2], exactly
-    return out_whole + shift, out_frac - shift
+        whole = np.where(first, whole + _SIDES, 2.0 * whole + big)
+        frac = np.where(first, frac, 2.0 * frac + rest)
+        term = np.logaddexp2(0.0, -np.abs(d))
+        frac[0] += term[0]
+        frac[1] -= term[1]
+        shift = np.rint(frac)  # back to a fraction in [-1/2, 1/2], exactly
+        whole += shift
+        frac -= shift
+        children = whole, frac
+    out = np.empty((len(children), whole.shape[1], 2 * whole.shape[2]))
+    for c, rows in zip(children, out):
+        rows[:, 0::2], rows[:, 1::2] = c
+    return tuple(out)
 
 
-def _erasure_entropy(whole: np.ndarray, frac: np.ndarray, o: Order) -> np.ndarray:
-    """H_o of every state.
+def _erasure_entropy(branch: str, cols: dict, whole: np.ndarray, *frac: np.ndarray) -> np.ndarray:
+    """H of every state of a stack on ``branch``, (orders x subchannels).
 
     Order inf: log2 max(1, 2s) - log2 max(1, s).  Finite orders:
     H = log2((1 + 2t) / (1 + 2^alpha t)) / (1 - alpha); with
     q = 2t / (1 + 2t), p = 1 - q and c = (alpha - 1) ln 2 that is
     log1p(q expm1(c)) / c, and also 1 + log1p(p expm1(-c)) / c.  The first
     form serves q <= 1/2, the second q > 1/2, so both ends come out exact;
-    order 1 is their c = 0 case, H = q.
+    order 1 is their c = 0 case, H = q.  Above _EXPM1_MAX_ORDER both forms
+    stay in the log domain.
     """
-    if o.kind == "infinity":
-        return np.clip((1.0 + whole) + frac, 0.0, 1.0)
+    if branch == "infinity":
+        return np.minimum(np.maximum(((1.0 + whole) + frac[0]) + frac[1], 0.0), 1.0)
+    (frac,) = frac
     x = (whole + 1.0) + frac  # log2(2t)
     low = x <= 0.0
     # log2 q = (whole + 1) + q_frac on the low half, log2 p = -(whole + 1)
@@ -1043,35 +1119,44 @@ def _erasure_entropy(whole: np.ndarray, frac: np.ndarray, o: Order) -> np.ndarra
     # stands in elsewhere.  Exponents are clamped so that nothing overflows.
     q_frac = frac - np.logaddexp2(0.0, np.minimum(x, 0.0))
     p_frac = -frac - np.logaddexp2(0.0, -np.maximum(x, 0.0))
-    q = np.ldexp(np.exp2(q_frac), np.clip(whole, -1100.0, 0.0).astype(np.int64) + 1)
-    p = np.ldexp(np.exp2(p_frac), -1 - np.clip(whole, -1.0, 1100.0).astype(np.int64))
+    q = np.ldexp(np.exp2(q_frac), np.minimum(np.maximum(whole, -1100.0), 0.0).astype(np.int64) + 1)
+    p = np.ldexp(np.exp2(p_frac), -1 - np.minimum(np.maximum(whole, -1.0), 1100.0).astype(np.int64))
     q, p = np.where(low, q, 0.5), np.where(low, 0.5, p)
-    if o.kind == "one":
+    if branch == "one":
         return np.where(low, q, 1.0 - p)
-    eps = o.alpha - 1.0
-    if o.alpha <= _EXPM1_MAX_ORDER:
-        c = eps * _LN2
-        h_low = np.log1p(q * math.expm1(c)) / c
-        h_high = 1.0 + np.log1p(p * math.expm1(-c)) / c
+    if branch == "expm1":
+        c = cols["c"]
+        h_low = np.log1p(q * cols["up"]) / c
+        h_high = 1.0 + np.log1p(p * cols["down"]) / c
     else:
         # the same two forms, log2((1 - q) + q 2^eps) kept in the log domain
-        big = math.floor(o.alpha)
-        rest = o.alpha - big
+        big, rest, eps = cols["big"], cols["rest"], cols["eps"]
         h_low = np.logaddexp2(np.log1p(-q) / _LN2, (big + whole) + (rest + q_frac)) / eps
         h_high = 1.0 + np.logaddexp2(np.log1p(-p) / _LN2, (p_frac - rest) - (big + whole)) / eps
     return snap_to_unit(np.where(low, h_low, h_high))
 
 
-def _erasure_sweep(root: JointDistribution, max_level: int, o: Order):
-    """Yield the entries of levels 1 .. max_level of canonical ``root`` at ``o``.
+def _erasure_sweep(root: JointDistribution, orders: Sequence[Order], entries, at: Sequence[int]):
+    """Write the entries of canonical ``root`` at ``orders`` into ``entries``.
 
-    Runs on the root's state (see :func:`_erasure_start`), which serves
-    every order of an erasure-type root and order 0 of every root.
+    Level L at orders[k] goes into row at[k] of entries[L - 1].  Runs on
+    the root's state (see :func:`_erasure_start`), which serves
+    every order of an erasure-type root and order 0 of every root.  The
+    states of all ``orders`` on one branch form one stack, a row per
+    order, so each level takes one :func:`_erasure_children` and one
+    :func:`_erasure_entropy` call per branch present, and every row is
+    bitwise what a sweep of its order alone gives.
     """
-    whole, frac = (np.array([v]) for v in _erasure_start(root, o))
-    for _ in range(max_level):
-        whole, frac = _erasure_children(whole, frac, o)
-        yield _erasure_entropy(whole, frac, o)
+    branches = [_erasure_branch(o) for o in orders]
+    for branch in dict.fromkeys(branches):
+        ks = [k for k, b in enumerate(branches) if b == branch]
+        stacked = [orders[k] for k in ks]
+        rows, cols = np.array([at[k] for k in ks]), _erasure_columns(branch, stacked)
+        start = np.array([_erasure_start(root, o) for o in stacked]).T[:, :, None]
+        state = tuple(start if branch == "infinity" else start[:2])
+        for level in entries:
+            state = _erasure_children(branch, cols, *state)
+            level[rows] = _erasure_entropy(branch, cols, *state)
 
 
 def level_profile(
@@ -1109,7 +1194,10 @@ def level_profile_sweep(
     both polar maps take {0, 1} into itself; there the summed p0^alpha of
     each class, or at order inf the largest p0 of each, fixes every entry.
     The quotient of the two follows the polar maps in closed form, exactly
-    up to rounding.
+    up to rounding.  These orders run in blocks whose deepest level holds
+    at most _PAIR_CHUNK / 4 entries (one order alone from max_level 16 on),
+    and each block steps and evaluates one stack per level and branch of
+    the closed forms (see :func:`_erasure_sweep`).
 
     Every other order of every other root runs on one ratio state per
     subchannel: its distinct odds ratios and one row of log2 masses per
@@ -1163,9 +1251,10 @@ def level_profile_sweep(
                 f"over {len(orders)} orders (cap {atom_cap}); raise atom_cap to allow it"
             )
     entries = [np.empty((len(orders), 1 << lvl)) for lvl in range(1, max_level + 1)]
-    for k in state:
-        for rows, got in zip(entries, _erasure_sweep(root, max_level, orders[k])):
-            rows[k] = got
+    # state orders stack while a block's deepest level holds at most _PAIR_CHUNK / 4 entries
+    cuts = _blocks(np.full(len(state), 1 << max_level), _PAIR_CHUNK // 4)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        _erasure_sweep(root, [orders[k] for k in state[a:b]], entries, state[a:b])
     if ratio:
         hint = "; order 0 alone runs without ratio states" if state else ""
         view = _RatioView.from_atoms(root, [orders[k] for k in ratio])

@@ -1003,10 +1003,12 @@ def test_transform_pair_refusals_name_the_transform():
 # ---------------------------------------------------------------------------
 
 #: Orders whose entries must be within 1e-14 of the 60-digit reference.
-STATE_ORDERS = (0.0, 0.1, 0.5, 0.999999, 1.0, 1.000001, 2.0, 3.0, 10.0, 37.0, 100.0)
-#: Orders held to 1e-13: high finite orders, and order inf, whose doubling
-#: map multiplies the start's rounding (at most 2^-54) by up to 2^level.
-STATE_HIGH_ORDERS = (100.5, 300.0, 512.0, 1000.0, 1001.0, 1e4, 1e5, math.inf)
+#: Order inf doubles the error of its start at every level, so the start
+#: carries its fraction as hi + lo.
+STATE_ORDERS = (0.0, 0.1, 0.5, 0.999999, 1.0, 1.000001, 2.0, 3.0, 10.0, 37.0, 100.0, math.inf)
+#: Orders held to 1e-13: high finite orders, whose steps round their
+#: log2(1 + 2^-|d|) terms and later doubling steps amplify that.
+STATE_HIGH_ORDERS = (100.5, 300.0, 512.0, 1000.0, 1001.0, 1e4, 1e5)
 
 
 @pytest.mark.parametrize("erasure", [0.35, 0.45, 0.5])
@@ -1139,6 +1141,7 @@ def test_erasure_sweep_refuses_an_output_over_budget(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("no state may be computed before the budget check")
 
+    monkeypatch.setattr(transform, "_erasure_start", no_work)
     monkeypatch.setattr(transform, "_erasure_children", no_work)
     # three orders: levels 1 to 3 hold 3 * (2 + 4 + 8) = 42 entries
     with pytest.raises(CapacityError) as err:
@@ -1151,6 +1154,130 @@ def test_erasure_sweep_refuses_an_output_over_budget(monkeypatch):
         level_profile_sweep(make_bec(0.35), 30, (0.5, 2.0, math.inf), atom_cap=41)
     monkeypatch.undo()
     assert len(level_profile_sweep(make_bec(0.35), 3, (0.5, 2.0, math.inf), atom_cap=42)) == 3
+
+
+#: One order of every branch of the erasure state, and both sides of each cut.
+STACK_ORDERS = (0.0, 0.001, 0.5, 0.999999, 1.0, 1.000001, 2.0, 100.0, 1000.5, 1e300, math.inf)
+
+ERASURE_ROOTS = {
+    "bec0.05": make_bec(0.05),
+    "bec0.35": make_bec(0.35),
+    "bec0.5": make_bec(0.5),
+    "bec0": make_bec(0.0),
+    "bec1": make_bec(1.0),
+    "beyond": make_from_atoms(
+        [(0.2, 0.0, 1.0), (0.0, 0.15, 1.0), (0.1, 0.0, 2.0), (0.1, 0.1, 1.0), (0.125, 0.125, 1.0)]
+    ),
+}
+
+
+def _same_bytes(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", list(ERASURE_ROOTS))
+def test_stacked_erasure_sweep_is_each_order_alone(name):
+    root = ERASURE_ROOTS[name]
+    sweep = level_profile_sweep(root, 8, STACK_ORDERS)
+    for k, order in enumerate(STACK_ORDERS):
+        alone = level_profile_sweep(root, 8, [order])
+        for profile, own in zip(sweep, alone):
+            assert _same_bytes(profile.entries[k], own.entries[0]), (order, profile.level)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_stacked_zero_order_is_each_root_alone(seed):
+    # order 0 of a non-erasure root, twice in one stack beside ratio orders,
+    # and one step of it in child_entropies
+    from polarlens.distributions import canonicalize_orientation
+
+    if seed is None:
+        root, depth = make_bsc(0.2), 5
+    else:  # the ratio orders of a random root reach level 3 in the atom cap
+        root, depth = random_joint(np.random.default_rng(seed), 2, 5), 3
+    sweep = level_profile_sweep(root, depth, (0.0, 0.5, 0.0, math.inf))
+    alone = level_profile_sweep(root, depth, [0.0])
+    for profile, own in zip(sweep, alone):
+        assert _same_bytes(profile.entries[0], own.entries[0])
+        assert _same_bytes(profile.entries[2], own.entries[0])
+    parent = canonicalize_orientation(root)
+    both = child_entropies(parent, (0.0, 2.0, 0.0))
+    assert _same_bytes(both[[0, 2]], np.vstack([child_entropies(parent, [0.0])] * 2))
+
+
+def test_erasure_blocks_do_not_change_bytes(monkeypatch):
+    # blocks of three orders each against the one block of the default budget
+    import polarlens.transform as transform
+
+    root = ERASURE_ROOTS["beyond"]
+    calls = []
+    real = transform._erasure_sweep
+
+    def counted(root, orders, *args):
+        calls.append(len(orders))
+        return real(root, orders, *args)
+
+    monkeypatch.setattr(transform, "_erasure_sweep", counted)
+    want = level_profile_sweep(root, 8, STACK_ORDERS)
+    assert calls == [len(STACK_ORDERS)]
+    monkeypatch.setattr(transform, "_PAIR_CHUNK", 4 * 3 * 256)
+    got = level_profile_sweep(root, 8, STACK_ORDERS)
+    assert calls[1:] == [3, 3, 3, 2]
+    assert all(_same_bytes(a.entries, b.entries) for a, b in zip(got, want))
+
+
+def _count_erasure_calls(monkeypatch):
+    """Record the (rows, columns) of the states each erasure step and evaluation receives."""
+    import polarlens.transform as transform
+
+    calls = {"_erasure_children": [], "_erasure_entropy": []}
+    for name, seen in calls.items():
+        real = getattr(transform, name)
+
+        def call(branch, cols, whole, *frac, real=real, seen=seen):
+            seen.append(whole.shape)
+            return real(branch, cols, whole, *frac)
+
+        monkeypatch.setattr(transform, name, call)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "orders, branches",
+    [((0.0, 2.0, 3.0, 10.0, 100.0, math.inf), 2), ((0.5, 1.0, 2.0, 1e4, math.inf), 4)],
+)
+def test_erasure_sweep_steps_each_branch_once_per_level(orders, branches, monkeypatch):
+    # a structural guard in place of a timing test: one step and one
+    # evaluation per level and branch, whatever the number of orders
+    calls = _count_erasure_calls(monkeypatch)
+    level_profile_sweep(make_bec(0.35), 7, orders)
+    assert [len(seen) for seen in calls.values()] == [7 * branches, 7 * branches]
+    assert sum(rows for rows, _ in calls["_erasure_entropy"]) == 7 * len(orders)
+
+
+def test_erasure_stacks_stay_within_a_block(monkeypatch):
+    # no call receives more than _PAIR_CHUNK / 4 entries, unless one
+    # order's level alone is larger: then that order runs alone
+    import polarlens.transform as transform
+    from polarlens import EXTENDED_ORDER_GRID
+
+    limit = transform._PAIR_CHUNK // 4
+    calls = _count_erasure_calls(monkeypatch)
+    for level in (12, 14, 17):
+        level_profile_sweep(make_bec(0.35), level, EXTENDED_ORDER_GRID)
+    shapes = calls["_erasure_children"] + calls["_erasure_entropy"]
+    assert all(rows * cols <= limit or rows == 1 for rows, cols in shapes)
+    assert max(rows for rows, _ in shapes) == 6  # orders 0 to 100 stack at n = 12
+    assert (1, 1 << 17) in calls["_erasure_entropy"]
+
+
+def test_erasure_infinity_matches_60_digit_reference_at_depth():
+    # the start's fraction as hi + lo: exact doublings keep order inf on the
+    # reference, where one double for it is 3.3e-13 off at n = 16
+    from polarlens import bec_reference_profile
+
+    got = level_profile(make_bec(0.35), 16, [math.inf]).entries
+    assert np.max(np.abs(got - bec_reference_profile(0.35, 16, [math.inf]))) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
