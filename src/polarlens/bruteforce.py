@@ -23,6 +23,7 @@ the cap guards against surprises.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -47,6 +48,12 @@ _LN2 = math.log(2.0)
 _EPS_FORM_BAND = 0.25
 
 
+def _check_level(level) -> None:
+    """Refuse a ``level`` that is a bool or not an integer >= 0."""
+    if isinstance(level, bool) or not isinstance(level, numbers.Integral) or level < 0:
+        raise ValueError(f"level must be an integer >= 0, got {level!r}")
+
+
 def generator_matrix(level: int) -> np.ndarray:
     """Binary generator of the length-2**level transform, x = u @ G mod 2.
 
@@ -54,8 +61,14 @@ def generator_matrix(level: int) -> np.ndarray:
     so that input u_i feeds subchannel i of the recursive construction.
     The matrix is its own inverse over GF(2).  Capped at level 4; that is
     the whole point of this module (ground truth at toy scale).
+
+    Raises
+    ------
+    ValueError
+        If ``level`` is a bool or not an integer from 0 to 4.
     """
-    if not 0 <= level <= 4:
+    _check_level(level)
+    if level > 4:
         raise ValueError("generator matrix is provided for levels 0..4")
     n = 1 << level
     g = np.array([[1]], dtype=np.uint8)
@@ -130,7 +143,7 @@ def brute_force_profile(
     Raises
     ------
     ValueError
-        If ``level`` is negative.
+        If ``level`` is a bool or not an integer >= 0.
     CapacityError
         If A**N * 2**N exceeds ``DEFAULT_STATE_CAP``.
     DistributionError
@@ -138,8 +151,7 @@ def brute_force_profile(
         enumerated joint law's mass is off the root's to the N-th power by
         more than 1e-9.
     """
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
+    _check_level(level)
     orders = [as_order(o) for o in orders]
     finite = list(dict.fromkeys(o.alpha for o in orders if o.kind == "finite"))
     near = [a - 1.0 for a in finite if abs(a - 1.0) <= _EPS_FORM_BAND]
@@ -330,9 +342,13 @@ def bec_reference_profile(erasure: float, level: int, orders) -> np.ndarray:
 
     BEC(0) and BEC(1) stay noiseless and useless at every depth: all their
     entries are 0 and 1.  Cost is 2**(level + 1) scalar steps per order.
+
+    Raises
+    ------
+    ValueError
+        If ``level`` is a bool or not an integer >= 0.
     """
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
+    _check_level(level)
     root = make_bec(erasure)
     orders = [as_order(o) for o in orders]
     out = np.empty((len(orders), 1 << level))

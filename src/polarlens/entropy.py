@@ -117,11 +117,13 @@ def as_order(value) -> Order:
 
     Strings accept "inf" / "infinity" (case-insensitive) and anything
     float() can parse.  Values within ONE_BAND of 1 collapse onto the
-    Shannon branch; negative orders and finite orders above
-    MAX_FINITE_ORDER are rejected.
+    Shannon branch; booleans, negative orders and finite orders above
+    MAX_FINITE_ORDER are rejected with a ValueError.
     """
     if isinstance(value, Order):
         return value
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"Renyi order must be a number, not a bool: {value!r}")
     if isinstance(value, str):
         s = value.strip().lower()
         if s in ("inf", "infinity", "oo"):

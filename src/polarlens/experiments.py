@@ -43,7 +43,8 @@ class ExtremeExampleParams:
     determine the input; the rest is carried by symbols that reveal
     nothing.  ``split`` (called L below) is tuned so that, as ``size``
     grows, the entropy at ``alpha0`` climbs to 1 while at ``alpha0 + 1``
-    it collapses to 0.
+    it collapses to 0.  A ValueError refuses an ``alpha0`` of at most 1
+    and a ``size`` that is a bool, not an integer, or outside 2..1023.
     """
 
     alpha0: float
@@ -52,6 +53,8 @@ class ExtremeExampleParams:
     def __post_init__(self):
         if not self.alpha0 > 1.0:
             raise ValueError("alpha0 must exceed 1")
+        if isinstance(self.size, bool) or not isinstance(self.size, numbers.Integral):
+            raise ValueError(f"size must be an integer, got {self.size!r}")
         if self.size < 2:
             raise ValueError("size must be >= 2")
         if self.size > 1023:
@@ -129,10 +132,11 @@ def extreme_example_sweep(
     """Closed form vs direct evaluation over a range of sizes.
 
     Default orders are (alpha0, alpha0 + 1), the pair whose curves move in
-    opposite directions as size grows.
+    opposite directions as size grows.  Every size is checked as
+    :class:`ExtremeExampleParams` checks it, so 8.7 is refused, not run as 8.
     """
     # checked before the orders, so a bad alpha0 is refused as such
-    every = [ExtremeExampleParams(alpha0=alpha0, size=int(size)) for size in sizes]
+    every = [ExtremeExampleParams(alpha0=alpha0, size=size) for size in sizes]
     if orders is None:
         orders = (alpha0, alpha0 + 1.0)
     orders = [as_order(o) for o in orders]

@@ -16,11 +16,10 @@ Plus atoms of zero mass (both coordinates zero) are dropped; they are
 output symbols that never occur.
 
 Children always come out in canonical orientation (p0 >= p1 per atom,
-bitwise-equal atoms merged).  When a channel is combined with itself the
-product is then a symmetric triangle rather than a full square: pair
-(j, i) gives bitwise the same minus atom as (i, j), and the same plus
-atoms up to an input flip.  So only pairs i <= j are built, off-diagonal
-ones at weight 2*wi*wj, and the canonical merge sorts half as many atoms.
+bitwise-equal atoms merged).  When a channel is combined with itself,
+pair (j, i) gives bitwise the same minus atom as (i, j), and the same
+plus atoms up to an input flip, so the canonical merge folds the mirror
+pairs of the full outer product.
 
 Materializing subchannels squares the atom count per level, so sweeps
 build no atoms past the root.  At a finite order alpha every entropy of
@@ -46,27 +45,27 @@ level before.  A self-paired parent's minus child has one symbol per
 pair of parent atoms, weighted nu_i nu_j (the symbol weights of
 :mod:`polarlens.entropy`), whose posterior depends only on the two
 atoms' odds ratios: its mean is a pair sum over the parent's ratio
-groups, and H(plus) = 2 H(parent) - H(minus).  Order 1 and every finite
-order up to POSTERIOR_MAX_ORDER (6) walk the pairs of proxy points with
-the posterior kernel (each dyadic box of ratios with more than 24 groups
-becomes 24 Chebyshev points with barycentric Lagrange weights, exact up
-to rounding as the kernels are analytic there).  The walk splits near
-from far, as the fast multipole method does (Greengard & Rokhlin,
-J. Comput. Phys. 1987): a box [c, 2c) meets its own points as a full
-square and every point below it through 24 Chebyshev nodes on [0, c],
-exact up to rounding for the same reason, whose weights one upward pass
-carries from box to box.  A box of P points costs P (P + 24) elements,
-where the symmetric grid cost half the square of the parent's point
-count.  Every higher order sums a^alpha + b^alpha over the ratio groups
-that can move the pair sum, a certified pruning that drops under 2^-58
-of it: the same walker on the proxy points while alpha <= 32 and the
-proxies are fewer, else the grid over the kept groups in the log domain,
-so nothing overflows.  Every parent of a level walks in one stacked pass,
-whatever its walker orders: the boxes of all parents run bucketed by
-size and by their parent's set of walker orders, each block takes its
-posteriors and their logs once, and each order applies its own kernel
-and weights.  A box's sum depends on that box alone, so every parent and
-order gets bitwise the value of a walk of it alone.
+groups, and H(plus) = 2 H(parent) - H(minus).  Each order takes one
+kernel, by the order alone.  Order 1 and every finite order up to
+_PROXY_MAX_ORDER (32) walk the pairs of proxy points, with the posterior
+kernel up to POSTERIOR_MAX_ORDER (6) and a^alpha + b^alpha above (each
+dyadic box of ratios with more than 24 groups becomes 24 Chebyshev
+points with barycentric Lagrange weights, exact up to rounding as the
+kernels are analytic there).  The walk splits near from far, as the
+fast multipole method does (Greengard & Rokhlin, J. Comput. Phys. 1987):
+a box [c, 2c) meets its own points as a full square and every point
+below it through 24 Chebyshev nodes on [0, c], exact up to rounding for
+the same reason, whose weights one upward pass carries from box to box.
+A box of P points costs P (P + 24) elements, where the symmetric grid
+cost half the square of the parent's point count.  Every finite order
+above 32 sums a^alpha + b^alpha over the grid of the ratio groups that
+can move the pair sum, a certified pruning that drops under 2^-58 of it,
+in the log domain, so nothing overflows; order inf takes a diagonal
+rule.  Every parent of a level walks in one stacked pass: the boxes of
+all parents run bucketed by size, each block takes its posteriors and
+their logs once, and each order applies its own kernel and weights.  A
+box's sum depends on that box alone, so every parent and order gets
+bitwise the value of a walk of it alone.
 
 Erasure-type roots never need atoms past the root, and order 0 of no
 root does.  Canonical atoms fall in two classes, p1 > 0 and p1 = 0.  When
@@ -201,11 +200,10 @@ def transform_pair(
     bitwise-equal atoms are merged.  No entropy of the children or of
     their descendants depends on the orientation.
 
-    A step of a channel with itself (``b`` is None or ``a`` itself) builds
-    only the atom pairs (i, j) with j >= i, giving off-diagonal pairs
-    weight 2 wi wj: pair (j, i) yields bitwise the same minus atom and the
-    same plus atoms up to an input flip, which the orientation folds.  Two
-    distinct parents get the full outer product.
+    Every step builds the full outer product of the two parents' atoms.
+    In a step of a channel with itself (``b`` is None or ``a`` itself),
+    pair (j, i) yields bitwise the same minus atom as (i, j) and the same
+    plus atoms up to an input flip, so the canonical merge folds them.
 
     Raises
     ------
@@ -217,7 +215,6 @@ def transform_pair(
         multiply to below the smallest normal double.
     """
     _check_count("atom_cap", atom_cap)
-    triangle = b is None or b is a
     if b is None:
         b = a
     na, nb = a.n_atoms, b.n_atoms
@@ -228,25 +225,9 @@ def transform_pair(
     def build(s: int):
         a0 = a.p0[s : s + rows, None]
         a1 = a.p1[s : s + rows, None]
-        wa = a.weight[s : s + rows, None]
-        if triangle:
-            # rows s.. meet columns s..; keep the diagonal and what lies right of it
-            k = a0.shape[0]
-            upper = np.triu(np.ones((k, nb - s), dtype=bool))
-            b0, b1 = b.p0[s:], b.p1[s:]
-            w = 2.0 * wa * b.weight[s:]
-            w[np.arange(k), np.arange(k)] = wa[:, 0] * b.weight[s : s + k]
-
-            def take(x):
-                return x[upper]
-
-        else:
-            b0, b1 = b.p0, b.p1
-            w = wa * b.weight
-            take = np.ravel
-        d00, d11 = take(a0 * b0), take(a1 * b1)
-        d10, d01 = take(a1 * b0), take(a0 * b1)
-        w = take(w)
+        d00, d11 = np.ravel(a0 * b.p0), np.ravel(a1 * b.p1)
+        d10, d01 = np.ravel(a1 * b.p0), np.ravel(a0 * b.p1)
+        w = np.ravel(a.weight[s : s + rows, None] * b.weight)
         m0, m1 = d00 + d11, d10 + d01
         # each plus atom has the mass of one minus coordinate; drop the massless
         l0, l1 = m0 > 0.0, m1 > 0.0
@@ -647,13 +628,12 @@ def _pair_grid_sum(ratios: np.ndarray, log_weights: np.ndarray, alpha: float) ->
     return top + math.log2(math.fsum(v * 2.0 ** (t - top) for t, v in parts))
 
 
-def _far_walk(x, w, starts, orders: Sequence[Order], walks) -> np.ndarray:
-    """H of the minus child of each walk at the orders it takes, (walks x orders).
+def _far_walk(x, w, starts, orders: Sequence[Order]) -> np.ndarray:
+    """H of the minus child of each walk at every order, (walks x orders).
 
     ``x`` are the sorted proxy points of every walk, at most _PROXY_NODES
     in each dyadic box, walk i's beginning at ``starts[i]``; row k of ``w``
-    holds their symbol weights at orders[k], and walk i takes the orders k
-    with ``walks[i, k]`` (other entries of the result are NaN).  Ratios
+    holds their symbol weights at orders[k].  Ratios
     (x, y) make a minus-child symbol of posterior a = (1 + xy) c,
     b = (x + y) c, c = 1 / ((1 + x)(1 + y)), weighted w_x w_y; the mean of
     its kernel, the posterior form or a^alpha + b^alpha, is the pair sum
@@ -666,13 +646,12 @@ def _far_walk(x, w, starts, orders: Sequence[Order], walks) -> np.ndarray:
     onto the nodes of the box above its own, and the running weights are
     carried from box to box by one map of :func:`_far_maps` per octave
     gap.  The boxes of every walk run in one pass, bucketed by their row
-    count padded to a multiple of 4 and by their walk's set of orders, and
-    evaluated in blocks of at most _PAIR_CHUNK / 4 elements, as a block
-    holds six arrays that size; each block takes its posteriors and their
-    logs once for every order of its bucket.  A box's sum depends on that
-    box alone and a walk's total is an exactly rounded sum over its boxes,
-    so every entry is bitwise that of a walk at that order alone, stacked
-    with no other walk.
+    count padded to a multiple of 4, and evaluated in blocks of at most
+    _PAIR_CHUNK / 4 elements, as a block holds six arrays that size; each
+    block takes its posteriors and their logs once for every order.  A
+    box's sum depends on that box alone and a walk's total is an exactly
+    rounded sum over its boxes, so every entry is bitwise that of a walk
+    at that order alone, stacked with no other walk.
     """
     item = np.repeat(np.arange(starts.size), np.diff(starts, append=x.size))
     first, size, e = _dyadic_boxes(x, item)
@@ -704,12 +683,12 @@ def _far_walk(x, w, starts, orders: Sequence[Order], walks) -> np.ndarray:
     node_inv = 1.0 / (1.0 + nodes)
     eps = [posterior_eps(o) for o in orders]
 
-    def block(b: np.ndarray, p: int, ks: list[int]) -> np.ndarray:
-        """The pair sums of boxes ``b``, each padded to ``p`` rows, at orders ``ks``."""
+    def block(b: np.ndarray, p: int) -> np.ndarray:
+        """The pair sums of boxes ``b``, each padded to ``p`` rows, at every order."""
         # pad rows repeat the box's last point, at weight 0
         j = first[b, None] + np.minimum(np.arange(p), size[b, None] - 1)
-        own = np.where(np.arange(p) < size[b, None], w[np.array(ks)[:, None, None], j], 0.0)
-        cols = np.concatenate([own, 2.0 * far[np.ix_(ks, b)]], axis=2)
+        own = np.where(np.arange(p) < size[b, None], w[:, j], 0.0)
+        cols = np.concatenate([own, 2.0 * far[:, b]], axis=2)
         xr = x[j][:, :, None]
         y = np.concatenate([x[j], nodes[b]], axis=1)[:, None, :]
         cc = inv[j][:, :, None] * np.concatenate([inv[j], node_inv[b]], axis=1)[:, None, :]
@@ -718,13 +697,12 @@ def _far_walk(x, w, starts, orders: Sequence[Order], walks) -> np.ndarray:
         a *= cc
         bb = xr + y
         bb *= cc
-        kinds = [(orders[q], eps[q]) for q in ks]
-        if any(v is not None for _, v in kinds):
+        if any(v is not None for v in eps):
             logs = posterior_logs(a, out=cc), posterior_logs(bb)
         del cc
         k, tmp = np.empty_like(a), np.empty_like(a)
-        out = np.empty((len(ks), b.size))
-        for row, (o, v) in enumerate(kinds):
+        out = np.empty((len(orders), b.size))
+        for row, (o, v) in enumerate(zip(orders, eps)):
             if v is None:
                 np.power(a, o.alpha, out=k)
                 k += np.power(bb, o.alpha, out=tmp)
@@ -738,50 +716,40 @@ def _far_walk(x, w, starts, orders: Sequence[Order], walks) -> np.ndarray:
         return out
 
     sums = np.empty((len(orders), nbox))
-    rows = np.where(size <= 2, size, -(-size // 4) * 4)
-    patterns, which = np.unique(walks, axis=0, return_inverse=True)
-    key = np.stack([rows, which.reshape(-1)[item[first]]])  # padded rows and order set of every box
-    for p, pattern in np.unique(key, axis=1).T.tolist():
-        ks = np.flatnonzero(patterns[pattern]).tolist()
-        if not ks:  # the states that walk no order
-            continue
-        boxes = np.flatnonzero((key[0] == p) & (key[1] == pattern))
+    rows = np.where(size <= 2, size, -(-size // 4) * 4)  # padded rows of every box
+    for p in np.unique(rows).tolist():
+        boxes = np.flatnonzero(rows == p)
         per = max(1, _PAIR_CHUNK // 4 // (p * (p + _PROXY_NODES)))
         for s in range(0, boxes.size, per):
-            sums[np.ix_(ks, boxes[s : s + per])] = block(boxes[s : s + per], p, ks)
+            sums[:, boxes[s : s + per]] = block(boxes[s : s + per], p)
 
     total = segment_sums(w, starts).T.tolist()
-    out = np.full(walks.shape, math.nan)
+    out = np.empty((starts.size, len(orders)))
     for i, boxes in enumerate(np.split(sums, start[1:], axis=1)):
-        for k in np.flatnonzero(walks[i]).tolist():
+        for k, (o, v) in enumerate(zip(orders, eps)):
             mean = math.fsum(boxes[k].tolist()) / float(total[i][k]) ** 2
-            v, a = eps[k], orders[k].alpha
-            out[i, k] = math.log2(mean) / (1.0 - a) if v is None else posterior_entropy(mean, v)
+            out[i, k] = math.log2(mean) / (1.0 - o.alpha) if v is None else posterior_entropy(mean, v)
     return out
 
 
 def _plan(view: _RatioView, atom_cap: int, where: str = "") -> tuple[np.ndarray, dict]:
-    """Which orders each state walks, (states x orders), and the kept groups of every pruned order.
+    """Which orders walk, one flag per order, and the kept groups of every grid order.
 
-    A finite order walks the proxy points where the posterior form serves
-    it, or where it is at most _PROXY_MAX_ORDER and the proxies are fewer
-    than its kept groups; else it runs the grid over its kept groups.
-    Refuses the first state, and in it the first finite order, whose grid
-    exceeds its work budget (see :func:`child_entropies`); given
-    ``where``, the message names it and the state.
+    Order 1 and every finite order up to _PROXY_MAX_ORDER walk the proxy
+    points of every state; every finite order above it runs the grid over
+    each state's kept groups; order inf does neither.  Refuses the first
+    state, and in it the first finite order, whose grid exceeds its work
+    budget (see :func:`child_entropies`); given ``where``, the message
+    names it and the state.
     """
-    n, proxies, kept = view.starts.size, view.proxy_counts, {}
-    walk = np.zeros((n, len(view.orders)), dtype=bool)
-    size = np.zeros(walk.shape, dtype=np.int64)
+    n, kept = view.starts.size, {}
+    walk = np.array([o.alpha <= _PROXY_MAX_ORDER for o in view.orders], dtype=bool)
+    size = np.zeros((n, len(view.orders)), dtype=np.int64)
+    size[:, walk] = view.proxy_counts[:, None]
     for k, o in enumerate(view.orders):
-        if o.kind == "infinity":
-            continue
-        count = proxies + 1  # the posterior form walks whatever the count
-        if posterior_eps(o) is None:
+        if not walk[k] and o.kind != "infinity":
             kept[k] = view.kept_groups(o.alpha)
-            count = np.bincount(view.seg[kept[k]], minlength=n)
-        walk[:, k] = (o.alpha <= _PROXY_MAX_ORDER) & (count > proxies)
-        size[:, k] = np.where(walk[:, k], proxies, count)
+            size[:, k] = np.bincount(view.seg[kept[k]], minlength=n)
     over = np.flatnonzero(2 * size * size > _SPLIT_WORK_FACTOR * atom_cap)
     if over.size:
         i, k = divmod(int(over[0]), len(view.orders))
@@ -799,10 +767,10 @@ def _split(view: _RatioView, h: np.ndarray, atom_cap: int, where: str = "") -> n
     Column 2i holds state i's minus child and 2i + 1 its plus child.  ``h``
     holds the states' own :meth:`_RatioView.entropies`, unsnapped.
     :func:`_plan` checks every state's work budget before any kernel runs.
-    Each pruned order runs its grid over the kept groups of each state
-    that does not walk it.  The walker orders take their weights onto the
-    proxy points of the whole stack at once, and every state walks them
-    in one :func:`_far_walk`.  H(plus) = 2 h - H(minus) at finite orders.
+    Each grid order runs its grid over the kept groups of every state.
+    The walker orders take their weights onto the proxy points of the
+    whole stack at once, and every state walks them in one
+    :func:`_far_walk`.  H(plus) = 2 h - H(minus) at finite orders.
     At order inf the largest minus-child entry sits on the diagonal of the
     pair grid (Cauchy-Schwarz), and the largest plus-child symbol mass
     equals that same quantity, so the largest diagonal term p0^2 (1 + x^2)
@@ -812,19 +780,17 @@ def _split(view: _RatioView, h: np.ndarray, atom_cap: int, where: str = "") -> n
     """
     orders, starts, seg = view.orders, view.starts, view.seg
     walk, kept = _plan(view, atom_cap, where)
-    minus = np.full(walk.shape, math.nan)
+    minus = np.zeros((starts.size, len(orders)))
     for k, idx in kept.items():
         a = orders[k].alpha
         lw = view.group_log2_sums(a) - log2_sum_exp2(view.symbol_log2_weights(a), starts)[seg]
-        groups = np.split(idx, np.searchsorted(idx, starts[1:]))
-        for i in np.flatnonzero(~walk[:, k]).tolist():
-            minus[i, k] = _pair_grid_sum(view.ratios[groups[i]], lw[groups[i]], a) / (1.0 - a)
-    ks = np.flatnonzero(walk.any(axis=0))
+        for i, g in enumerate(np.split(idx, np.searchsorted(idx, starts[1:]))):
+            minus[i, k] = _pair_grid_sum(view.ratios[g], lw[g], a) / (1.0 - a)
+    ks = np.flatnonzero(walk)
     if ks.size:
         # the group weights are freed once on the proxy points: the walk holds only those
         proxies = view.proxies(np.exp2(view.symbol_rows(ks)))
-        got = _far_walk(*proxies, [orders[k] for k in ks], walk[:, ks])
-        minus[:, ks] = np.where(walk[:, ks], got, minus[:, ks])
+        minus[:, ks] = _far_walk(*proxies, [orders[k] for k in ks])
     plus = 2.0 * h - minus
     inf = [k for k, o in enumerate(orders) if o.kind == "infinity"]
     if inf:
@@ -864,10 +830,10 @@ def child_entropies(
         Before any kernel runs, if the pair grid of some order, n points
         square, has 2 n^2 > ``_SPLIT_WORK_FACTOR * atom_cap`` elements.
         n counts the points that order's grid streams: the proxy points
-        at order 1, at every finite order up to 6 and wherever the
-        walker runs above it, else the ratio groups kept by pruning.  For
-        the walker 2 n^2 is an upper bound: its boxes stream their own
-        squares and 24 far nodes per point.  Orders 0 and inf stream no
+        at order 1 and at every finite order up to 32, the ratio groups
+        kept by pruning above 32.  For the walker 2 n^2 is an upper
+        bound: its boxes stream their own squares and 24 far nodes per
+        point.  Orders 0 and inf stream no
         grid: order inf takes three maxima of its row.  The grid is
         streamed, not stored, so its budget is time, not memory; raising
         ``atom_cap`` widens both budgets together.

@@ -51,6 +51,17 @@ def test_generator_matrix_level_bounds():
         generator_matrix(-1)
 
 
+@pytest.mark.parametrize("level", [True, False, 2.0, 1.5, "2", None])
+def test_oracle_levels_must_be_integers(level):
+    # no bool or non-integral level runs as a level or fails with a raw TypeError
+    with pytest.raises(ValueError, match="level must be an integer"):
+        generator_matrix(level)
+    with pytest.raises(ValueError, match="level must be an integer"):
+        brute_force_profile(make_bsc(0.2), level, [2.0])
+    with pytest.raises(ValueError, match="level must be an integer"):
+        bec_reference_profile(0.3, level, [2.0])
+
+
 def _far_tail_terms(top_count):
     # over 1,000 terms 700 to 2,000 nats below the top, which the floor
     # raises to e^-700, next to -inf entries and top_count tied maxima

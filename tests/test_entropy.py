@@ -65,6 +65,18 @@ def test_as_order_rejects(bad):
         as_order(bad)
 
 
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+def test_as_order_refuses_booleans(flag):
+    # True and False are not orders 1 and 0: a profile asked for [True]
+    # must not return its Shannon entries
+    from polarlens import level_profile, make_bsc
+
+    with pytest.raises(ValueError, match="bool"):
+        as_order(flag)
+    with pytest.raises(ValueError, match="bool"):
+        level_profile(make_bsc(0.2), 2, [flag])
+
+
 def test_order_str():
     assert str(as_order(0.5)) == "0.5"
     assert str(ORDER_ONE) == "1"

@@ -60,6 +60,16 @@ def test_extreme_params_validation():
         ExtremeExampleParams(alpha0=2.0, size=1024)
 
 
+@pytest.mark.parametrize("size", [8.7, 8.0, True, "8"])
+def test_extreme_sizes_must_be_integers(size):
+    # 8.7 is neither run as size 8 nor given 2**8.7 symbols
+    with pytest.raises(ValueError, match="size must be an integer"):
+        ExtremeExampleParams(alpha0=2.0, size=size)
+    with pytest.raises(ValueError, match="size must be an integer"):
+        extreme_example_sweep(2.0, [8, size])
+    assert ExtremeExampleParams(alpha0=2.0, size=np.int64(8)).symbol_count == 256.0
+
+
 def test_extreme_split_formula():
     p = ExtremeExampleParams(alpha0=2.0, size=16)
     want = 0.5 * 15.0 ** ((2.0 - 0.25) / 1.0)

@@ -1,8 +1,15 @@
-"""Static checks over the library source."""
+"""Static checks over the library source.
+
+``python tests/test_source.py`` prints the size of ``src/``: its lines, as
+``wc -l`` counts them, and its lines of code, without docstrings, comments
+and blank lines, as :func:`code_lines` counts them.
+"""
 
 import ast
+import io
 import re
 import sys
+import tokenize
 from pathlib import Path
 
 import polarlens
@@ -95,3 +102,52 @@ def test_traced_attributes_resolve():
         if not callable(getattr(importlib.import_module(f"polarlens.{module}"), attr, None))
     ]
     assert missing == []
+
+
+def code_lines(source: str) -> int:
+    """Lines of ``source`` that hold code, by ``tokenize``.
+
+    A docstring is a string that stands alone as a statement; its lines,
+    comments and blank lines do not count.  A token that spans lines
+    counts each of them.
+    """
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    layout = (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT)
+    ends = (tokenize.NEWLINE, tokenize.ENDMARKER)
+    lines, prev = set(), tokenize.NEWLINE
+    for tok, after in zip(tokens, tokens[1:] + tokens[-1:]):
+        if tok.type in (tokenize.COMMENT, tokenize.NL):
+            continue
+        alone = tok.type == tokenize.STRING and prev in layout and after.type in ends
+        prev = tok.type
+        if not alone and tok.type not in layout + ends:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
+def test_code_lines_skips_docstrings_comments_and_blanks():
+    source = '''"""Module docstring,
+over two lines."""
+
+# a comment
+X = """a string that is a value,
+not a docstring"""
+
+
+def f(a,
+      b):  # two lines of one statement
+    """Docstring."""
+    "a bare string statement"
+    return (a
+            + b)
+'''
+    # X's two lines, f's two, and the return's two
+    assert code_lines(source) == 6
+    assert code_lines("") == 0
+
+
+if __name__ == "__main__":
+    files = sorted((ROOT / "src").rglob("*.py"))
+    texts = [path.read_text(encoding="utf-8") for path in files]
+    print(f"src/: {sum(t.count(chr(10)) for t in texts)} lines by wc -l, "
+          f"{sum(code_lines(t) for t in texts)} lines of code by tokenize")

@@ -295,17 +295,12 @@ def test_sweep_split_refusal_names_level_and_parent():
 SPLIT_ORDERS = (math.inf, 2.0, 0.0, 0.5, 1.0, 2.0, 7.5, 40.5, 600.0)
 
 
-def _split_class(parent, o):
-    from polarlens.entropy import posterior_eps
-    from polarlens.transform import _PROXY_MAX_ORDER, _RatioView
+def _split_class(o):
+    from polarlens.transform import _PROXY_MAX_ORDER
 
     if o.kind in ("zero", "infinity"):
         return o.kind
-    if posterior_eps(o) is not None:
-        return "walk"
-    view = _RatioView.from_atoms(parent, [o])
-    walk = o.alpha <= _PROXY_MAX_ORDER and view.kept_groups(o.alpha).size > view.proxy_counts[0]
-    return "walk" if walk else "grid"
+    return "walk" if o.alpha <= _PROXY_MAX_ORDER else "grid"
 
 
 @pytest.mark.parametrize("which", ["bsc-level4", "random"])
@@ -321,7 +316,7 @@ def test_child_entropies_rows_do_not_depend_on_the_other_orders(which):
     combined = child_entropies(parent, orders)
     classes = {}
     for k, o in enumerate(orders):
-        classes.setdefault(_split_class(parent, o), []).append(k)
+        classes.setdefault(_split_class(o), []).append(k)
         assert np.array_equal(child_entropies(parent, [o]), combined[[k]]), o
     assert len(classes) == 4
     for idx in classes.values():
@@ -408,20 +403,37 @@ def test_sweep_refuses_a_level_before_working_on_it(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Self-paired transforms: the i <= j triangle against the full outer product.
+# Self-paired transforms: the full outer product, folded by the canonical
+# merge, against the i <= j triangle.
 # ---------------------------------------------------------------------------
 
 
 def _copy(d):
-    """An equal but distinct distribution, so transform_pair runs the full grid."""
+    """An equal but distinct distribution."""
     from polarlens import JointDistribution
 
     return JointDistribution(d.p0.copy(), d.p1.copy(), d.weight.copy())
 
 
+def _triangle(parent):
+    """Both canonical children of a step of ``parent`` with itself, over its atom
+    pairs i <= j only, off-diagonal pairs at weight 2 wi wj."""
+    from polarlens import JointDistribution
+    from polarlens.distributions import canonicalize_orientation
+
+    i, j = np.triu_indices(parent.n_atoms)
+    a0, a1, b0, b1 = parent.p0[i], parent.p1[i], parent.p0[j], parent.p1[j]
+    w = np.where(i == j, 1.0, 2.0) * parent.weight[i] * parent.weight[j]
+    d00, d11, d10, d01 = a0 * b0, a1 * b1, a1 * b0, a0 * b1
+    m0, m1 = d00 + d11, d10 + d01
+    l0, l1 = m0 > 0.0, m1 > 0.0
+    plus = [np.concatenate(c) for c in ((d00[l0], d10[l1]), (d11[l0], d01[l1]), (w[l0], w[l1]))]
+    return [canonicalize_orientation(JointDistribution(*c)) for c in ((m0, m1, w), plus)]
+
+
 def _assert_triangle_matches_full(parent):
-    tri = transform_pair(parent)
-    full = transform_pair(parent, _copy(parent))
+    tri = _triangle(parent)
+    full = transform_pair(parent)
     for got, want in zip(tri, full):
         assert got.n_atoms == want.n_atoms
         assert np.array_equal(got.p0, want.p0)
@@ -449,6 +461,7 @@ def test_self_paired_triangle_matches_full_grid(root):
 
 
 def test_self_paired_dedup_sees_the_triangle(monkeypatch):
+    # a self-paired step merges the full square, as a step of two parents does
     import polarlens.transform as transform
 
     seen = []
@@ -464,7 +477,7 @@ def test_self_paired_dedup_sees_the_triangle(monkeypatch):
     transform_pair(parent)
     transform_pair(parent, _copy(parent))
     # all-positive BSC atoms: no plus atom is massless
-    assert seen == [n * (n + 1) // 2, n * (n + 1), n * n, 2 * n * n]
+    assert seen == [n * n, 2 * n * n, n * n, 2 * n * n]
 
 
 @pytest.mark.parametrize(
@@ -587,7 +600,7 @@ def _proxy_errors(view, orders):
     for a in orders:
         lnu = view.symbol_log2_weights(a)
         nu = np.exp2(lnu - lnu.max())
-        ((walk,),) = _far_walk(*view.proxies(nu[None]), [as_order(a)], np.ones((1, 1), dtype=bool))
+        ((walk,),) = _far_walk(*view.proxies(nu[None]), [as_order(a)])
         errs[a] = abs(walk - _dense_minus(view.ratios, nu, a))
     return errs
 
@@ -692,13 +705,52 @@ def _segments(view):
     return np.split(view.ratios, view.starts[1:])
 
 
+def _assert_kernel_by_order(view):
+    """Order 1 and every finite order up to 32 walk, one flag per order; no other order does."""
+    from polarlens import DEFAULT_ATOM_CAP
+    from polarlens.transform import _plan
+
+    walk, kept = _plan(view, DEFAULT_ATOM_CAP)
+    want = [o.kind in ("one", "finite") and o.alpha <= 32.0 for o in view.orders]
+    assert walk.tolist() == want
+    assert sorted(kept) == [k for k, o in enumerate(view.orders) if o.kind == "finite" and o.alpha > 32.0]
+
+
+def test_split_kernel_is_chosen_by_order_alone():
+    # the BSC(0.2) level-6 parents hold 2 to 5,963 ratio groups and 2 to a
+    # few hundred proxy points, yet each order takes one kernel on all 64
+    from polarlens import EXTENDED_ORDER_GRID
+
+    view = _level_states(make_bsc(0.2), 6, EXTENDED_ORDER_GRID[1:] + (7.5, 20.0, 32.0, 40.5))
+    assert view.starts.size == 64 and len(view.orders) == len(EXTENDED_ORDER_GRID) + 3
+    _assert_kernel_by_order(view)
+
+
+def test_walked_high_orders_match_the_pruned_grid():
+    # orders in (6, 32] walk the proxy points with the u^a + v^a kernel; the
+    # log-domain grid over the kept ratio groups is the reference on every
+    # level-6 parent
+    from polarlens import DEFAULT_ATOM_CAP
+    from polarlens.entropy import log2_sum_exp2
+    from polarlens.transform import _pair_grid_sum, _split
+
+    orders = (7.5, 10.0, 20.0, 32.0)
+    view = _level_states(make_bsc(0.2), 6, orders)
+    walked = _split(view, view.entropies(), DEFAULT_ATOM_CAP)[:, 0::2]
+    for k, a in enumerate(orders):
+        lw = view.group_log2_sums(a) - log2_sum_exp2(view.symbol_log2_weights(a), view.starts)[view.seg]
+        kept = view.kept_groups(a)
+        for i, g in enumerate(np.split(kept, np.searchsorted(kept, view.starts[1:]))):
+            grid = _pair_grid_sum(view.ratios[g], lw[g], a) / (1.0 - a)
+            assert abs(walked[k, i] - grid) <= 1e-15, (a, i)
+
+
 def test_stacked_split_columns_are_those_of_a_stack_of_one():
     # the parents of a sweep's deepest level share one far-interval walk;
     # each parent's columns must be bitwise those of _split on it alone,
-    # in any stack order; 7.5 and 10 walk on some level-6 parents and take
-    # the grid on the others, so the stack mixes walker-order sets
+    # in any stack order
     from polarlens import DEFAULT_ATOM_CAP, EXTENDED_ORDER_GRID
-    from polarlens.transform import _RatioView, _plan, _split
+    from polarlens.transform import _RatioView, _split
 
     orders = EXTENDED_ORDER_GRID[1:] + (7.5, 40.5)
     view = _level_states(make_bsc(0.2), 6, orders)
@@ -712,7 +764,9 @@ def test_stacked_split_columns_are_those_of_a_stack_of_one():
     assert np.array_equal(pairs, stacked)
     sweep = level_profile_sweep(make_bsc(0.2), 7, orders)
     assert np.array_equal(stacked, sweep[-1].entries)
-    assert len({tuple(row) for row in _plan(view, DEFAULT_ATOM_CAP)[0].tolist()}) == 3
+    _assert_kernel_by_order(view)
+
+
 # ---------------------------------------------------------------------------
 # Orders near 1 on roots that materialize: the posterior kernel at 40 digits.
 # ---------------------------------------------------------------------------
@@ -900,10 +954,10 @@ def _mp_split_references(parent, orders):
     return refs
 
 
-#: Orders of every other split kernel on the test's parent: the posterior
-#: walker on proxy points (2 to 6), the u^a + v^a walker on them (7.5, where
-#: pruning keeps more groups than there are proxies) and the log-domain grid
-#: over the kept groups (10 on; it keeps 75 of 90 groups at 10, 2 at 100).
+#: Orders of every other split kernel: the posterior walker on proxy
+#: points (2 to 6), the u^a + v^a walker on them (7.5 to 31.9) and the
+#: log-domain grid over the ratio groups kept by pruning (40.5 on; on the
+#: test's parent it keeps 2 of 90 groups at 100).
 SPLIT_REFERENCE_ORDERS = (2.0, 3.0, 4.0, 6.0, 7.5, 10.0, 20.5, 31.9, 40.5, 100.0, 600.0, 1e5)
 
 
@@ -923,8 +977,8 @@ def test_posterior_proxy_path_matches_40_digit_reference():
         (k for k, v in enumerate(views) if v.proxy_counts[0] < v.ratios.size),
         key=lambda k: views[k].ratios.size,
     )
-    # pruning drops groups at some order, so its bound is exercised too
-    assert any(views[k].kept_groups(a).size < views[k].ratios.size for a in orders if a > 6)
+    # pruning drops groups at some grid order, so its bound is exercised too
+    assert any(views[k].kept_groups(a).size < views[k].ratios.size for a in orders if a > 32)
     rows = child_entropies(parents[k], orders)
     refs = _mp_split_references(parents[k], orders)
     for (minus, plus), a, ref_minus in zip(rows, orders, refs):
