@@ -14,10 +14,17 @@ read once by every order.  One exact evaluator,
 50-digit arithmetic, and :func:`bec_reference_profile` runs the erasure
 channel's scalar recursions at 60 digits, to any depth.
 
-Cost is A**N * 2**N joint entries for an A-atom root at level n (N = 2**n),
-and about twice that in prefix-law values per order, each order's terms
-floored at e^-700 of their largest; this is for shallow levels only, and
-the cap guards against surprises.
+Each position translation k -> k xor b of the length-N code (N = 2**n) is
+an automorphism that successive-cancellation decoding absorbs (Bardet,
+Dragoi, Otmani & Tillich, ISIT 2016; Geiselhart, Elkelesh, Ebada,
+Cammerer & ten Brink, "On the automorphism group of polar codes", ISIT
+2021): two output tuples that differ by one give every prefix law the
+same multiset of values at the same weight.  So the enumeration visits one
+output tuple per translation orbit, weighted by the orbit's size, and
+reads about 2 A**N 2**N / N prefix-law values per order for an A-atom root
+at level n, each order's terms floored at e^-700 of their largest.  The
+cap still counts the whole joint law, A**N * 2**N entries; this is for
+shallow levels only, and the cap guards against surprises.
 """
 
 from __future__ import annotations
@@ -33,10 +40,11 @@ import numpy as np
 from .distributions import MASS_TOL, CapacityError, DistributionError, JointDistribution, make_bec
 from .entropy import as_order
 
-#: Maximum number of joint entries (output tuples times input words).
+#: Maximum number of joint entries (output tuples times input words), all
+#: of them counted though one tuple per translation orbit is visited.
 DEFAULT_STATE_CAP = 1 << 24
 
-#: Output tuples enumerated per vectorized block.
+#: Output tuples (orbit representatives) evaluated per vectorized chunk.
 _CHUNK_TUPLES = 2048
 
 _LN2 = math.log(2.0)
@@ -46,6 +54,13 @@ _LN2 = math.log(2.0)
 #: reference from 0.75 to 1.25 (the log-sum-exp ratio: up to 1.5e-14), but
 #: its q expm1(eps ln q) terms cancel beyond (9.4e-15 at 1.4).
 _EPS_FORM_BAND = 0.25
+
+#: Integral orders up to this take exact Fraction powers in
+#: high_precision_conditional, whose digits, and cost, grow with the order
+#: (BSC(0.2), shared 2-core host: 0.01 s at 512, 0.03 s at 1e3, 2.8 s at
+#: 1e4, and 1e300 never returns); larger ones take the 50-digit branch
+#: (under 1 ms to 1e5, 0.06-0.2 s at 1e300).
+_EXACT_ORDER_MAX = 512
 
 
 def _check_level(level) -> None:
@@ -96,6 +111,35 @@ def _input_to_codeword_index(level: int) -> np.ndarray:
     return x.astype(np.int64) @ weights
 
 
+def _translation_orbits(a_count: int, level: int):
+    """Yield (classes, sizes): one output tuple per translation orbit.
+
+    Tuples of N = 2**level atom classes run in lexicographic order, tuple
+    k with class (k // A**(N-1-pos)) % A at position pos.  A translation
+    b in [0, N) moves position pos to pos ^ b.  Each orbit is yielded once,
+    as its smallest tuple (a row of ``classes``), with its size: N over the
+    number of translations that fix it.  Tuples are scanned in blocks and
+    yielded in chunks of at most ``_CHUNK_TUPLES`` rows; the sizes add up to
+    A**N.
+    """
+    n = 1 << level
+    count = a_count**n
+    place = a_count ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    block = _CHUNK_TUPLES * n
+    for start in range(0, count, block):
+        k = np.arange(start, min(start + block, count), dtype=np.int64)
+        classes = k[:, None] // place % a_count
+        least = np.ones(k.size, dtype=bool)
+        fixed = np.ones(k.size, dtype=np.int64)
+        for b in range(1, n):
+            image = classes[:, np.arange(n) ^ b] @ place
+            least &= k <= image
+            fixed += image == k
+        classes, sizes = classes[least], n // fixed[least]
+        for s in range(0, sizes.size, _CHUNK_TUPLES):
+            yield classes[s : s + _CHUNK_TUPLES], sizes[s : s + _CHUNK_TUPLES]
+
+
 def _logsumexp(a: np.ndarray) -> float:
     """ln sum(exp(a)) over every entry of a float array with a finite maximum.
 
@@ -126,12 +170,16 @@ def brute_force_profile(
     Returns shape (len(orders), 2**level), subchannel i in column i - 1.
 
     Output tuples are enumerated atom-class by atom-class (the root's
-    weights multiply through as tuple multiplicities), inputs by all
-    2**N binary words mapped through the generator matrix (Arikan, IEEE
-    T-IT 2009).  Subchannel i is H(Y, U^i) - H(Y, U^{i-1}) over the prefix
+    weights multiply through as tuple multiplicities), one per orbit of
+    the N position translations k -> k xor b, times the orbit's size: a
+    translation permutes the values of every prefix law of a tuple and
+    keeps its weight (see the module docstring), so every sum and maximum
+    below is that of the full enumeration.  Inputs run over all 2**N
+    binary words mapped through the generator matrix (Arikan, IEEE T-IT
+    2009).  Subchannel i is H(Y, U^i) - H(Y, U^{i-1}) over the prefix
     laws v_j of (Y, U_1..U_j): v_N = P(y, u), and v_j sums v_{j+1} over
     u_{j+1} in pairs.  Each chunk of tuples walks j = N..0, one level held
-    at a time, and every order reads each level once, about 2 A**N 2**N
+    at a time, and every order reads each level once, about 2 A**N 2**N / N
     values per order: a finite order alpha sums J_j = ln sum w v_j^alpha
     through a log-sum-exp floored at e^-700 and gives (J_i - J_{i-1}) /
     ((1 - alpha) ln 2); orders 0 and inf take weighted supports and peaks.
@@ -145,7 +193,7 @@ def brute_force_profile(
     ValueError
         If ``level`` is a bool or not an integer >= 0.
     CapacityError
-        If A**N * 2**N exceeds ``DEFAULT_STATE_CAP``.
+        If A**N * 2**N, the whole joint law, exceeds ``DEFAULT_STATE_CAP``.
     DistributionError
         If the root's mass is off 1 by more than ``MASS_TOL``, or the
         enumerated joint law's mass is off the root's to the N-th power by
@@ -174,28 +222,22 @@ def brute_force_profile(
     # xbits[u, k] = k-th coordinate (1-based position k+1) of the codeword x(u)
     xidx = _input_to_codeword_index(level)
     xbits = (xidx[:, None] >> np.arange(n - 1, -1, -1)) & 1  # (2**N, N)
-    # tuples run in lexicographic order: tuple k has digit (k // A**(N-1-pos)) % A
-    # at position pos
-    place = a_count ** np.arange(n - 1, -1, -1, dtype=np.int64)
-
     # per prefix length j = 0..N: weighted support, peak, log-sum-exp parts
     support = np.zeros(n + 1)
     peak = np.zeros(n + 1)
-    chunk_count = -(-tuple_count // _CHUNK_TUPLES)
-    lse_parts = np.empty((len(finite), n + 1, chunk_count))
+    lse_parts = []  # one (finite orders, N + 1) array per chunk
     excess = np.zeros((len(near), n))  # num - den of the eps form, per subchannel
 
     mass = 0.0
-    for c in range(chunk_count):
-        start = c * _CHUNK_TUPLES
-        k = np.arange(start, min(start + _CHUNK_TUPLES, tuple_count), dtype=np.int64)
-        chunk = k[:, None] // place % a_count
+    for chunk, sizes in _translation_orbits(a_count, level):
         # v[u, t] = P(x(u), tuple t): the law of (Y, U_1..U_N), input word first
         v = p[:, chunk[:, 0]][xbits[:, 0]]
         for pos in range(1, n):
             v *= p[:, chunk[:, pos]][xbits[:, pos]]
-        logw = logw_atom[chunk].sum(axis=1)
+        # each representative stands for its whole orbit
+        logw = logw_atom[chunk].sum(axis=1) + np.log(sizes)
         w_tuple = np.exp(logw)
+        part = np.empty((len(finite), n + 1))
         above = []  # level j + 1's eps terms
         for j in range(n, -1, -1):
             if j < n:
@@ -205,7 +247,7 @@ def brute_force_profile(
             for f, a in enumerate(finite):
                 np.multiply(lv, a, out=t)
                 t += logw
-                lse_parts[f, j, c] = _logsumexp(t)
+                part[f, j] = _logsumexp(t)
             support[j] += np.sum(w_tuple * np.count_nonzero(v, axis=0))
             peak[j] = max(peak[j], v.max())
             terms = []
@@ -217,6 +259,7 @@ def brute_force_profile(
             for f, (hi, lo) in enumerate(zip(above, terms)):
                 excess[f, j] += np.sum(w_tuple * (hi[0::2] + hi[1::2] - lo))
             above = terms
+        lse_parts.append(part)
         mass += float(np.sum(w_tuple * v[0]))
 
     # N independent uses of the root; every branch below is scale-free, so
@@ -227,7 +270,8 @@ def brute_force_profile(
             f"enumerated joint law has mass {mass!r}; expected {expected!r} within 1e-9"
         )
     # each part array is read once, so its log-sum-exp may overwrite it
-    lse = np.array([_logsumexp(part) for part in lse_parts.reshape(-1, chunk_count)])
+    lse_parts = np.stack(lse_parts, axis=-1)
+    lse = np.array([_logsumexp(part) for part in lse_parts.reshape(-1, lse_parts.shape[-1])])
     lse = lse.reshape(lse_parts.shape[:2])
     out = np.empty((len(orders), n))
     for row, order in enumerate(orders):
@@ -255,16 +299,17 @@ def high_precision_conditional(d: JointDistribution, alpha) -> float:
     """Conditional entropy at a finite order, exactly or at 50 digits.
 
     Atom floats are taken at face value (exact binary rationals).  For
-    integral orders >= 2 the two power sums are exact Fractions and only
-    the final logarithms are rounded (at 50 digits); every other finite
-    order sums in 50-digit mpf.  A third opinion when the fast path and the
-    brute force disagree, and a check that the float kernels carry no
-    systematic bias.
+    integral orders from 2 to ``_EXACT_ORDER_MAX`` the two power sums are
+    exact Fractions and only the final logarithms are rounded (at 50
+    digits); every other finite order, larger integral ones included, sums
+    in 50-digit mpf.  A third opinion when the fast path and the brute
+    force disagree, and a check that the float kernels carry no systematic
+    bias.
     """
     order = as_order(alpha)
     if order.kind != "finite":
         raise ValueError(f"exact evaluation covers finite orders other than 1, got {order}")
-    if order.is_integer:
+    if order.is_integer and order.alpha <= _EXACT_ORDER_MAX:
         num_t, a = Fraction, int(order.alpha)
     else:
         num_t, a = mpmath.mpf, mpmath.mpf(order.alpha)

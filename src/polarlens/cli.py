@@ -43,7 +43,12 @@ from .entropy import (
     chain_rule_entropies_many,
     conditional_renyi,  # noqa: F401  perfbench/tracing.py patches this attribute
 )
-from .experiments import PerturbationSpec, extreme_example_sweep, perturbation_sweep
+from .experiments import (
+    PerturbationRangeError,
+    PerturbationSpec,
+    extreme_example_sweep,
+    perturbation_sweep,
+)
 from .transform import (
     DEFAULT_ATOM_CAP,
     check_band,
@@ -270,6 +275,10 @@ def cmd_perturb(ns) -> int:
         halvings = ns.halvings if ns.halvings is not None else raw.get("halvings", 5)
         spec = PerturbationSpec(raw["mode"], raw["base_weights"], raw["deltas"])
         rows = [[spec.mode, *row] for row in perturbation_sweep(spec, alphas, halvings)]
+    except PerturbationRangeError as exc:
+        # a well-formed spec whose deviations binary64 cannot hold
+        print(f"perturb: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         print(f"perturb: malformed spec: {exc}", file=sys.stderr)
         return EXIT_USAGE

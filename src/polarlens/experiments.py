@@ -214,6 +214,10 @@ def perturbation_distribution(spec: PerturbationSpec) -> JointDistribution:
     return make_from_atoms(np.column_stack([p0, p1, np.ones_like(q)]))
 
 
+class PerturbationRangeError(ValueError):
+    """A perturbation deviation that binary64 cannot hold (inf or NaN)."""
+
+
 def _perturbation_deviations(spec, order: Order, scales: Sequence[float]) -> list[tuple]:
     """(exact, approx) deviations at one order, with every delta times each of ``scales``.
 
@@ -248,9 +252,19 @@ def _perturbation_deviations(spec, order: Order, scales: Sequence[float]) -> lis
                     acc += dv_a - a * dv * q_lead
             if uniform:
                 exact = num / (den * num_t(2) ** (1 - a)) - 1
-                out.append((float(exact), float(2 * a * (a - 1) * acc / den)))
+                approx = 2 * a * (a - 1) * acc / den
             else:
-                out.append((float(num / den - 1), float(acc / den)))
+                exact, approx = num / den - 1, acc / den
+            try:
+                pair = float(exact), float(approx)
+            except OverflowError:  # a Fraction past the binary64 range
+                pair = math.inf, math.inf
+            if not all(math.isfinite(x) for x in pair):
+                raise PerturbationRangeError(
+                    f"order {order} at delta scale {scale:g}: the exact or approximate "
+                    "deviation is not finite in binary64"
+                )
+            out.append(pair)
     return out
 
 
@@ -285,6 +299,13 @@ def perturbation_sweep(
     the small-delta cancellation in the trailing "- 1" costs no precision
     and the rel_error |approx - exact| / |exact| (0 when both vanish)
     measures the approximation, not the evaluator.
+
+    Raises
+    ------
+    PerturbationRangeError
+        A ValueError naming the order and the delta scale, if exact or
+        approx is not finite in binary64 (at large orders the power sums
+        can overflow it).
     """
     if isinstance(orders, (str, Mapping)):
         raise TypeError(f"orders must be a sequence, not a string or mapping: {orders!r}")

@@ -23,7 +23,15 @@ from polarlens import (
     one_step_report,
     random_joint,
 )
-from polarlens.bruteforce import _logsumexp
+from polarlens.bruteforce import (
+    _CHUNK_TUPLES,
+    _EPS_FORM_BAND,
+    _LN2,
+    _input_to_codeword_index,
+    _logsumexp,
+    _translation_orbits,
+)
+from polarlens.entropy import as_order
 
 ORDERS = (0.0, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0, math.inf)
 
@@ -137,14 +145,15 @@ def test_brute_force_matches_split_engine_random():
         ((math.inf, 2.0, 0.0, 0.5, 1.0, 2.0, 100.0), 2),
         ((0.0, 1.0, math.inf), 2),
         ((3.7, 0.5, 300.5), 2),
-        # 3**8 = 6,561 tuples in four chunks
+        # 3**8 = 6,561 tuples, 891 translation orbits: four chunks of 256
         ((1.000001, math.inf, 0.0, 1.0, 0.999999, 10.0), 3),
     ],
     ids=["mixed-with-repeat", "limits-only", "finite-only", "multi-chunk"],
 )
-def test_brute_force_rows_match_one_order_calls(orders, level):
+def test_brute_force_rows_match_one_order_calls(orders, level, monkeypatch):
     # every order reads the chunk's shared prefix laws and logs; each row
     # must be bitwise what the order gets on its own
+    monkeypatch.setattr("polarlens.bruteforce._CHUNK_TUPLES", 256)
     d = random_joint(np.random.default_rng(191), min_symbols=3, max_symbols=3)
     rows = brute_force_profile(d, level, orders=orders)
     assert rows.shape == (len(orders), 2**level)
@@ -267,6 +276,171 @@ def test_brute_force_memory_peak():
     assert peak < 24 * 2**20, peak / 2**20
 
 
+def _prefix_laws(root, level, classes):
+    """Sorted values of every prefix law of each output tuple, by plain products.
+
+    classes is (tuples, N); item j of the result is (tuples, 2**j), the law
+    of (Y, U_1..U_j) at each tuple, sorted along its last axis.
+    """
+    n = 1 << level
+    xidx = _input_to_codeword_index(level)
+    xbits = (xidx[:, None] >> np.arange(n - 1, -1, -1)) & 1  # (2**N, N)
+    p = np.stack([root.p0, root.p1])
+    # v[t, u] = prod_k P(x_k(u), y_k = classes[t, k])
+    v = np.prod(p[xbits[None, :, :], classes[:, None, :]], axis=2)
+    laws = [v]
+    while laws[0].shape[1] > 1:
+        laws.insert(0, laws[0][:, 0::2] + laws[0][:, 1::2])
+    return [np.sort(law, axis=1) for law in laws]
+
+
+def _translate(classes, b):
+    """Each tuple with position k moved to k xor b."""
+    n = classes.shape[1]
+    return classes[:, np.arange(n) ^ b]
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_translations_keep_every_prefix_law(level):
+    # the symmetry the oracle's orbit enumeration rests on, checked apart
+    # from its code path: t and t with positions k -> k xor b have the same
+    # multiset of values in every prefix law (the weight, a product over
+    # positions, is kept by any permutation)
+    root = random_joint(np.random.default_rng(191), min_symbols=3, max_symbols=3)
+    n = 1 << level
+    if level < 3:
+        classes = np.array(list(np.ndindex(*(3,) * n)))
+    else:
+        classes = np.random.default_rng(197).integers(0, 3, size=(200, n))
+    laws = _prefix_laws(root, level, classes)
+    for b in range(n):
+        moved = _prefix_laws(root, level, _translate(classes, b))
+        for j, (law, other) in enumerate(zip(laws, moved)):
+            assert np.all(np.abs(other - law) <= 1e-15 * law), (b, j)
+
+
+@pytest.mark.parametrize("a_count", [2, 3, 4])
+def test_translation_orbits_at_eight_positions(a_count):
+    # Burnside: the identity fixes A**8 tuples, each of the 7 other
+    # translations (fixed-point-free involutions) A**4
+    n = 8
+    place = a_count ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    chunks = list(_translation_orbits(a_count, 3))
+    assert all(len(classes) <= _CHUNK_TUPLES for classes, _ in chunks)
+    classes = np.concatenate([c for c, _ in chunks])
+    sizes = np.concatenate([s for _, s in chunks])
+    assert len(classes) == (a_count**n + (n - 1) * a_count ** (n // 2)) // n
+    assert sizes.sum() == a_count**n
+    reps = classes @ place
+    orbits = np.stack([_translate(classes, b) @ place for b in range(n)], axis=1)
+    assert np.array_equal(reps, orbits.min(axis=1))
+    assert [len(set(row)) for row in orbits.tolist()] == sizes.tolist()
+    assert len(np.unique(reps)) == len(reps)
+
+
+def _plain_brute_force(root, level, orders):
+    """Every output tuple enumerated, as a reference only.
+
+    brute_force_profile's prefix-law walk over all A**N tuples in
+    lexicographic chunks, each at its own weight, with no orbits and no
+    level, cap or mass checks.
+    """
+    orders = [as_order(o) for o in orders]
+    finite = list(dict.fromkeys(o.alpha for o in orders if o.kind == "finite"))
+    near = [a - 1.0 for a in finite if abs(a - 1.0) <= _EPS_FORM_BAND]
+    near += [0.0] if any(o.kind == "one" for o in orders) else []
+    n = 1 << level
+    a_count = root.n_atoms
+    tuple_count = a_count**n
+    p = np.stack([root.p0, root.p1], axis=0)
+    logw_atom = np.log(root.weight)
+    xidx = _input_to_codeword_index(level)
+    xbits = (xidx[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    place = a_count ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    support = np.zeros(n + 1)
+    peak = np.zeros(n + 1)
+    chunk_count = -(-tuple_count // _CHUNK_TUPLES)
+    lse_parts = np.empty((len(finite), n + 1, chunk_count))
+    excess = np.zeros((len(near), n))
+    mass = 0.0
+    for c in range(chunk_count):
+        start = c * _CHUNK_TUPLES
+        k = np.arange(start, min(start + _CHUNK_TUPLES, tuple_count), dtype=np.int64)
+        chunk = k[:, None] // place % a_count
+        v = p[:, chunk[:, 0]][xbits[:, 0]]
+        for pos in range(1, n):
+            v *= p[:, chunk[:, pos]][xbits[:, pos]]
+        logw = logw_atom[chunk].sum(axis=1)
+        w_tuple = np.exp(logw)
+        above = []
+        for j in range(n, -1, -1):
+            if j < n:
+                v = v[0::2] + v[1::2]
+            lv = np.log(v, out=np.full_like(v, -np.inf), where=v > 0.0)
+            t = np.empty_like(lv)
+            for f, a in enumerate(finite):
+                np.multiply(lv, a, out=t)
+                t += logw
+                lse_parts[f, j, c] = _logsumexp(t)
+            support[j] += np.sum(w_tuple * np.count_nonzero(v, axis=0))
+            peak[j] = max(peak[j], v.max())
+            terms = []
+            for e in near:
+                if e:
+                    np.expm1(np.multiply(lv, e, out=t), out=t)
+                terms.append(np.multiply(v, t if e else lv, out=np.zeros_like(v), where=v > 0.0))
+            for f, (hi, lo) in enumerate(zip(above, terms)):
+                excess[f, j] += np.sum(w_tuple * (hi[0::2] + hi[1::2] - lo))
+            above = terms
+        mass += float(np.sum(w_tuple * v[0]))
+    lse = np.array([_logsumexp(part) for part in lse_parts.reshape(-1, chunk_count)])
+    lse = lse.reshape(lse_parts.shape[:2])
+    out = np.empty((len(orders), n))
+    for row, order in enumerate(orders):
+        for i in range(n):
+            eps = order.alpha - 1.0
+            if order.kind == "zero":
+                h = math.log2(support[i + 1] / support[i])
+            elif order.kind == "infinity":
+                h = math.log2(peak[i] / peak[i + 1])
+            elif eps == 0.0:
+                h = -excess[near.index(eps), i] / (mass * _LN2)
+            else:
+                f = finite.index(order.alpha)
+                if eps in near:
+                    ratio = excess[near.index(eps), i] / math.exp(lse[f, i])
+                    h = -math.log1p(ratio) / (eps * _LN2)
+                else:
+                    h = (lse[f, i + 1] - lse[f, i]) / (-eps * _LN2)
+            out[row, i] = h
+    return out
+
+
+def _orbit_corpus():
+    # random 2-6-atom roots and four named channels at levels 0-3, each
+    # call at most 3**8 * 2**8 joint entries (a 4-atom level 3 takes the
+    # reference over a second)
+    rng = np.random.default_rng(211)
+    roots = [(f"random{k}", random_joint(rng, 2, 6)) for k in range(8)]
+    roots += [("bsc0.2", make_bsc(0.2)), ("bsc0.11", make_bsc(0.11)),
+              ("bsc0.49", make_bsc(0.49)), ("bec0.35", make_bec(0.35))]
+    return [
+        pytest.param(root, level, id=f"{name}-n{level}")
+        for name, root in roots
+        for level in range(4)
+        if root.n_atoms ** (1 << level) <= 3**8
+    ]
+
+
+@pytest.mark.parametrize("root,level", _orbit_corpus())
+def test_brute_force_matches_plain_enumeration(root, level):
+    from polarlens import EXTENDED_ORDER_GRID
+
+    orders = (*EXTENDED_ORDER_GRID, 0.999999, 1.000001, 1.2, 0.8, 3.0, 40.5, 1000.5)
+    got = brute_force_profile(root, level, orders)
+    assert np.max(np.abs(got - _plain_brute_force(root, level, orders))) <= 1e-13
+
+
 def test_high_precision_agrees_with_float_engine():
     rng = np.random.default_rng(173)
     for _ in range(10):
@@ -287,6 +461,17 @@ def test_rational_conditional_exact_on_dyadics():
         direct = (math.log2(want[0]) - math.log2(want[1])) / (1 - a)
         assert float(hr) == pytest.approx(direct, abs=1e-12)
         assert conditional_renyi(d, float(a)) == pytest.approx(float(hr), abs=1e-12)
+
+
+@pytest.mark.parametrize("order", [1e4, 1e300])
+def test_high_precision_conditional_at_huge_integral_orders(order):
+    # exact Fraction powers at these orders take seconds (1e4) or never
+    # return (1e300); they take the 50-digit branch
+    rng = np.random.default_rng(223)
+    for d in (make_bsc(0.2), random_joint(rng, 4, 4)):
+        assert high_precision_conditional(d, order) == pytest.approx(
+            conditional_renyi(d, order), abs=1e-12
+        )
 
 
 def test_high_precision_conditional_rejects_limit_orders():

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,6 +333,20 @@ def test_perturb_bad_spec(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.count("perturb: malformed spec: ") == 1, bad
         assert len(err.splitlines()) == 1, bad
+
+
+@pytest.mark.parametrize("order", [4000.5, 4000])
+def test_perturb_refuses_deviations_past_binary64(tmp_path, capsys, order):
+    # a well-formed spec whose deviations overflow binary64 prints no row
+    # (no inf exact or NaN rel_error) and is not blamed on the spec
+    raw = json.loads((Path(__file__).parent / "data" / "readme-spec.json").read_text())
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**raw, "alphas": [order]}))
+    assert run(["perturb", "--spec", str(spec)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"perturb: order {order:g} at delta scale 1: ")
+    assert "malformed spec" not in err
 
 
 @pytest.mark.parametrize(

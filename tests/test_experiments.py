@@ -10,6 +10,7 @@ import pytest
 
 from polarlens import (
     ExtremeExampleParams,
+    PerturbationRangeError,
     PerturbationSpec,
     PolarizationProfile,
     as_order,
@@ -279,6 +280,17 @@ def test_perturbation_evaluator_matches_per_type_reference_bitwise():
         for row in rows:
             want = _reference_deviations(spec, row.order, row.scale)
             assert (row.exact, row.approx) == want, (mode, row.order, row.scale)
+
+
+@pytest.mark.parametrize("order", [4000.5, 4000])
+def test_perturbation_sweep_refuses_deviations_past_binary64(order):
+    # the README spec's uniform deviation grows like 1.4**a: at 4000.5 the
+    # 50-digit value became inf (and rel_error NaN), at 4000 the exact
+    # Fraction overflowed float()
+    spec = PerturbationSpec("uniform", (0.5, 0.3, 0.2), (0.1, -0.05, 0.02))
+    with pytest.raises(PerturbationRangeError, match=rf"order {order:g} at delta scale 1\b"):
+        perturbation_sweep(spec, [2.0, order], halvings=2)
+    assert issubclass(PerturbationRangeError, ValueError)
 
 
 def test_exact_matches_entropy_shift_direction():
