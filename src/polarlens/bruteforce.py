@@ -38,7 +38,7 @@ import mpmath
 import numpy as np
 
 from .distributions import MASS_TOL, CapacityError, DistributionError, JointDistribution, make_bec
-from .entropy import as_order
+from .entropy import Order, as_order
 
 #: Maximum number of joint entries (output tuples times input words), all
 #: of them counted though one tuple per translation orbit is visited.
@@ -295,6 +295,20 @@ def brute_force_profile(
     return out
 
 
+def exact_number_type(order: Order) -> tuple:
+    """(number type, exponent) of the exact evaluators at a finite ``order``.
+
+    Integral orders from 2 to ``_EXACT_ORDER_MAX`` take exact Fraction
+    powers of the integral exponent; every other finite order, larger
+    integral ones included, takes mpmath.mpf, which the callers run at 50
+    digits.  :func:`high_precision_conditional` and the perturbation study
+    of :mod:`polarlens.experiments` share it.
+    """
+    if order.is_integer and order.alpha <= _EXACT_ORDER_MAX:
+        return Fraction, int(order.alpha)
+    return mpmath.mpf, mpmath.mpf(order.alpha)
+
+
 def high_precision_conditional(d: JointDistribution, alpha) -> float:
     """Conditional entropy at a finite order, exactly or at 50 digits.
 
@@ -309,10 +323,7 @@ def high_precision_conditional(d: JointDistribution, alpha) -> float:
     order = as_order(alpha)
     if order.kind != "finite":
         raise ValueError(f"exact evaluation covers finite orders other than 1, got {order}")
-    if order.is_integer and order.alpha <= _EXACT_ORDER_MAX:
-        num_t, a = Fraction, int(order.alpha)
-    else:
-        num_t, a = mpmath.mpf, mpmath.mpf(order.alpha)
+    num_t, a = exact_number_type(order)
     with mpmath.workdps(50):
         num = den = num_t(0)
         for atom in d.atoms():

@@ -195,14 +195,17 @@ def cmd_polarize(ns) -> int:
         ranks = np.empty(perm.shape[0], dtype=np.int64)
         ranks[perm] = np.arange(perm.shape[0])
         columns.append("shannon_rank")
-    rows = []
-    for i in range(1 << ns.n):
-        for k, order in enumerate(profile.orders):
-            row = [ns.n, i + 1, order, float(profile.entries[k, i])]
-            if ranks is not None:
-                row.append(int(ranks[i]))
-            rows.append(row)
-    entries = make_section("entries", columns, rows)
+
+    def rows():
+        # one at a time: make_section turns each row into strings before the next is built
+        for i in range(1 << ns.n):
+            for k, order in enumerate(profile.orders):
+                row = [ns.n, i + 1, order, float(profile.entries[k, i])]
+                if ranks is not None:
+                    row.append(int(ranks[i]))
+                yield row
+
+    entries = make_section("entries", columns, rows())
 
     # entries polarize toward {0, 1} with a conserved level mean, so
     # frac_high tends to the root entropy and frac_low to its complement:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -78,6 +79,12 @@ class JointDistribution:
 
     def to_json_dict(self) -> dict:
         return {"atoms": [[a.p0, a.p1, a.weight] for a in self.atoms()]}
+
+
+def _check_count(name: str, value) -> None:
+    """Refuse a ``value`` that is not an integer >= 1 (a NaN ``atom_cap`` would disable every budget)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -224,9 +231,12 @@ def random_joint(
 
     Entries are independent exponential variates normalized to total mass 1,
     so every joint entry is strictly positive and the atom count is uniform
-    on [min_symbols, max_symbols].
+    on [min_symbols, max_symbols].  Both sizes must be integers, not bools,
+    with 1 <= min_symbols <= max_symbols; anything else raises ValueError.
     """
-    if min_symbols < 1 or max_symbols < min_symbols:
+    _check_count("min_symbols", min_symbols)
+    _check_count("max_symbols", max_symbols)
+    if max_symbols < min_symbols:
         raise ValueError("need 1 <= min_symbols <= max_symbols")
     k = int(rng.integers(min_symbols, max_symbols + 1))
     raw = rng.exponential(size=(2, k))

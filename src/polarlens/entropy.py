@@ -332,7 +332,7 @@ def _stacked_renyi(p: np.ndarray, w: np.ndarray, orders: list[Order]) -> np.ndar
         means = (wt * posterior_term(posterior_logs(t), eps)).sum(axis=-1)
         means /= (wt * t).sum(axis=-1)
         h[:, post] += _posterior_entropies(means, eps)
-    return h
+    return h + 0.0  # a negative zero becomes 0.0; every other entry keeps its bits
 
 
 def renyi_entropies(probs, orders, weights=None) -> np.ndarray:
@@ -378,11 +378,11 @@ def snap_to_unit(value):
 
     Conditional entropies of a binary input provably lie in [0, 1]; float
     evaluation can land a hair outside near the endpoints.  Violations
-    beyond 1e-9 are left alone so real defects stay visible.  An array is
-    snapped elementwise into a new array, and a 0-d array or a number into
-    a float.
+    beyond 1e-9 are left alone so real defects stay visible, and a
+    negative zero becomes 0.0.  An array is snapped elementwise into a new
+    array, and a 0-d array or a number into a float.
     """
-    value = np.where((-1e-9 <= value) & (value < 0.0), 0.0, value)
+    value = np.where((-1e-9 <= value) & (value <= 0.0), 0.0, value)
     value = np.where((1.0 < value) & (value <= 1.0 + 1e-9), 1.0, value)
     return float(value) if value.ndim == 0 else value
 

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from contextlib import nullcontext
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 import mpmath
 import numpy as np
 
+from .bruteforce import exact_number_type
 from .distributions import MASS_TOL, JointDistribution, make_from_atoms, _freeze
 from .entropy import (
     Order,
@@ -90,7 +89,7 @@ def extreme_example_closed_form(params: ExtremeExampleParams, alpha) -> float:
     shared = (a - 1.0) * math.log2(lm1)
     log_num = np.logaddexp2(shared, (1.0 - a) + a * math.log2(n1))
     log_den = np.logaddexp2(shared, a * math.log2(n1))
-    return float(log_num - log_den) / (1.0 - a)
+    return float(log_num - log_den) / (1.0 - a) + 0.0  # no negative zero
 
 
 def extreme_example_distribution(params: ExtremeExampleParams) -> JointDistribution:
@@ -223,16 +222,14 @@ def _perturbation_deviations(spec, order: Order, scales: Sequence[float]) -> lis
 
     Sum Q^a and each symbol's Q^(a-2) (uniform mode) or Q^(a-1)
     (deterministic mode) do not depend on the scale and are computed once;
-    then one pass over the symbols per scale.  The number type carries the
-    arithmetic policy perturbation_sweep states.
+    then one pass over the symbols per scale.  The number type, from
+    :func:`polarlens.bruteforce.exact_number_type`, carries the arithmetic
+    policy perturbation_sweep states.
     """
-    if order.is_integer:
-        num_t, a, precision = Fraction, int(order.alpha), nullcontext()
-    else:
-        num_t, a, precision = mpmath.mpf, mpmath.mpf(order.alpha), mpmath.workdps(50)
+    num_t, a = exact_number_type(order)
     uniform = spec.mode == "uniform"
     out = []
-    with precision:
+    with mpmath.workdps(50):
         qs = [num_t(qf) for qf in spec.base_weights]
         den = num_t(0)
         for q in qs:
@@ -294,11 +291,14 @@ def perturbation_sweep(
                      terminates the expansion, so it is exact at a = 2, 3)
       deterministic: (sum d^a - a sum[d Q^(a-1)]) / sum Q^a
 
-    Both are evaluated in exact rational arithmetic at integral orders
-    (binary64 inputs are exact rationals) and at 50 digits elsewhere, so
-    the small-delta cancellation in the trailing "- 1" costs no precision
-    and the rel_error |approx - exact| / |exact| (0 when both vanish)
-    measures the approximation, not the evaluator.
+    Both are evaluated in exact rational arithmetic at integral orders up
+    to 512 (binary64 inputs are exact rationals) and at 50 digits
+    elsewhere, larger integral orders included, whose exact powers grow in
+    cost with the order; the cut-over is that of
+    :func:`polarlens.bruteforce.high_precision_conditional`.  So the
+    small-delta cancellation in the trailing "- 1" costs no precision and
+    the rel_error |approx - exact| / |exact| (0 when both vanish) measures
+    the approximation, not the evaluator.
 
     Raises
     ------

@@ -60,12 +60,14 @@ A box of P points costs P (P + 24) elements, where the symmetric grid
 cost half the square of the parent's point count.  Every finite order
 above 32 sums a^alpha + b^alpha over the grid of the ratio groups that
 can move the pair sum, a certified pruning that drops under 2^-58 of it,
-in the log domain, so nothing overflows; order inf takes a diagonal
-rule.  Every parent of a level walks in one stacked pass: the boxes of
-all parents run bucketed by size, each block takes its posteriors and
-their logs once, and each order applies its own kernel and weights.  A
-box's sum depends on that box alone, so every parent and order gets
-bitwise the value of a walk of it alone.
+in the log domain of :mod:`polarlens.entropy`: log2_power_kernel gives
+each pair's term, and log2_sum_exp2 sums each block of rows and then the
+blocks, so nothing overflows; order inf takes a diagonal rule.  Every
+parent of a level walks in one stacked pass: the boxes of all parents
+run bucketed by size, each block takes its posteriors and their logs
+once, and each order applies its own kernel and weights.  A box's sum
+depends on that box alone, so every parent and order gets bitwise the
+value of a walk of it alone.
 
 Erasure-type roots never need atoms past the root, and order 0 of no
 root does.  Canonical atoms fall in two classes, p1 > 0 and p1 = 0.  When
@@ -98,7 +100,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -110,6 +111,7 @@ from .distributions import (
     DistributionError,
     JointDistribution,
     canonicalize_orientation,
+    _check_count,
     _freeze,
 )
 from .entropy import (
@@ -119,6 +121,7 @@ from .entropy import (
     conditional_entropies,
     conditional_entropies_many,
     conditional_renyi,  # noqa: F401  perfbench/tracing.py patches this attribute
+    log2_power_kernel,
     log2_power_sum,  # noqa: F401  perfbench/tracing.py patches this attribute
     log2_sum_exp2,
     posterior_entropy,
@@ -145,12 +148,6 @@ _SPLIT_WORK_FACTOR = 100
 _PAIR_CHUNK = 1 << 18
 
 _LN2 = math.log(2.0)
-
-
-def _check_count(name: str, value) -> None:
-    """Refuse a ``value`` that is not an integer >= 1 (a NaN ``atom_cap`` would disable every budget)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _check_step(
@@ -593,39 +590,20 @@ class _RatioView:
 def _pair_grid_sum(ratios: np.ndarray, log_weights: np.ndarray, alpha: float) -> float:
     """log2 of sum_{a,b} w_a w_b [(1 + r_a r_b)^alpha + (r_a + r_b)^alpha].
 
-    The weights come as log2 w.  Each chunk is summed relative to its own
-    largest term, so neither the weights nor the powers over- or underflow
-    at any order.
+    The weights come as log2 w.  The grid runs in blocks of whole rows, at
+    most _PAIR_CHUNK terms each (one row if a row is longer): a term is
+    :func:`log2_power_kernel` of the pair plus both log weights, a block's
+    terms and then the blocks' sums go through :func:`log2_sum_exp2`, so
+    neither the weights nor the powers over- or underflow at any order.
     """
-    n = ratios.shape[0]
-    rows = max(1, _PAIR_CHUNK // n)
-
-    def work(s: int) -> tuple[float, float]:
+    rows = max(1, _PAIR_CHUNK // ratios.shape[0])
+    blocks = []
+    for s in range(0, ratios.shape[0], rows):
         rc = ratios[s : s + rows, None]
-        lw = log_weights[s : s + rows, None] + log_weights
-        with np.errstate(divide="ignore"):
-            t0 = np.log2(1.0 + rc * ratios)
-            t1 = np.log2(rc + ratios)
-        t0 *= alpha
-        t0 += lw
-        t1 *= alpha
-        t1 += lw
-        top = float(max(t0.max(), t1.max()))
-        if top == -math.inf:
-            return top, 0.0
-        t0 -= top
-        t1 -= top
-        # terms under 2^-1000 of the largest cannot move the sum; flooring
-        # them there keeps exp2 off its slow subnormal path
-        np.maximum(t0, -1000.0, out=t0)
-        np.maximum(t1, -1000.0, out=t1)
-        both = np.exp2(t0)
-        both += np.exp2(t1)
-        return top, float(np.sum(both))
-
-    parts = [work(s) for s in range(0, n, rows)]
-    top = max(t for t, _ in parts)
-    return top + math.log2(math.fsum(v * 2.0 ** (t - top) for t, v in parts))
+        terms = log2_power_kernel(1.0 + rc * ratios, rc + ratios, alpha)
+        terms += log_weights[s : s + rows, None] + log_weights
+        blocks.append(log2_sum_exp2(terms.ravel()))
+    return log2_sum_exp2(np.array(blocks))
 
 
 def _far_walk(x, w, starts, orders: Sequence[Order]) -> np.ndarray:
@@ -767,7 +745,9 @@ def _split(view: _RatioView, h: np.ndarray, atom_cap: int, where: str = "") -> n
     Column 2i holds state i's minus child and 2i + 1 its plus child.  ``h``
     holds the states' own :meth:`_RatioView.entropies`, unsnapped.
     :func:`_plan` checks every state's work budget before any kernel runs.
-    Each grid order runs its grid over the kept groups of every state.
+    Each grid order runs :func:`_pair_grid_sum` over the kept groups of
+    each state, one call per state, on log2 weights normalized by the
+    state's symbol weights.
     The walker orders take their weights onto the proxy points of the
     whole stack at once, and every state walks them in one
     :func:`_far_walk`.  H(plus) = 2 h - H(minus) at finite orders.

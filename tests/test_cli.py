@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -667,3 +668,20 @@ def test_float_cells_round_trip_exactly():
     text = render_tables([section], "csv")
     back = parse_tables(text)
     assert float(back[0].rows[0][0]) == value
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["polarize", "--channel", "bsc:0", "--n", "1", "--alpha", "2,1"],
+        ["polarize", "--channel", "bsc:0.2", "--n", "7", "--alpha", "10,100"],
+        ["entropy", "--channel", "bsc:0"],
+        ["entropy", "--channel", "bec:0", "--alpha", "1,2,3000,inf"],
+        ["example-extreme", "--alpha", "3000"],
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_no_cell_prints_a_negative_zero(args, fmt, capsys):
+    assert run(args + ["--format", fmt]) == EXIT_OK
+    cells = re.split(r"[\s,\[\]{}:=\"]+", capsys.readouterr().out)
+    assert [c for c in cells if c.startswith("-") and float(c.lstrip("-") or "nan") == 0.0] == []

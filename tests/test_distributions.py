@@ -222,3 +222,16 @@ def test_random_joint_valid():
         assert 2 <= d.n_atoms <= 8
         assert d.mass == pytest.approx(1.0, abs=1e-9)
         assert isinstance(d, JointDistribution)
+
+
+@pytest.mark.parametrize(
+    "sizes", [(2.5, 3), (True, 3), (2, 3.0), (1, False), ("2", 3), (np.float64(2.0), 3)]
+)
+def test_random_joint_sizes_must_be_integers(sizes):
+    with pytest.raises(ValueError, match="must be an integer"):
+        random_joint(np.random.default_rng(0), *sizes)
+
+
+def test_random_joint_accepts_numpy_integers():
+    d = random_joint(np.random.default_rng(0), np.int64(3), np.int32(3))
+    assert d.n_atoms == 3

@@ -390,3 +390,37 @@ def test_stacked_results_come_back_in_input_order():
     assert _same_bits(conditional_entropies_many([laws[k] for k in perm], STACK_ORDERS), cond[perm])
     assert conditional_entropies_many([], STACK_ORDERS).shape == (0, len(STACK_ORDERS))
     assert chain_rule_entropies_many([], STACK_ORDERS).shape == (0, 4, len(STACK_ORDERS))
+
+
+def _negative_zeros(values) -> int:
+    x = np.asarray(values, dtype=float)
+    return int(np.sum((x == 0.0) & np.signbit(x)))
+
+
+def test_zero_entropies_are_positive_zeros():
+    # exact zeros at orders above 1 came out as -0.0 (log2 of 1, divided by
+    # 1 - alpha, or negated); the CLI printed them as "-0.0"
+    from polarlens import (
+        EXTENDED_ORDER_GRID,
+        ExtremeExampleParams,
+        canonicalize_orientation,
+        child_entropies,
+        extreme_example_closed_form,
+        level_profile_sweep,
+        one_step_report,
+    )
+
+    orders = [1.0, 2.0, 3000.0]
+    for root in (make_bsc(0.0), make_bec(0.0)):
+        canonical = canonicalize_orientation(root)
+        assert _negative_zeros(conditional_entropies(root, orders)) == 0
+        assert _negative_zeros(child_entropies(canonical, orders)) == 0
+        assert _negative_zeros(chain_rule_entropies(root, orders)) == 0
+        assert _negative_zeros([r[1:] for r in one_step_report(root, orders=orders)]) == 0
+    assert _negative_zeros(renyi_entropies([1.0], [2.0, 1.0, 3000.0, math.inf])) == 0
+    params = ExtremeExampleParams(alpha0=2.0, size=20)
+    assert _negative_zeros([extreme_example_closed_form(params, a) for a in (3000, 1e4, 1e6)]) == 0
+    assert _negative_zeros(snap_to_unit(np.array([-0.0, 0.0, -1e-12]))) == 0
+    assert _negative_zeros(snap_to_unit(-0.0)) == 0
+    profiles = level_profile_sweep(make_bsc(0.2), 7, EXTENDED_ORDER_GRID)
+    assert sum(_negative_zeros(p.entries) for p in profiles) == 0

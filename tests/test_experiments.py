@@ -285,12 +285,49 @@ def test_perturbation_evaluator_matches_per_type_reference_bitwise():
 @pytest.mark.parametrize("order", [4000.5, 4000])
 def test_perturbation_sweep_refuses_deviations_past_binary64(order):
     # the README spec's uniform deviation grows like 1.4**a: at 4000.5 the
-    # 50-digit value became inf (and rel_error NaN), at 4000 the exact
-    # Fraction overflowed float()
+    # 50-digit value became inf (and rel_error NaN), and at 4000, summed
+    # as exact Fractions, it overflowed float()
     spec = PerturbationSpec("uniform", (0.5, 0.3, 0.2), (0.1, -0.05, 0.02))
     with pytest.raises(PerturbationRangeError, match=rf"order {order:g} at delta scale 1\b"):
         perturbation_sweep(spec, [2.0, order], halvings=2)
     assert issubclass(PerturbationRangeError, ValueError)
+
+
+def _uniform_deviation(spec, a: int, scale: float) -> Fraction:
+    """The uniform-mode exact deviation in rational arithmetic, as the docstring states it."""
+    qs = [Fraction(q) for q in spec.base_weights]
+    ds = [Fraction(d * scale) for d in spec.deltas]
+    num = sum((q / 2 + d) ** a + (q / 2 - d) ** a for q, d in zip(qs, ds))
+    return num / (Fraction(2) ** (1 - a) * sum(q**a for q in qs)) - 1
+
+
+def test_perturbation_orders_above_512_build_no_fraction(monkeypatch):
+    # integral orders above bruteforce._EXACT_ORDER_MAX sum at 50 digits, as
+    # high_precision_conditional does: exact powers grow in cost with the order
+    from polarlens import bruteforce, experiments
+
+    built = []
+
+    class Spy(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    for module in (bruteforce, experiments):
+        monkeypatch.setattr(module, "Fraction", Spy, raising=False)
+    spec = PerturbationSpec("uniform", (0.5, 0.3, 0.2), (0.1, -0.05, 0.02))
+    exact_rows = perturbation_sweep(spec, [512], halvings=1)
+    assert built
+    built.clear()
+    rows = perturbation_sweep(spec, [513], halvings=1)
+    assert built == []
+    for row in exact_rows:
+        assert row.exact == float(_uniform_deviation(spec, 512, row.scale))
+    for row in rows:
+        assert row.exact == pytest.approx(float(_uniform_deviation(spec, 513, row.scale)), rel=1e-15)
+    with pytest.raises(PerturbationRangeError, match="order 100000 at delta scale 1"):
+        perturbation_sweep(spec, [1e5], halvings=3)
+    assert built == []
 
 
 def test_exact_matches_entropy_shift_direction():

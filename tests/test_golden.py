@@ -66,6 +66,16 @@ def test_output_matches_golden(name, tmp_path):
         assert got == (GOLDEN / file_name).read_bytes(), file_name
 
 
+def test_no_golden_cell_is_a_negative_zero():
+    split = re.compile(r"[\s,\[\]{}:=]+")
+    cells = [
+        (path.name, cell)
+        for path in sorted(GOLDEN.iterdir())
+        for cell in split.split(path.read_text(encoding="utf-8"))
+    ]
+    assert [c for c in cells if c[1].startswith("-") and _number(c[1]) == 0.0] == []
+
+
 def _number(cell: str):
     try:
         return float(cell)

@@ -104,6 +104,16 @@ def test_traced_attributes_resolve():
     assert missing == []
 
 
+def test_ci_runs_the_tier1_command():
+    # the workflow's test step is the tier-1 command that ROADMAP.md states
+    roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap).group(1)
+    steps = re.findall(r"^\s+run: (.*)$", workflow, re.M)
+    assert steps[-1] == command, steps
+    assert "perfbench" not in steps[-1]
+
+
 def code_lines(source: str) -> int:
     """Lines of ``source`` that hold code, by ``tokenize``.
 

@@ -745,6 +745,40 @@ def test_walked_high_orders_match_the_pruned_grid():
             assert abs(walked[k, i] - grid) <= 1e-15, (a, i)
 
 
+def _pair_grid_reference(ratios, log_weights, alphas):
+    """log2 of the pair sum of _pair_grid_sum at each of ``alphas``, at 40 digits."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        r = [mpmath.mpf(x) for x in ratios.tolist()]
+        w = [mpmath.mpf(2) ** mpmath.mpf(x) for x in log_weights.tolist()]
+        sums = [[] for _ in alphas]
+        for i in range(len(r)):
+            for j in range(i, len(r)):
+                # pair (j, i) is pair (i, j): count it twice
+                ww = w[i] * w[j] * (1 if i == j else 2)
+                lu, v = mpmath.log(1 + r[i] * r[j]), r[i] + r[j]
+                lv = mpmath.log(v) if v else None
+                for k, a in enumerate(alphas):
+                    sums[k].append(ww * (mpmath.exp(a * lu) + (mpmath.exp(a * lv) if v else 0)))
+        return [float(mpmath.log(mpmath.fsum(t), 2)) for t in sums]
+
+
+def test_pair_grid_over_many_blocks_matches_40_digit_reference(monkeypatch):
+    # 200 groups in blocks of 5 rows: 40 block sums combine into one
+    from polarlens import transform
+
+    rng = np.random.default_rng(2024)
+    ratios = np.sort(rng.uniform(0.0, 1.0, 200))
+    ratios[0] = 0.0  # the pair (0, 0) has r_a + r_b = 0, which drops out
+    log_weights = np.log2(rng.uniform(0.5, 2.0, 200))
+    alphas = (40.5, 100.0, 1e5)
+    monkeypatch.setattr(transform, "_PAIR_CHUNK", 1000)
+    for a, ref in zip(alphas, _pair_grid_reference(ratios, log_weights, alphas)):
+        got = transform._pair_grid_sum(ratios, log_weights, a)
+        assert abs(got - ref) <= 1e-15 * abs(ref), (a, got, ref)
+
+
 def test_stacked_split_columns_are_those_of_a_stack_of_one():
     # the parents of a sweep's deepest level share one far-interval walk;
     # each parent's columns must be bitwise those of _split on it alone,
